@@ -4,6 +4,9 @@ Everything compiled from a theory runs on float64 numpy arrays whose
 operations record backward rules on a per-step tape.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from dasl import tensor as T
@@ -49,6 +52,8 @@ print(f"|lse(v+100) - (lse(v)+100)| = "
       f"{abs(T.logsumexp(v + 100.0).item() - (T.logsumexp(v).item() + 100.0)):.2e}")
 
 print("\n=== checkpoint container round trip ===")
-save_checkpoint([w1, b1, w2], "/tmp/demo.ckpt")
-loaded = load_checkpoint("/tmp/demo.ckpt")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo.ckpt")
+    save_checkpoint([w1, b1, w2], path)
+    loaded = load_checkpoint(path)
 print("names:", sorted(loaded), "| w1 identical:", np.array_equal(loaded["w1"], w1.value))

@@ -139,12 +139,12 @@ def _cmd_train(args) -> int:
         interp = _bind(args, theory)
         plan = compile(theory, interp, batch_size=config.batch_size,
                        shared_draw=args.shared_draw, seed=args.seed)
+        state = train(plan, config)
     except Exception as e:  # noqa: BLE001
         if not _diagnostic(e):
             raise
         print(f"error: {e}", file=sys.stderr)
         return 2
-    state = train(plan, config)
     final = state.loss_history[-1] if state.loss_history else float("nan")
     print(f"trained {config.iterations} iterations; final loss {final:.6f}")
     if args.out:
@@ -156,12 +156,12 @@ def _cmd_eval(args) -> int:
     try:
         theory = _load_theory(args.theory)
         interp = _bind(args, theory)
+        loaded = load_checkpoint(args.checkpoint)
     except Exception as e:  # noqa: BLE001
         if not _diagnostic(e):
             raise
         print(f"error: {e}", file=sys.stderr)
         return 2
-    loaded = load_checkpoint(args.checkpoint)
     applied = 0
     for p in interp.parameters:
         if p.name in loaded:

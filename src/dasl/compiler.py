@@ -1,12 +1,21 @@
 """Lower a checked, bound theory to a differentiable evaluation plan.
 
-Structural recursion over each axiom: atoms become symbol evaluations,
-connectives become logit-algebra nodes, quantifiers over index-range sorts
-enumerate exhaustively (tensorized over the batch), and quantifiers over
-datasets/embedding tables become sampler draws reduced by an n-ary
-conjunction.  The root conjunction fuses with the loss: since the loss of
-a conjunction is the sum of its conjuncts' losses, the fused loss is a
-plain sum of softplus(-l) over root-level conjuncts.
+Compilation has three steps: desugar, lower once, evaluate the tree.
+
+- `lang.desugar` rewrites each axiom into the Not/And/Forall core, so Or,
+  Implies and Exists become negations.
+- One pass lowers the result into a tree of `Node`s.  Each node carries a
+  uid, its sorted free variables, its class width and its per-kind payload.
+  The same pass checks every symbol against the interpretation and
+  registers the sampler of every sampled quantifier.
+- Evaluation reads only that tree.  Atoms become symbol evaluations, `not`
+  and `and` become logit-algebra nodes, quantifiers over index-range sorts
+  enumerate exhaustively, and quantifiers over datasets and embedding
+  tables reduce a sampler draw by an n-ary conjunction.
+
+The root conjunction fuses with the loss: since the loss of a conjunction
+is the sum of its conjuncts' losses, the fused loss is a plain sum of
+softplus(-l) over root-level conjuncts.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .lang import (
     Equals,
     Exists,
     Forall,
+    Formula,
     FuncApp,
     Implies,
     IntLiteral,
@@ -34,12 +44,13 @@ from .lang import (
     Or,
     RelApp,
     SoftSelect,
-    Term,
     Theory,
     Variable,
+    children,
+    desugar,
 )
 from .lang.check import SortError, UnboundSymbol
-from .lang.printer import print_term
+from .lang.printer import print_formula, print_term
 from .tensor import Tensor
 
 
@@ -57,8 +68,153 @@ class CompiledBatch:
     symbol_outputs: dict = field(default_factory=dict)
 
 
+class Node:
+    """One lowered formula or term.
+
+    kind      data                                      kids
+    bool      the crisp logit, +big or -big             ()
+    boolvec   the bits                                  ()
+    bits      the bits as an array                      (index term,)
+    rel       (symbol, symbol_outputs key or None)      argument terms
+    eq        None                                      (lhs, rhs)
+    not, and  None                                      operands
+    select    None                                      (index term, vector)
+    index     (variable, cardinality)                   (body,)
+    sample    (variables, sampler key, batched)         (body,)
+    var       the variable name                         ()
+    const     the constant name                         ()
+    int       the integer                               ()
+    arith     "add" or "mod"                            (lhs, rhs)
+    func      the function symbol                       argument terms
+
+    A `rel` has a symbol_outputs key only when its relation is vector-valued.
+    A sampled quantifier is batched when no sampled quantifier encloses it:
+    its body sees the whole draw at once, while a nested one binds the rows
+    of its draw one at a time.
+    """
+
+    __slots__ = ("kind", "uid", "fv", "width", "kids", "data")
+
+    def __init__(self, kind: str, uid: int, fv: tuple[str, ...], width: int,
+                 kids: tuple, data):
+        self.kind = kind
+        self.uid = uid
+        self.fv = fv
+        self.width = width
+        self.kids = kids
+        self.data = data
+
+
+class _Lowering:
+    """The single pass from a desugared axiom to its Node tree."""
+
+    def __init__(self, plan: Plan):
+        self.plan = plan
+        self.theory = plan.theory
+        self.symbols = plan.interp.symbols
+        self.boolvecs = {b.name: b.bits for b in plan.theory.boolvecs}
+        self.outs = {r.name: r.out for r in plan.theory.rels}
+        self.sites: dict[tuple, object] = {}  # sampler key -> domain, in pre-order
+        self.vector_outputs: set[tuple] = set()
+        self.uids = 0
+        self.axiom = ""
+        self.batched = True  # no sampled quantifier encloses the current node
+
+    def node(self, kind: str, kids: tuple = (), data=None, width: int = 1,
+             fv: tuple[str, ...] | None = None) -> Node:
+        if fv is None:
+            if len(kids) == 1:
+                fv = kids[0].fv
+            else:
+                fv = tuple(sorted({v for k in kids for v in k.fv}))
+        self.uids += 1
+        return Node(kind, self.uids, fv, width, kids, data)
+
+    def lower_axiom(self, name: str, formula: Formula) -> Node:
+        self.axiom, self.batched = name, True
+        root = self.formula(desugar(formula))
+        if root.fv:
+            raise UnboundSymbol(root.fv[0])
+        return root
+
+    def formula(self, f) -> Node:
+        if isinstance(f, RelApp):
+            bits = self.boolvecs.get(f.symbol)
+            if bits is not None:
+                return self.node("bits", (self.term(f.args[0]),), np.asarray(bits))
+            if f.symbol not in self.symbols:
+                raise UnboundSymbol(f.symbol)
+            out = self.outs.get(f.symbol)
+            out_key = None
+            if out is not None:
+                out_key = (f.symbol, tuple(print_term(a) for a in f.args))
+                self.vector_outputs.add(out_key)
+            args = tuple(self.term(a) for a in f.args)
+            return self.node("rel", args, (f.symbol, out_key), width=out or 1)
+        if isinstance(f, Not):
+            body = self.formula(f.body)
+            return self.node("not", (body,), width=body.width)
+        if isinstance(f, And):
+            items = tuple(self.formula(i) for i in f.items)
+            return self.node("and", items, width=max(i.width for i in items))
+        if isinstance(f, Forall):
+            return self.quantifier(f)
+        if isinstance(f, SoftSelect):
+            return self.node("select", (self.term(f.index), self.formula(f.vector)))
+        if isinstance(f, Equals):
+            return self.node("eq", (self.term(f.lhs), self.term(f.rhs)))
+        if isinstance(f, BoolConst):
+            big = self.plan.interp.big
+            return self.node("bool", data=big if f.value else -big)
+        if isinstance(f, BoolVectorConst):
+            bits = self.boolvecs.get(f.name)
+            if bits is None:
+                raise UnboundSymbol(f.name)
+            return self.node("boolvec", data=bits, width=len(bits))
+        raise SortError("compile", "a formula", type(f).__name__)
+
+    def quantifier(self, f: Forall) -> Node:
+        sort = self.theory.sort(f.domain)
+        if sort is not None and sort.is_index:
+            # index-range quantifiers are always exhaustive, never sampled
+            body = self.formula(f.body)
+            fv = tuple(v for v in body.fv if v != f.vars[0])
+            return self.node("index", (body,), (f.vars[0], sort.cardinality), body.width, fv)
+        domain = self.plan.interp.domains.get(f.domain)
+        if domain is None:
+            raise UnboundSymbol(f.domain)
+        key = self.plan.sampler_key(self.axiom, f.vars, f.domain)
+        self.sites.setdefault(key, domain)
+        batched, self.batched = self.batched, False
+        body = self.formula(f.body)
+        self.batched = batched
+        fv = tuple(v for v in body.fv if v not in f.vars)
+        return self.node("sample", (body,), (f.vars, key, batched), body.width, fv)
+
+    def term(self, t) -> Node:
+        if isinstance(t, Variable):
+            return self.node("var", data=t.name, fv=(t.name,))
+        if isinstance(t, IntLiteral):
+            return self.node("int", data=t.value)
+        if isinstance(t, ArithExpr):
+            return self.node("arith", tuple(self.term(a) for a in t.args), t.op)
+        if isinstance(t, Constant):
+            if t.name not in self.symbols:
+                raise UnboundSymbol(t.name)
+            return self.node("const", data=t.name)
+        if isinstance(t, FuncApp):
+            if t.symbol not in self.symbols:
+                raise UnboundSymbol(t.symbol)
+            return self.node("func", tuple(self.term(a) for a in t.args), t.symbol)
+        raise SortError("compile", "a term", type(t).__name__)
+
+
 class Plan:
-    """Evaluation plan: checked theory + interpretation + samplers."""
+    """Evaluation plan: checked theory + interpretation + samplers.
+
+    `roots` holds each axiom's lowered tree; `vector_outputs` holds every
+    key that `CompiledBatch.symbol_outputs` can carry.
+    """
 
     def __init__(self, theory: Theory, interp: Interpretation,
                  batch_size: int | None = None, shared_draw: bool = False, seed: int = 0):
@@ -66,127 +222,22 @@ class Plan:
         self.interp = interp
         self.batch_size = batch_size
         self.shared_draw = shared_draw
-        self.samplers: dict[tuple, Sampler] = {}
-        self.widths: dict[int, int] = {}
-        self._collect_samplers(seed)
-        self._validate()
-        for ax in theory.axioms:
-            self._width(ax.formula)
-
-    # -- construction
+        lowering = _Lowering(self)
+        self.roots: list[tuple[str, Node]] = [
+            (ax.name, lowering.lower_axiom(ax.name, ax.formula)) for ax in theory.axioms]
+        self.vector_outputs = frozenset(lowering.vector_outputs)
+        strategy = "full" if batch_size is None else "shuffled-minibatch"
+        seeds = np.random.SeedSequence(seed).spawn(len(lowering.sites))
+        self.samplers: dict[tuple, Sampler] = {
+            key: Sampler(domain, strategy=strategy, batch_size=batch_size,
+                         rng=np.random.default_rng(ss))
+            for (key, domain), ss in zip(lowering.sites.items(), seeds)
+        }
 
     def sampler_key(self, axiom: str, vars: tuple[str, ...], domain: str) -> tuple:
         if self.shared_draw:
             return (domain,)
         return (axiom, vars, domain)
-
-    def _quantifier_sites(self):
-        def walk(f, axiom):
-            if isinstance(f, (Forall, Exists)):
-                sort = self.theory.sort(f.domain)
-                if sort is None or not sort.is_index:
-                    yield (axiom, f.vars, f.domain)
-                yield from walk(f.body, axiom)
-            elif isinstance(f, (And, Or)):
-                for i in f.items:
-                    yield from walk(i, axiom)
-            elif isinstance(f, Implies):
-                yield from walk(f.lhs, axiom)
-                yield from walk(f.rhs, axiom)
-            elif isinstance(f, Not):
-                yield from walk(f.body, axiom)
-            elif isinstance(f, SoftSelect):
-                yield from walk(f.vector, axiom)
-
-        for ax in self.theory.axioms:
-            yield from walk(ax.formula, ax.name)
-
-    def _collect_samplers(self, seed: int) -> None:
-        sites = []
-        for axiom, vars_, domain in self._quantifier_sites():
-            key = self.sampler_key(axiom, vars_, domain)
-            if key not in self.samplers:
-                sites.append((key, domain))
-                self.samplers[key] = None  # placeholder to keep order
-        seeds = np.random.SeedSequence(seed).spawn(len(sites))
-        for (key, domain_name), ss in zip(sites, seeds):
-            domain = self.interp.domains.get(domain_name)
-            if domain is None:
-                raise UnboundSymbol(domain_name)
-            strategy = "full" if self.batch_size is None else "shuffled-minibatch"
-            self.samplers[key] = Sampler(
-                domain, strategy=strategy, batch_size=self.batch_size,
-                rng=np.random.default_rng(ss),
-            )
-
-    def _validate(self) -> None:
-        def walk_term(t):
-            if isinstance(t, Constant) and t.name not in self.interp.symbols:
-                raise UnboundSymbol(t.name)
-            if isinstance(t, FuncApp):
-                if t.symbol not in self.interp.symbols:
-                    raise UnboundSymbol(t.symbol)
-                for a in t.args:
-                    walk_term(a)
-            if isinstance(t, ArithExpr):
-                for a in t.args:
-                    walk_term(a)
-
-        def walk(f):
-            if isinstance(f, RelApp):
-                if self.theory.boolvec(f.symbol) is None and f.symbol not in self.interp.symbols:
-                    raise UnboundSymbol(f.symbol)
-                for a in f.args:
-                    walk_term(a)
-            elif isinstance(f, Equals):
-                walk_term(f.lhs)
-                walk_term(f.rhs)
-            elif isinstance(f, Not):
-                walk(f.body)
-            elif isinstance(f, (And, Or)):
-                for i in f.items:
-                    walk(i)
-            elif isinstance(f, Implies):
-                walk(f.lhs)
-                walk(f.rhs)
-            elif isinstance(f, (Forall, Exists)):
-                if self.theory.sort(f.domain) is None and f.domain not in self.interp.domains:
-                    raise UnboundSymbol(f.domain)
-                walk(f.body)
-            elif isinstance(f, SoftSelect):
-                walk_term(f.index)
-                walk(f.vector)
-            elif isinstance(f, BoolVectorConst):
-                if self.theory.boolvec(f.name) is None:
-                    raise UnboundSymbol(f.name)
-            elif not isinstance(f, BoolConst):
-                raise SortError("compile", "a formula", type(f).__name__)
-
-        for ax in self.theory.axioms:
-            walk(ax.formula)
-
-    def _width(self, f) -> int:
-        """Static class-vector width of a formula (1 for scalar truth)."""
-        w = self.widths.get(id(f))
-        if w is not None:
-            return w
-        if isinstance(f, RelApp):
-            decl = self.theory.rel(f.symbol)
-            w = (decl.out or 1) if decl is not None else 1
-        elif isinstance(f, BoolVectorConst):
-            w = len(self.theory.boolvec(f.name).bits)
-        elif isinstance(f, Not):
-            w = self._width(f.body)
-        elif isinstance(f, (And, Or)):
-            w = max(self._width(i) for i in f.items)
-        elif isinstance(f, Implies):
-            w = max(self._width(f.lhs), self._width(f.rhs))
-        elif isinstance(f, (Forall, Exists)):
-            w = self._width(f.body)
-        else:  # Equals, SoftSelect, BoolConst
-            w = 1
-        self.widths[id(f)] = w
-        return w
 
     @property
     def parameters(self):
@@ -207,180 +258,8 @@ def compile(theory: Theory, interp: Interpretation, batch_size: int | None = Non
 # evaluation
 
 
-class _Ctx:
-    __slots__ = ("plan", "draws", "axiom", "in_batch", "memo", "symbol_outputs", "pinned")
-
-    def __init__(self, plan: Plan, draws: dict):
-        self.plan = plan
-        self.draws = draws
-        self.axiom = ""
-        self.in_batch = False
-        self.memo: dict = {}
-        self.symbol_outputs: dict = {}
-        # objects referenced by id() inside memo keys; pinning them keeps
-        # CPython from recycling an id into a different object mid-step
-        self.pinned: list = []
-
-    def pin(self, value):
-        if not isinstance(value, (int, np.integer)):
-            self.pinned.append(value)
-        return value
-
-
-def _term_vars(t: Term, out: set[str]) -> None:
-    if isinstance(t, Variable):
-        out.add(t.name)
-    elif isinstance(t, (FuncApp, ArithExpr)):
-        for a in t.args:
-            _term_vars(a, out)
-
-
-def _formula_vars(f, out: set[str]) -> None:
-    if isinstance(f, RelApp):
-        for a in f.args:
-            _term_vars(a, out)
-    elif isinstance(f, Equals):
-        _term_vars(f.lhs, out)
-        _term_vars(f.rhs, out)
-    elif isinstance(f, Not):
-        _formula_vars(f.body, out)
-    elif isinstance(f, (And, Or)):
-        for i in f.items:
-            _formula_vars(i, out)
-    elif isinstance(f, Implies):
-        _formula_vars(f.lhs, out)
-        _formula_vars(f.rhs, out)
-    elif isinstance(f, (Forall, Exists)):
-        _formula_vars(f.body, out)
-    elif isinstance(f, SoftSelect):
-        _term_vars(f.index, out)
-        _formula_vars(f.vector, out)
-
-
-def _memo_key(node, env: dict, ctx: _Ctx):
-    fv: set[str] = set()
-    if isinstance(node, Term):
-        _term_vars(node, fv)
-    else:
-        _formula_vars(node, fv)
-    sig = tuple(
-        (v, env[v] if isinstance(env[v], int) else id(ctx.pin(env[v])))
-        for v in sorted(fv)
-        if v in env
-    )
-    return (id(node), sig)
-
-
-def _eval_term(t: Term, env: dict, ctx: _Ctx):
-    if isinstance(t, Variable):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise UnboundSymbol(t.name) from None
-    if isinstance(t, Constant):
-        return ctx.plan.interp.symbols[t.name]([])
-    if isinstance(t, IntLiteral):
-        return t.value
-    if isinstance(t, ArithExpr):
-        a = _eval_term(t.args[0], env, ctx)
-        b = _eval_term(t.args[1], env, ctx)
-        return (a + b) if t.op == "add" else (a % b)
-    if isinstance(t, FuncApp):
-        key = _memo_key(t, env, ctx)
-        hit = ctx.memo.get(key)
-        if hit is None:
-            args = [_eval_term(a, env, ctx) for a in t.args]
-            hit = ctx.plan.interp.symbols[t.symbol](args)
-            ctx.memo[key] = hit
-        return hit
-    raise TypeError(f"not a term: {t!r}")
-
-
 def _crisp(mask, big: float) -> Tensor:
     return Tensor(np.where(np.asarray(mask, dtype=bool), big, -big))
-
-
-def _eval_formula(f, env: dict, ctx: _Ctx) -> Tensor:
-    interp = ctx.plan.interp
-    if isinstance(f, BoolConst):
-        return Tensor(interp.big if f.value else -interp.big)
-    if isinstance(f, BoolVectorConst):
-        return L.bool_vector(ctx.plan.theory.boolvec(f.name).bits, interp.big)
-    if isinstance(f, RelApp):
-        bv = ctx.plan.theory.boolvec(f.symbol)
-        if bv is not None:
-            idx = _eval_term(f.args[0], env, ctx)
-            bits = np.asarray(bv.bits)
-            return _crisp(bits[np.asarray(idx)] == 1, interp.big)
-        key = _memo_key(f, env, ctx)
-        hit = ctx.memo.get(key)
-        if hit is None:
-            args = [_eval_term(a, env, ctx) for a in f.args]
-            out = interp.symbols[f.symbol](args)
-            hit = out if isinstance(out, Tensor) else Tensor(out)
-            ctx.memo[key] = hit
-            decl = ctx.plan.theory.rel(f.symbol)
-            if decl is not None and decl.out is not None:
-                sig = tuple(print_term(a) for a in f.args)
-                ctx.symbol_outputs.setdefault((f.symbol, sig), hit)
-        return hit
-    if isinstance(f, Equals):
-        lhs = _eval_term(f.lhs, env, ctx)
-        rhs = _eval_term(f.rhs, env, ctx)
-        if _is_integerish(lhs) and _is_integerish(rhs):
-            return _crisp(np.asarray(lhs) == np.asarray(rhs), interp.big)
-        return L.equality_logit(lhs, rhs, interp.equality)
-    if isinstance(f, Not):
-        return T.neg(_eval_formula(f.body, env, ctx))
-    if isinstance(f, And):
-        return L.conj(*_aligned_items(f.items, f, env, ctx))
-    if isinstance(f, Or):
-        return L.disj(*_aligned_items(f.items, f, env, ctx))
-    if isinstance(f, Implies):
-        if isinstance(f.lhs, And):
-            # ~(a & b & ... & ~c): one n-ary conjunction, exact by
-            # associativity of logit(prod t_i)
-            vals = _aligned_items((*f.lhs.items, f.rhs), f, env, ctx)
-            return T.neg(L.conj(*vals[:-1], T.neg(vals[-1])))
-        lhs, rhs = _aligned_items((f.lhs, f.rhs), f, env, ctx)
-        return L.implies(lhs, rhs)
-    if isinstance(f, SoftSelect):
-        idx = _eval_term(f.index, env, ctx)
-        vec = _eval_formula(f.vector, env, ctx)
-        # key on the evaluated index so a y1+y2 grid hits 10 entries, not 100
-        if isinstance(idx, (int, np.integer)):
-            ikey = int(idx)
-        else:
-            ikey = id(ctx.pin(idx))
-        key = ("softselect", id(f), ikey, id(ctx.pin(vec)))
-        hit = ctx.memo.get(key)
-        if hit is None:
-            hit = L.softselect(vec, idx)
-            ctx.memo[key] = hit
-        return hit
-    if isinstance(f, Forall):
-        return _eval_forall(f, env, ctx)
-    if isinstance(f, Exists):
-        flipped = Forall(f.vars, f.domain, Not(f.body))
-        return T.neg(_eval_forall(flipped, env, ctx))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _aligned_items(items, parent, env: dict, ctx: _Ctx) -> list[Tensor]:
-    """Evaluate connective operands, aligning class axes across widths.
-
-    A width-1 operand evaluates without a class axis, so when it meets a
-    class vector inside a batched quantifier its batch axis must not be
-    mistaken for the class axis; give it an explicit trailing axis.
-    """
-    target = ctx.plan._width(parent)
-    out = []
-    for item in items:
-        val = _eval_formula(item, env, ctx)
-        if target > 1 and ctx.plan._width(item) == 1 and val.data.ndim >= 1:
-            val = T.reshape(val, val.data.shape + (1,))
-        out.append(val)
-    return out
 
 
 def _is_integerish(v) -> bool:
@@ -389,62 +268,172 @@ def _is_integerish(v) -> bool:
     return isinstance(v, np.ndarray) and np.issubdtype(v.dtype, np.integer)
 
 
-def _eval_forall(f: Forall, env: dict, ctx: _Ctx) -> Tensor:
-    sort = ctx.plan.theory.sort(f.domain)
-    if sort is not None and sort.is_index:
-        # index-range quantifiers are always exhaustive, never sampled
-        results = []
-        for i in range(sort.cardinality):
+class _Evaluator:
+    """One forward pass over the lowered trees of a plan.
+
+    An environment maps each bound variable to a (value, token) pair.  The
+    token names the value: the integer itself for an index, ("draw", uid)
+    for the rows of a batched draw, and (uid, row) for one row of a nested
+    draw.  A memo key is a node's uid plus the tokens of its free variables.
+    """
+
+    def __init__(self, plan: Plan, draws: dict):
+        self.plan = plan
+        self.draws = draws
+        self.symbols = plan.interp.symbols
+        self.big = plan.interp.big
+        self.memo: dict = {}
+        self.symbol_outputs: dict = {}
+
+    def key(self, node: Node, env: dict) -> tuple:
+        return (node.uid, *[env[v][1] for v in node.fv])
+
+    def term(self, node: Node, env: dict):
+        kind = node.kind
+        if kind == "var":
+            return env[node.data][0]
+        if kind == "int":
+            return node.data
+        if kind == "arith":
+            a, b = node.kids
+            a, b = self.term(a, env), self.term(b, env)
+            return (a + b) if node.data == "add" else (a % b)
+        if kind == "const":
+            return self.symbols[node.data]([])
+        key = self.key(node, env)  # func
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.symbols[node.data]([self.term(a, env) for a in node.kids])
+            self.memo[key] = hit
+        return hit
+
+    def formula(self, node: Node, env: dict) -> Tensor:
+        kind = node.kind
+        if kind == "select":
+            index, vector = node.kids
+            idx = self.term(index, env)
+            vec = self.formula(vector, env)
+            # key on the evaluated index so a y1+y2 grid hits 10 entries, not 100
+            ikey = int(idx) if isinstance(idx, (int, np.integer)) else self.key(index, env)
+            key = (node.uid, ikey, self.key(vector, env))
+            hit = self.memo.get(key)
+            if hit is None:
+                hit = L.softselect(vec, idx)
+                self.memo[key] = hit
+            return hit
+        if kind == "rel":
+            key = self.key(node, env)
+            hit = self.memo.get(key)
+            if hit is None:
+                symbol, out_key = node.data
+                out = self.symbols[symbol]([self.term(a, env) for a in node.kids])
+                hit = out if isinstance(out, Tensor) else Tensor(out)
+                self.memo[key] = hit
+                if out_key is not None:
+                    self.symbol_outputs.setdefault(out_key, hit)
+            return hit
+        if kind == "and":
+            return L.conj(*self.aligned(node, env))
+        if kind == "not":
+            return T.neg(self.formula(node.kids[0], env))
+        if kind == "index":
+            var, card = node.data
+            body = node.kids[0]
+            return L.conj(*[self.formula(body, {**env, var: (i, i)}) for i in range(card)])
+        if kind == "sample":
+            body = node.kids[0]
+            if node.data[2]:
+                return L.conj_reduce(self.formula(body, self.bind_draw(node, env)), axis=0)
+            return L.conj(*[self.formula(body, inner) for inner in self.bind_rows(node, env)])
+        if kind == "eq":
+            lhs, rhs = (self.term(t, env) for t in node.kids)
+            if _is_integerish(lhs) and _is_integerish(rhs):
+                return _crisp(np.asarray(lhs) == np.asarray(rhs), self.big)
+            return L.equality_logit(lhs, rhs, self.plan.interp.equality)
+        if kind == "bits":
+            idx = self.term(node.kids[0], env)
+            return _crisp(node.data[np.asarray(idx)] == 1, self.big)
+        if kind == "bool":
+            return Tensor(node.data)
+        return L.bool_vector(node.data, self.big)  # boolvec
+
+    def aligned(self, node: Node, env: dict) -> list[Tensor]:
+        """Evaluate connective operands, aligning class axes of unequal width.
+
+        A width-1 operand evaluates without a class axis, so when it meets a
+        class vector inside a batched quantifier its batch axis must not be
+        mistaken for the class axis; give it an explicit trailing axis.
+        """
+        out = []
+        for item in node.kids:
+            val = self.formula(item, env)
+            if node.width > 1 and item.width == 1 and val.data.ndim >= 1:
+                val = T.reshape(val, val.data.shape + (1,))
+            out.append(val)
+        return out
+
+    def bind_draw(self, node: Node, env: dict) -> dict:
+        """Bind a batched quantifier's variables to the rows of its draw."""
+        names, key, _ = node.data
+        indices = self.draws[key]
+        token = ("draw", node.uid)
+        inner = dict(env)
+        for v, col in zip(names, self.plan.samplers[key].domain.columns):
+            inner[v] = (col.take(indices), token)
+        return inner
+
+    def bind_rows(self, node: Node, env: dict):
+        """Bind a nested quantifier's variables row by row (one env per row)."""
+        names, key, _ = node.data
+        columns = self.plan.samplers[key].domain.columns
+        for row, j in enumerate(self.draws[key]):
             inner = dict(env)
-            inner[f.vars[0]] = i
-            results.append(_eval_formula(f.body, inner, ctx))
-        return L.conj(*results)
-    key = ctx.plan.sampler_key(ctx.axiom, f.vars, f.domain)
-    indices = ctx.draws[key]
-    domain = ctx.plan.samplers[key].domain
-    if not ctx.in_batch:
-        inner = dict(env)
-        for v, col in zip(f.vars, domain.columns):
-            inner[v] = col.take(indices)
-        ctx.in_batch = True
-        try:
-            body = _eval_formula(f.body, inner, ctx)
-        finally:
-            ctx.in_batch = False
-        return L.conj_reduce(body, axis=0)
-    # already inside a batched quantifier: fall back to element-wise binding
-    results = []
-    for j in indices:
-        inner = dict(env)
-        one = np.array([j])
-        for v, col in zip(f.vars, domain.columns):
-            taken = col.take(one)
-            if isinstance(taken, Tensor):
-                inner[v] = T.reshape(taken, taken.data.shape[1:])
-            elif np.issubdtype(np.asarray(taken).dtype, np.integer):
-                inner[v] = int(taken[0])
-            else:
-                inner[v] = taken[0]
-        results.append(_eval_formula(f.body, inner, ctx))
-    return L.conj(*results)
+            one = np.array([j])
+            for v, col in zip(names, columns):
+                taken = col.take(one)
+                if isinstance(taken, Tensor):
+                    inner[v] = (T.reshape(taken, taken.data.shape[1:]), (node.uid, row))
+                elif np.issubdtype(np.asarray(taken).dtype, np.integer):
+                    value = int(taken[0])
+                    inner[v] = (value, value)
+                else:
+                    inner[v] = (taken[0], (node.uid, row))
+            yield inner
+
+    def loss(self, node: Node, env: dict) -> Tensor:
+        """softplus(-l) summed over the root-level conjuncts below node."""
+        kind = node.kind
+        if kind == "and":
+            total = Tensor(0.0)
+            for item in node.kids:
+                total = T.add(total, self.loss(item, env))
+            return total
+        if kind == "index":
+            var, card = node.data
+            total = Tensor(0.0)
+            for i in range(card):
+                total = T.add(total, self.loss(node.kids[0], {**env, var: (i, i)}))
+            return total
+        if kind == "sample" and node.data[2]:
+            return self.loss(node.kids[0], self.bind_draw(node, env))
+        return T.reduce_sum(T.softplus(T.neg(self.formula(node, env))))
 
 
 def evaluate(plan: Plan, draws: dict | None = None) -> CompiledBatch:
     """Forward pass; inner index quantifiers enumerate, datasets use draws."""
     if draws is None:
         draws = plan.draw()
-    ctx = _Ctx(plan, draws)
+    ev = _Evaluator(plan, draws)
     per_axiom: dict[str, Tensor] = {}
-    for ax in plan.theory.axioms:
-        ctx.axiom = ax.name
-        root = _eval_formula(ax.formula, {}, ctx)
+    for name, node in plan.roots:
+        root = ev.formula(node, {})
         while root.data.ndim >= 1:  # vector-valued axiom roots conjoin componentwise
             root = L.conj_reduce(root, axis=-1)
         if not np.isfinite(root.data):
-            raise NonFiniteLogit(f"axiom {ax.name!r} produced a non-finite logit")
-        per_axiom[ax.name] = root
+            raise NonFiniteLogit(f"axiom {name!r} produced a non-finite logit")
+        per_axiom[name] = root
     root = L.conj(*per_axiom.values()) if per_axiom else None
-    return CompiledBatch(root, per_axiom, draws, ctx.symbol_outputs)
+    return CompiledBatch(root, per_axiom, draws, ev.symbol_outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +445,7 @@ class FusedPlan:
 
     The loss of the root conjunction equals the sum of the per-conjunct
     losses, so evaluation sums softplus(-l) over root-level conjuncts
-    (descending through And nodes and quantifier reductions) instead of
+    (descending through and nodes and quantifier reductions) instead of
     materializing the conjunction logit.
     """
 
@@ -467,50 +456,18 @@ class FusedPlan:
                  active_axioms: set[str] | None = None) -> tuple[Tensor, CompiledBatch]:
         if draws is None:
             draws = self.plan.draw()
-        ctx = _Ctx(self.plan, draws)
+        ev = _Evaluator(self.plan, draws)
         total = Tensor(0.0)
         per_axiom: dict[str, Tensor] = {}
-        for ax in self.plan.theory.axioms:
-            if active_axioms is not None and ax.name not in active_axioms:
+        for name, node in self.plan.roots:
+            if active_axioms is not None and name not in active_axioms:
                 continue
-            ctx.axiom = ax.name
-            part = _loss_of(ax.formula, {}, ctx)
+            part = ev.loss(node, {})
             if not np.isfinite(part.data):
-                raise NonFiniteLogit(f"axiom {ax.name!r} produced a non-finite loss")
-            per_axiom[ax.name] = part
+                raise NonFiniteLogit(f"axiom {name!r} produced a non-finite loss")
+            per_axiom[name] = part
             total = T.add(total, part)
-        return total, CompiledBatch(None, per_axiom, draws, ctx.symbol_outputs)
-
-
-def _loss_of(f, env: dict, ctx: _Ctx) -> Tensor:
-    if isinstance(f, And):
-        total = Tensor(0.0)
-        for i in f.items:
-            total = T.add(total, _loss_of(i, env, ctx))
-        return total
-    if isinstance(f, Forall):
-        sort = ctx.plan.theory.sort(f.domain)
-        if sort is not None and sort.is_index:
-            total = Tensor(0.0)
-            for i in range(sort.cardinality):
-                inner = dict(env)
-                inner[f.vars[0]] = i
-                total = T.add(total, _loss_of(f.body, inner, ctx))
-            return total
-        if not ctx.in_batch:
-            key = ctx.plan.sampler_key(ctx.axiom, f.vars, f.domain)
-            indices = ctx.draws[key]
-            domain = ctx.plan.samplers[key].domain
-            inner = dict(env)
-            for v, col in zip(f.vars, domain.columns):
-                inner[v] = col.take(indices)
-            ctx.in_batch = True
-            try:
-                return _loss_of(f.body, inner, ctx)
-            finally:
-                ctx.in_batch = False
-    logit_val = _eval_formula(f, env, ctx)
-    return T.reduce_sum(T.softplus(T.neg(logit_val)))
+        return total, CompiledBatch(None, per_axiom, draws, ev.symbol_outputs)
 
 
 def fuse_loss(plan: Plan) -> FusedPlan:
@@ -529,9 +486,33 @@ def explain(plan: Plan) -> str:
         lines.append("0 axioms; loss = 0")
     else:
         lines.append(f"{len(plan.theory.axioms)} axioms")
+
+    def walk(f, depth: int) -> None:
+        pad = "  " * depth
+        if isinstance(f, (Forall, Exists)):
+            sort = plan.theory.sort(f.domain)
+            if sort is not None and sort.is_index:
+                how = f"exhaustive 0..{sort.cardinality - 1}"
+            else:
+                how = "sampled"
+            kw = "forall" if isinstance(f, Forall) else "exists"
+            lines.append(f"{pad}{kw} {', '.join(f.vars)} in {f.domain} [{how}]")
+        elif isinstance(f, (And, Or)):
+            lines.append(f"{pad}{type(f).__name__.lower()} of {len(f.items)}")
+        elif isinstance(f, (Implies, Not)):
+            lines.append(f"{pad}{type(f).__name__.lower()}")
+        elif isinstance(f, SoftSelect):
+            lines.append(f"{pad}softselect[{print_term(f.index)}]")
+        else:
+            lines.append(f"{pad}{print_formula(f)}")
+            return
+        for c in children(f):
+            if isinstance(c, Formula):
+                walk(c, depth + 1)
+
     for ax in plan.theory.axioms:
         lines.append(f"axiom {ax.name}:")
-        _explain_formula(ax.formula, plan, ax.name, lines, depth=1)
+        walk(ax.formula, 1)
     lines.append("samplers:")
     if not plan.samplers:
         lines.append("  (none)")
@@ -554,38 +535,3 @@ def explain(plan: Plan) -> str:
                 lines.append(f"  sort {dname}: embedding-table, {col.param.value.size} parameters")
     lines.append(f"total parameters: {total}")
     return "\n".join(lines)
-
-
-def _explain_formula(f, plan: Plan, axiom: str, lines: list[str], depth: int) -> None:
-    pad = "  " * depth
-    if isinstance(f, (Forall, Exists)):
-        kw = "forall" if isinstance(f, Forall) else "exists"
-        sort = plan.theory.sort(f.domain)
-        if sort is not None and sort.is_index:
-            how = f"exhaustive 0..{sort.cardinality - 1}"
-        else:
-            how = "sampled"
-        lines.append(f"{pad}{kw} {', '.join(f.vars)} in {f.domain} [{how}]")
-        _explain_formula(f.body, plan, axiom, lines, depth + 1)
-    elif isinstance(f, And):
-        lines.append(f"{pad}and of {len(f.items)}")
-        for i in f.items:
-            _explain_formula(i, plan, axiom, lines, depth + 1)
-    elif isinstance(f, Or):
-        lines.append(f"{pad}or of {len(f.items)}")
-        for i in f.items:
-            _explain_formula(i, plan, axiom, lines, depth + 1)
-    elif isinstance(f, Implies):
-        lines.append(f"{pad}implies")
-        _explain_formula(f.lhs, plan, axiom, lines, depth + 1)
-        _explain_formula(f.rhs, plan, axiom, lines, depth + 1)
-    elif isinstance(f, Not):
-        lines.append(f"{pad}not")
-        _explain_formula(f.body, plan, axiom, lines, depth + 1)
-    elif isinstance(f, SoftSelect):
-        lines.append(f"{pad}softselect[{print_term(f.index)}]")
-        _explain_formula(f.vector, plan, axiom, lines, depth + 1)
-    else:
-        from .lang.printer import print_formula
-
-        lines.append(f"{pad}{print_formula(f)}")

@@ -175,9 +175,10 @@ class MlpBinding:
         for e in encoded:
             n = e.data.shape[0] if isinstance(e, Tensor) else e.shape[0]
             if n == 1 and rows > 1:
-                if isinstance(e, Tensor):
-                    raise WidthMismatch(f"{self.name}: cannot broadcast a learned row across a batch")
-                e = np.broadcast_to(e, (rows, e.shape[1]))
+                if isinstance(e, Tensor):  # a learned row: broadcast differentiably
+                    e = T.add(e, np.zeros((rows, e.data.shape[1])))
+                else:
+                    e = np.broadcast_to(e, (rows, e.shape[1]))
             parts.append(e)
         x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
         act = {"sigmoid": T.sigmoid, "relu": T.relu, "tanh": T.tanh}[self.activation]
@@ -232,11 +233,6 @@ class FixedBinding:
         return self.value
 
 
-def eval_symbol(binding, args: list, env=None):
-    """Apply a symbol binding to already-evaluated arguments."""
-    return binding(list(args))
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -246,16 +242,14 @@ class Sampler:
     """Per-quantifier batch generator over a domain.
 
     `full` returns the whole (active) domain in order; `shuffled-minibatch`
-    partitions each epoch into disjoint batches covering it exactly once;
-    `balanced-per-class` draws batch_size indices per label class.  The
-    active_size prefix is the curriculum working set.
+    partitions each epoch into disjoint batches covering it exactly once.
+    The active_size prefix is the curriculum working set.
     """
 
     domain: Domain
     strategy: str = "full"
     batch_size: int | None = None
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-    labels: np.ndarray | None = None
     active_size: int | None = None
     _order: np.ndarray | None = field(default=None, repr=False)
     _cursor: int = field(default=0, repr=False)
@@ -271,7 +265,7 @@ class Sampler:
         self._order = None  # restart the epoch over the new working set
         self._cursor = 0
 
-    def sample(self, env=None) -> np.ndarray:
+    def sample(self) -> np.ndarray:
         n = self._n()
         if n < 1:
             raise EmptyDomain(self.domain.name)
@@ -285,22 +279,7 @@ class Sampler:
             out = self._order[self._cursor : self._cursor + take]
             self._cursor += take
             return out
-        if self.strategy == "balanced-per-class":
-            if self.labels is None:
-                raise ValueError("balanced-per-class needs labels")
-            per = self.batch_size or 1
-            picks = []
-            for cls in np.unique(self.labels[:n]):
-                pool = np.flatnonzero(self.labels[:n] == cls)
-                if len(pool) < per:
-                    raise InsufficientClassCount(int(cls))
-                picks.append(self.rng.choice(pool, size=per, replace=False))
-            return np.concatenate(picks)
         raise ValueError(f"unknown strategy {self.strategy!r}")
-
-
-def sample(sampler: Sampler, env=None) -> np.ndarray:
-    return sampler.sample(env)
 
 
 # ---------------------------------------------------------------------------

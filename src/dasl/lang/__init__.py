@@ -27,6 +27,7 @@ from .ast import (
     Term,
     Theory,
     Variable,
+    children,
     desugar,
     free_variables,
 )
@@ -42,6 +43,6 @@ __all__ = [
     "FuncApp", "FuncDecl", "Implies", "IntLiteral", "LexError", "MlpSpec",
     "Not", "Or", "ParseError", "RelApp", "RelDecl", "SoftSelect", "SortDecl",
     "SortError", "Term", "Theory", "Token", "UnboundSymbol", "Variable",
-    "check_theory", "desugar", "free_variables", "parse_formula",
+    "check_theory", "children", "desugar", "free_variables", "parse_formula",
     "parse_theory", "print_formula", "print_term", "print_theory", "tokenize",
 ]

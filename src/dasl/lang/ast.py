@@ -265,56 +265,49 @@ class Theory:
 # structural operations
 
 
-def free_variables(formula: Formula) -> set[str]:
+def children(node: Formula | Term) -> tuple:
+    """Direct sub-formulas and sub-terms of a node, in source order."""
+    if isinstance(node, (Variable, Constant, IntLiteral, BoolConst, BoolVectorConst)):
+        return ()
+    if isinstance(node, (RelApp, FuncApp, ArithExpr)):
+        return node.args
+    if isinstance(node, (Not, Forall, Exists)):
+        return (node.body,)
+    if isinstance(node, (And, Or)):
+        return node.items
+    if isinstance(node, (Implies, Equals)):
+        return (node.lhs, node.rhs)
+    if isinstance(node, SoftSelect):
+        return (node.index, node.vector)
+    raise TypeError(f"not a formula or term: {node!r}")
+
+
+def free_variables(formula: Formula | Term) -> set[str]:
     """Exact set of variable names occurring free in the formula."""
-
-    def term_vars(t: Term) -> set[str]:
-        if isinstance(t, Variable):
-            return {t.name}
-        if isinstance(t, (FuncApp, ArithExpr)):
-            out: set[str] = set()
-            for a in t.args:
-                out |= term_vars(a)
-            return out
-        return set()
-
-    if isinstance(formula, RelApp):
-        out = set()
-        for a in formula.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(formula, Equals):
-        return term_vars(formula.lhs) | term_vars(formula.rhs)
-    if isinstance(formula, Not):
-        return free_variables(formula.body)
-    if isinstance(formula, (And, Or)):
-        out = set()
-        for f in formula.items:
-            out |= free_variables(f)
-        return out
-    if isinstance(formula, Implies):
-        return free_variables(formula.lhs) | free_variables(formula.rhs)
+    if isinstance(formula, Variable):
+        return {formula.name}
+    out: set[str] = set()
+    for c in children(formula):
+        out |= free_variables(c)
     if isinstance(formula, (Forall, Exists)):
-        return free_variables(formula.body) - set(formula.vars)
-    if isinstance(formula, SoftSelect):
-        return term_vars(formula.index) | free_variables(formula.vector)
-    if isinstance(formula, (BoolConst, BoolVectorConst)):
-        return set()
-    raise TypeError(f"not a formula: {formula!r}")
+        out -= set(formula.vars)
+    return out
 
 
 def desugar(formula: Formula) -> Formula:
     """Rewrite Or/Implies/Exists into the Not/And/Forall core.
 
-    Or(a, b)        -> ~(~a & ~b)
-    Implies(a, b)   -> ~(a & ~b)
-    Exists(x, S, f) -> ~forall x: S . ~f
+    Or(a, b)                -> ~(~a & ~b)
+    Implies(a, b)           -> ~(a & ~b)
+    Implies(a & b & ..., c) -> ~(a & b & ... & ~c), one n-ary conjunction
+    Exists(x, S, f)         -> ~forall x: S . ~f
     """
     if isinstance(formula, Or):
         items = tuple(Not(desugar(f)) for f in formula.items)
         return Not(And(items))
     if isinstance(formula, Implies):
-        return Not(And((desugar(formula.lhs), Not(desugar(formula.rhs)))))
+        lhs = formula.lhs.items if isinstance(formula.lhs, And) else (formula.lhs,)
+        return Not(And((*(desugar(f) for f in lhs), Not(desugar(formula.rhs)))))
     if isinstance(formula, Exists):
         return Not(Forall(formula.vars, formula.domain, Not(desugar(formula.body))))
     if isinstance(formula, Not):

@@ -31,6 +31,7 @@ from .ast import (
     Term,
     Theory,
     Variable,
+    children,
     free_variables,
 )
 
@@ -302,26 +303,10 @@ class _Checker:
 def _all_names(f: Formula | Term, out: set[str]) -> None:
     if isinstance(f, (Forall, Exists)):
         out.update(f.vars)
-        _all_names(f.body, out)
     elif isinstance(f, (Variable, Constant)):
         out.add(f.name)
-    elif isinstance(f, (FuncApp, ArithExpr, RelApp)):
-        for a in f.args:
-            _all_names(a, out)
-    elif isinstance(f, Not):
-        _all_names(f.body, out)
-    elif isinstance(f, (And, Or)):
-        for i in f.items:
-            _all_names(i, out)
-    elif isinstance(f, Implies):
-        _all_names(f.lhs, out)
-        _all_names(f.rhs, out)
-    elif isinstance(f, Equals):
-        _all_names(f.lhs, out)
-        _all_names(f.rhs, out)
-    elif isinstance(f, SoftSelect):
-        _all_names(f.index, out)
-        _all_names(f.vector, out)
+    for c in children(f):
+        _all_names(c, out)
 
 
 def check_theory(theory: Theory) -> Theory:

@@ -207,17 +207,6 @@ def bool_vector(bits, big: float = BIG) -> Tensor:
     return Tensor((2.0 * arr - 1.0) * big)
 
 
-def broadcast_connective(op: str, x, y) -> Tensor:
-    """Apply a binary connective elementwise after numpy broadcasting."""
-    if op == "and":
-        return conj(x, y)
-    if op == "or":
-        return disj(x, y)
-    if op == "implies":
-        return implies(x, y)
-    raise ValueError(f"unknown connective {op!r}")
-
-
 def mask_classes(class_logits, mask, condition) -> Tensor:
     """Suppress the masked classes of a classifier unless condition holds.
 

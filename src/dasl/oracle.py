@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .compiler import Plan, compile, evaluate, fuse_loss
+from .compiler import Node, Plan, compile, evaluate, fuse_loss
 from .interp import Interpretation, bind_theory
 from .lang import (
     And,
@@ -219,7 +219,7 @@ def satisfies_at_threshold(model: CrispModel, theory: Theory,
     plan = compile(theory, interp, batch_size=None)
     fused = fuse_loss(plan)
     total, batch = fused.evaluate()
-    counts = {ax.name: _conjunct_count(plan, ax.name, ax.formula) for ax in theory.axioms}
+    counts = {name: _conjunct_count(plan, node) for name, node in plan.roots}
     total_count = max(1, sum(counts.values()))
     theta_total = 1e-6 * total_count if theta is None else theta
     per_axiom = {
@@ -230,15 +230,14 @@ def satisfies_at_threshold(model: CrispModel, theory: Theory,
                               float(total.data), theta_total)
 
 
-def _conjunct_count(plan: Plan, axiom: str, f: Formula) -> int:
-    if isinstance(f, And):
-        return sum(_conjunct_count(plan, axiom, i) for i in f.items)
-    if isinstance(f, Forall):
-        sort = plan.theory.sort(f.domain)
-        if sort is not None and sort.is_index:
-            return sort.cardinality * _conjunct_count(plan, axiom, f.body)
-        key = plan.sampler_key(axiom, f.vars, f.domain)
-        return plan.samplers[key].domain.cardinality * _conjunct_count(plan, axiom, f.body)
+def _conjunct_count(plan: Plan, node: Node) -> int:
+    if node.kind == "and":
+        return sum(_conjunct_count(plan, k) for k in node.kids)
+    if node.kind == "index":
+        return node.data[1] * _conjunct_count(plan, node.kids[0])
+    if node.kind == "sample":
+        domain = plan.samplers[node.data[1]].domain
+        return domain.cardinality * _conjunct_count(plan, node.kids[0])
     return 1
 
 

@@ -10,8 +10,11 @@ them while it is active.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import threading
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,17 +53,16 @@ class NonFiniteGradient(Exception):
 # tape
 
 
-_tls = threading.local()
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.stack: list = []  # runs once per thread, on first access
 
 
-def _tape_stack() -> list:
-    if not hasattr(_tls, "stack"):
-        _tls.stack = []
-    return _tls.stack
+_tls = _TapeStack()
 
 
 def active_tape():
-    stack = _tape_stack()
+    stack = _tls.stack
     return stack[-1] if stack else None
 
 
@@ -68,25 +70,25 @@ class Tape:
     """Recorded forward pass; one per training step, single-threaded."""
 
     def __init__(self):
-        self._records: list[tuple[int, object]] = []  # (out node, backward rule)
+        self._records: list[tuple[int, tuple]] = []  # (out node, inputs; see _make)
         self._next_node = 0
         self._param_nodes: dict[int, tuple[Parameter, int]] = {}
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tls.stack.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _tape_stack().pop()
+        _tls.stack.pop()
 
     def new_node(self) -> int:
         nid = self._next_node
         self._next_node += 1
         return nid
 
-    def record(self, out_node: int, backward_rule) -> None:
-        self._records.append((out_node, backward_rule))
+    def record(self, out_node: int, inputs: tuple) -> None:
+        self._records.append((out_node, inputs))
 
     def param_node(self, p: "Parameter") -> int:
         entry = self._param_nodes.get(id(p))
@@ -164,40 +166,38 @@ class Parameter:
 
 def _ensure(x) -> tuple[np.ndarray, int | None]:
     """Coerce an operand to (data, node id), enrolling Parameters on the tape."""
-    tape = active_tape()
-    if isinstance(x, Parameter):
-        return x.value, (tape.param_node(x) if tape is not None else None)
     if isinstance(x, Tensor):
-        if x.node is not None and x.tape is not tape:
+        if x.node is not None and x.tape is not active_tape():
             return x.data, None  # value from another (dead) tape: treat as constant
         return x.data, x.node
+    if isinstance(x, Parameter):
+        tape = active_tape()
+        return x.value, (tape.param_node(x) if tape is not None else None)
     return np.asarray(x, dtype=np.float64), None
 
 
-def _make(data: np.ndarray, inputs: list[tuple[int | None, object]]) -> Tensor:
-    """Create the output tensor, recording a backward rule if needed.
+def _make(data: np.ndarray, *inputs: tuple) -> Tensor:
+    """Create the output tensor, recording how to pull gradients if needed.
 
-    inputs: list of (node id, pull function); pull(g) returns the gradient
-    contribution for that input given the output gradient g.
+    Each input is (node id, pull, *saved); pull(g, *saved) returns the
+    gradient contribution for that input given the output gradient g.
+    Pulls are module-level functions, not per-op closures: a training step
+    records thousands of ops, and closures made the garbage collector run
+    several times per step.
     """
-    tape = active_tape()
-    live = [(nid, pull) for nid, pull in inputs if nid is not None]
-    if tape is None or not live:
+    stack = _tls.stack
+    if not stack:
         return Tensor(data)
+    live = inputs
+    for item in inputs:
+        if item[0] is None:
+            live = tuple(item for item in inputs if item[0] is not None)
+            if not live:
+                return Tensor(data)
+            break
+    tape = stack[-1]
     out = tape.new_node()
-
-    def backward_rule(grads: dict):
-        g = grads.get(out)
-        if g is None:
-            return
-        for nid, pull in live:
-            contrib = pull(g)
-            if nid in grads:
-                grads[nid] = grads[nid] + contrib
-            else:
-                grads[nid] = contrib
-
-    tape.record(out, backward_rule)
+    tape.record(out, live)
     return Tensor(data, out, tape)
 
 
@@ -214,7 +214,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _unbroadcast_neg(g, shape):
+    return _unbroadcast(-g, shape)
+
+
+def _unbroadcast_times(g, factor, shape):
+    return _unbroadcast(g * factor, shape)
+
+
 def _check_broadcast(*shapes):
+    first = shapes[0]
+    for s in shapes:
+        if s != first:
+            break
+    else:
+        return first
     try:
         return np.broadcast_shapes(*shapes)
     except ValueError:
@@ -228,91 +242,113 @@ def _check_broadcast(*shapes):
 def add(a, b) -> Tensor:
     (da, na), (db, nb) = _ensure(a), _ensure(b)
     _check_broadcast(da.shape, db.shape)
-    return _make(da + db, [
-        (na, lambda g: _unbroadcast(g, da.shape)),
-        (nb, lambda g: _unbroadcast(g, db.shape)),
-    ])
+    return _make(da + db, (na, _unbroadcast, da.shape), (nb, _unbroadcast, db.shape))
 
 
 def sub(a, b) -> Tensor:
     (da, na), (db, nb) = _ensure(a), _ensure(b)
     _check_broadcast(da.shape, db.shape)
-    return _make(da - db, [
-        (na, lambda g: _unbroadcast(g, da.shape)),
-        (nb, lambda g: _unbroadcast(-g, db.shape)),
-    ])
+    return _make(da - db, (na, _unbroadcast, da.shape), (nb, _unbroadcast_neg, db.shape))
 
 
 def mul(a, b) -> Tensor:
     (da, na), (db, nb) = _ensure(a), _ensure(b)
     _check_broadcast(da.shape, db.shape)
-    return _make(da * db, [
-        (na, lambda g: _unbroadcast(g * db, da.shape)),
-        (nb, lambda g: _unbroadcast(g * da, db.shape)),
-    ])
+    return _make(da * db, (na, _unbroadcast_times, db, da.shape),
+                 (nb, _unbroadcast_times, da, db.shape))
 
 
 def neg(a) -> Tensor:
     da, na = _ensure(a)
-    return _make(-da, [(na, lambda g: -g)])
+    return _make(-da, (na, np.negative))
 
 
 def exp(a) -> Tensor:
     da, na = _ensure(a)
     out = np.exp(np.minimum(da, _EXP_MAX))
-    return _make(out, [(na, lambda g: g * out)])
+    return _make(out, (na, np.multiply, out))
 
 
 def expm1(a) -> Tensor:
     da, na = _ensure(a)
-    out = np.expm1(np.minimum(da, _EXP_MAX))
-    return _make(out, [(na, lambda g: g * np.exp(np.minimum(da, _EXP_MAX)))])
+    capped = np.minimum(da, _EXP_MAX)
+    return _make(np.expm1(capped), (na, _pull_expm1, capped))
+
+
+def _pull_expm1(g, x):
+    return g * np.exp(x)
 
 
 def log(a) -> Tensor:
     da, na = _ensure(a)
     clamped = np.maximum(da, _LOG_FLOOR)
-    return _make(np.log(clamped), [(na, lambda g: g / clamped)])
+    return _make(np.log(clamped), (na, np.divide, clamped))
 
 
 def sqrt(a) -> Tensor:
     da, na = _ensure(a)
     out = np.sqrt(da)
-    return _make(out, [(na, lambda g: g / (2.0 * np.maximum(out, _LOG_FLOOR)))])
+    return _make(out, (na, _pull_sqrt, out))
+
+
+def _pull_sqrt(g, out):
+    return g / (2.0 * np.maximum(out, _LOG_FLOOR))
 
 
 def sigmoid(a) -> Tensor:
     da, na = _ensure(a)
     out = _sigmoid_np(da)
-    return _make(out, [(na, lambda g: g * out * (1.0 - out))])
+    return _make(out, (na, _pull_sigmoid, out))
+
+
+def _pull_sigmoid(g, out):
+    return g * out * (1.0 - out)
 
 
 def logsigmoid(a) -> Tensor:
     da, na = _ensure(a)
-    out = -_softplus_np(-da)
-    return _make(out, [(na, lambda g: g * _sigmoid_np(-da))])
+    x = -da
+    sp, t = _softplus_parts(x)
+    return _make(-sp, (na, _times_sigmoid, x, t))
 
 
 def softplus(a) -> Tensor:
     da, na = _ensure(a)
-    return _make(_softplus_np(da), [(na, lambda g: g * _sigmoid_np(da))])
+    sp, t = _softplus_parts(da)
+    return _make(sp, (na, _times_sigmoid, da, t))
+
+
+def _times_sigmoid(g, x, t):
+    return g * _sigmoid_of(x, t)
 
 
 def relu(a) -> Tensor:
     da, na = _ensure(a)
-    return _make(np.maximum(da, 0.0), [(na, lambda g: g * (da > 0))])
+    return _make(np.maximum(da, 0.0), (na, _pull_relu, da))
+
+
+def _pull_relu(g, da):
+    return g * (da > 0)
 
 
 def tanh(a) -> Tensor:
     da, na = _ensure(a)
     out = np.tanh(da)
-    return _make(out, [(na, lambda g: g * (1.0 - out * out))])
+    return _make(out, (na, _pull_tanh, out))
+
+
+def _pull_tanh(g, out):
+    return g * (1.0 - out * out)
 
 
 def clamp_max(a, cap: float) -> Tensor:
     """min(a, cap); subgradient passes where a < cap."""
     da, na = _ensure(a)
-    return _make(np.minimum(da, cap), [(na, lambda g: g * (da <= cap))])
+    return _make(np.minimum(da, cap), (na, _pull_clamp_max, da, cap))
+
+
+def _pull_clamp_max(g, da, cap):
+    return g * (da <= cap)
 
 
 def where(cond, a, b) -> Tensor:
@@ -320,20 +356,24 @@ def where(cond, a, b) -> Tensor:
     cond = np.asarray(cond, dtype=bool)
     (da, na), (db, nb) = _ensure(a), _ensure(b)
     _check_broadcast(cond.shape, da.shape, db.shape)
-    return _make(np.where(cond, da, db), [
-        (na, lambda g: _unbroadcast(g * cond, da.shape)),
-        (nb, lambda g: _unbroadcast(g * (~cond), db.shape)),
-    ])
+    return _make(np.where(cond, da, db), (na, _unbroadcast_times, cond, da.shape),
+                 (nb, _unbroadcast_times, ~cond, db.shape))
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
+    return _sigmoid_of(x, np.exp(-np.abs(x)))
+
+
+def _sigmoid_of(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sigmoid(x) given t = exp(-|x|), which softplus already computed."""
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
+
+
+def _softplus_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(x) and the t = exp(-|x|) it was built from."""
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-
-
-def _softplus_np(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return np.maximum(x, 0.0) + np.log1p(t), t
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +384,15 @@ def matmul(a, b) -> Tensor:
     (da, na), (db, nb) = _ensure(a), _ensure(b)
     if da.ndim != 2 or db.ndim != 2 or da.shape[1] != db.shape[0]:
         raise ShapeMismatch(da.shape, db.shape)
-    return _make(da @ db, [
-        (na, lambda g: g @ db.T),
-        (nb, lambda g: da.T @ g),
-    ])
+    return _make(da @ db, (na, _matmul_by_transpose, db), (nb, _transpose_matmul, da))
+
+
+def _matmul_by_transpose(g, b):
+    return g @ b.T
+
+
+def _transpose_matmul(g, a):
+    return a.T @ g
 
 
 def _check_axis(data: np.ndarray, axis: int | None) -> None:
@@ -360,28 +405,26 @@ def _check_axis(data: np.ndarray, axis: int | None) -> None:
 def reduce_sum(a, axis: int | None = None) -> Tensor:
     da, na = _ensure(a)
     _check_axis(da, axis)
-    out = da.sum(axis=axis)
+    return _make(da.sum(axis=axis), (na, _pull_sum, da.shape, axis))
 
-    def pull(g):
-        if axis is None:
-            return np.broadcast_to(g, da.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), da.shape).copy()
 
-    return _make(out, [(na, pull)])
+def _pull_sum(g, shape, axis):
+    full = np.empty(shape)
+    full[...] = g if axis is None else np.expand_dims(g, axis)
+    return full
 
 
 def reduce_mean(a, axis: int | None = None) -> Tensor:
     da, na = _ensure(a)
     _check_axis(da, axis)
     n = da.size if axis is None else da.shape[axis]
-    out = da.mean(axis=axis)
+    return _make(da.mean(axis=axis), (na, _pull_mean, da.shape, axis, n))
 
-    def pull(g):
-        if axis is None:
-            return np.broadcast_to(g / n, da.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis) / n, da.shape).copy()
 
-    return _make(out, [(na, pull)])
+def _pull_mean(g, shape, axis, n):
+    full = np.empty(shape)
+    full[...] = (g if axis is None else np.expand_dims(g, axis)) / n
+    return full
 
 
 def reduce_max(a, axis: int | None = None) -> Tensor:
@@ -391,13 +434,17 @@ def reduce_max(a, axis: int | None = None) -> Tensor:
         out = da.max()
         hot = np.zeros_like(da)
         hot[np.unravel_index(np.argmax(da), da.shape)] = 1.0
-        return _make(out, [(na, lambda g: g * hot)])
+        return _make(out, (na, np.multiply, hot))
     out = da.max(axis=axis)
     # ties route to the first maximum for determinism
     idx = np.expand_dims(np.argmax(da, axis=axis), axis)
     hot = np.zeros_like(da)
     np.put_along_axis(hot, idx, 1.0, axis)
-    return _make(out, [(na, lambda g: np.expand_dims(g, axis) * hot)])
+    return _make(out, (na, _expand_times, axis, hot))
+
+
+def _expand_times(g, axis, factor):
+    return np.expand_dims(g, axis) * factor
 
 
 def logsumexp(a, axis: int | None = None) -> Tensor:
@@ -410,14 +457,9 @@ def logsumexp(a, axis: int | None = None) -> Tensor:
     total = shifted.sum(axis=axis, keepdims=True)
     out = np.log(total) + m
     soft = shifted / total
-
-    def pull(g):
-        if axis is None:
-            return g * soft
-        return np.expand_dims(g, axis) * soft
-
-    out = out.reshape(()) if axis is None else np.squeeze(out, axis)
-    return _make(out, [(na, pull)])
+    if axis is None:
+        return _make(out.reshape(()), (na, np.multiply, soft))
+    return _make(np.squeeze(out, axis), (na, _expand_times, axis, soft))
 
 
 def gather(table, indices) -> Tensor:
@@ -428,13 +470,13 @@ def gather(table, indices) -> Tensor:
         raise ShapeMismatch(dt.shape)
     if idx.size and (idx.min() < 0 or idx.max() >= dt.shape[0]):
         raise IndexOutOfRange(f"index outside [0, {dt.shape[0]})")
+    return _make(dt[idx], (nt, _pull_gather, dt, idx))
 
-    def pull(g):
-        out = np.zeros_like(dt)
-        np.add.at(out, idx, g)
-        return out
 
-    return _make(dt[idx], [(nt, pull)])
+def _pull_gather(g, table, idx):
+    out = np.zeros_like(table)
+    np.add.at(out, idx, g)
+    return out
 
 
 def concat(parts: list, axis: int = -1) -> Tensor:
@@ -442,61 +484,61 @@ def concat(parts: list, axis: int = -1) -> Tensor:
     datas = [d for d, _ in pairs]
     out = np.concatenate(datas, axis=axis)
     offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
-    inputs = []
-    for i, (d, n) in enumerate(pairs):
-        lo, hi = offsets[i], offsets[i + 1]
+    return _make(out, *[(n, _pull_slice, axis, offsets[i], offsets[i + 1])
+                        for i, (_, n) in enumerate(pairs)])
 
-        def pull(g, lo=lo, hi=hi):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            return g[tuple(sl)]
 
-        inputs.append((n, pull))
-    return _make(out, inputs)
+def _pull_slice(g, axis, lo, hi):
+    sl = [slice(None)] * g.ndim
+    sl[axis] = slice(lo, hi)
+    return g[tuple(sl)]
 
 
 def reshape(t, shape) -> Tensor:
     dt, nt = _ensure(t)
     if int(np.prod(shape)) != dt.size:
         raise ShapeMismatch(dt.shape, tuple(shape))
-    return _make(dt.reshape(shape), [(nt, lambda g: g.reshape(dt.shape))])
+    return _make(dt.reshape(shape), (nt, np.reshape, dt.shape))
+
+
+def _class_index(dt: np.ndarray, index) -> tuple:
+    """Index tuple that picks t[..., index] along the class axis."""
+    idx = np.asarray(index)
+    n = dt.shape[-1]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexOutOfRange(f"class index outside [0, {n})")
+    if idx.ndim == 0:
+        return (Ellipsis, int(idx))
+    idx_b = np.broadcast_to(idx, dt.shape[:-1]).astype(np.int64)
+    return (*np.indices(idx_b.shape, sparse=True), idx_b)
 
 
 def select_class(t, index) -> Tensor:
     """t[..., index] with a per-row integer index (or one shared index)."""
     dt, nt = _ensure(t)
-    idx = np.asarray(index)
-    n = dt.shape[-1]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexOutOfRange(f"class index outside [0, {n})")
-    idx_b = np.broadcast_to(idx, dt.shape[:-1]).astype(np.int64)
-    out = np.take_along_axis(dt, idx_b[..., None], -1)[..., 0]
+    ix = _class_index(dt, index)
+    return _make(np.array(dt[ix]), (nt, _pull_select, dt, ix))
 
-    def pull(g):
-        full = np.zeros_like(dt)
-        np.put_along_axis(full, idx_b[..., None], g[..., None], -1)
-        return full
 
-    return _make(out, [(nt, pull)])
+def _pull_select(g, dt, ix):
+    full = np.zeros_like(dt)
+    full[ix] = g
+    return full
 
 
 def mask_class(t, index, fill: float) -> Tensor:
     """Replace t[..., index] by a constant; gradient is zero at the hole."""
     dt, nt = _ensure(t)
-    idx = np.asarray(index)
-    n = dt.shape[-1]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexOutOfRange(f"class index outside [0, {n})")
-    idx_b = np.broadcast_to(idx, dt.shape[:-1]).astype(np.int64)
+    ix = _class_index(dt, index)
     out = dt.copy()
-    np.put_along_axis(out, idx_b[..., None], fill, -1)
+    out[ix] = fill
+    return _make(out, (nt, _pull_mask, ix))
 
-    def pull(g):
-        full = g.copy()
-        np.put_along_axis(full, idx_b[..., None], 0.0, -1)
-        return full
 
-    return _make(out, [(nt, pull)])
+def _pull_mask(g, ix):
+    full = g.copy()
+    full[ix] = 0.0
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +555,15 @@ def backward(root: Tensor) -> None:
     if root.data.shape != ():
         raise NotScalar(f"backward root must be rank-0, got {root.data.shape}")
     grads: dict[int, np.ndarray] = {root.node: np.ones(())}
-    for _, rule in reversed(tape._records):
-        rule(grads)
+    for out, live in reversed(tape._records):
+        g = grads.get(out)
+        if g is None:
+            continue
+        for item in live:
+            nid = item[0]
+            contrib = item[1](g, *item[2:])
+            prev = grads.get(nid)
+            grads[nid] = contrib if prev is None else prev + contrib
     for p, nid in tape._param_nodes.values():
         g = grads.get(nid)
         if g is not None:
@@ -578,48 +627,82 @@ def grad_check(build, params: list[Parameter], h: float = 1e-5, tol: float = 1e-
 # checkpoint container
 
 _MAGIC = b"DASLCKPT"
-_VERSION = 1
+_VERSION = 2  # version 2 appends a CRC-32 of every preceding byte; version 1 has none
 
 
 def save_checkpoint(params, path) -> None:
-    """Write parameters to the flat binary checkpoint container."""
+    """Write parameters to the flat binary checkpoint container.
+
+    Layout: magic, version, then per parameter its name length, name, rank,
+    dims and little-endian float64 values, then the CRC-32 trailer.  The
+    bytes go to a temporary file that is renamed over `path`, so an
+    interrupted save leaves any previous checkpoint intact.
+    """
     if isinstance(params, dict):
         items = list(params.items())
     else:
         items = [(p.name, p.value) for p in params]
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        for name, value in items:
-            value = np.asarray(value, dtype=np.float64)
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", value.ndim))
-            for d in value.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(value.astype("<f8").tobytes())
+    parts = [_MAGIC, struct.pack("<I", _VERSION)]
+    for name, value in items:
+        value = np.asarray(value, dtype=np.float64)
+        raw = name.encode("utf-8")
+        parts += [struct.pack("<I", len(raw)), raw,
+                  struct.pack(f"<{value.ndim + 1}I", value.ndim, *value.shape),
+                  value.astype("<f8").tobytes()]
+    body = b"".join(parts)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(body)))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint container back into name -> array."""
+    """Read a checkpoint container back into name -> array.
+
+    A file that is not a checkpoint, is truncated, or is corrupt raises
+    ValueError naming the byte offset; no length field is trusted beyond
+    the bytes that remain.
+    """
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        out: dict[str, np.ndarray] = {}
-        while True:
-            head = fh.read(4)
-            if not head:
-                return out
-            (nlen,) = struct.unpack("<I", head)
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-            count = int(np.prod(dims)) if dims else 1
-            payload = fh.read(8 * count)
-            if len(payload) != 8 * count:
-                raise ValueError(f"{path}: truncated payload for {name!r}")
-            out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        blob = fh.read()
+    if blob[:8] != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    pos, end = 8, len(blob)
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > end - pos:
+            raise ValueError(f"{path}: truncated {what} at byte {pos}")
+        pos += n
+        return blob[pos - n:pos]
+
+    def u32(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    version = u32("version")
+    if version == 2:
+        if end < 16 or zlib.crc32(blob[:end - 4]) != struct.unpack("<I", blob[end - 4:])[0]:
+            raise ValueError(f"{path}: checksum mismatch, the file is truncated or corrupt")
+        end -= 4
+    elif version != 1:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    out: dict[str, np.ndarray] = {}
+    while pos < end:
+        start = pos
+        try:
+            name = take(u32("name length"), "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: name at byte {start} is not UTF-8") from None
+        rank = u32(f"rank of {name!r}")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
+        payload = take(8 * math.prod(dims), f"payload for {name!r}")
+        out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+    return out

@@ -177,6 +177,11 @@ def train(plan, config: TrainConfig, test_set=None) -> TrainState:
     curriculum = None
     triples_sampler = None
     if config.curriculum:
+        monitor = (config.monitor_symbol, (config.monitor_arg,))
+        if monitor not in base.vector_outputs:
+            raise ValueError(
+                f"curriculum monitor {config.monitor_symbol}({config.monitor_arg}) is not a "
+                f"vector-valued relation application in any axiom")
         candidates = [s for s in base.samplers.values()
                       if s.domain.name == config.curriculum_domain]
         if not candidates:

@@ -105,6 +105,15 @@ class TestCompileTrainEval:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert len(lines) - 1 == 8 // 4 + 1
 
+    def test_mistyped_curriculum_monitor_is_diagnostic(self, toy_dir, capsys):
+        cfg = toy_dir / "curriculum.cfg"
+        cfg.write_text("curriculum = on\nmonitor_symbol = clasify\nmonitor_arg = r\n")
+        code = main(["train", "--theory", str(toy_dir / "toy.dasl"),
+                     "--data-dir", str(toy_dir), "--config", str(cfg),
+                     "--iterations", "3", "--batch-size", "6"])
+        assert code == 2
+        assert "clasify(r)" in capsys.readouterr().err
+
     def test_eval_round_trip(self, toy_dir, capsys):
         out = toy_dir / "run_eval"
         main(["train", "--theory", str(toy_dir / "toy.dasl"),
@@ -117,6 +126,20 @@ class TestCompileTrainEval:
                      "--data", "Train", "--symbol", "classify", "--seed", "5"])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
+
+    def test_eval_truncated_checkpoint_is_diagnostic(self, toy_dir, capsys):
+        out = toy_dir / "run_bad"
+        main(["train", "--theory", str(toy_dir / "toy.dasl"),
+              "--data-dir", str(toy_dir), "--out", str(out),
+              "--iterations", "2", "--batch-size", "8", "--seed", "5"])
+        ckpt = out / "final.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:30])
+        capsys.readouterr()
+        code = main(["eval", "--theory", str(toy_dir / "toy.dasl"),
+                     "--data-dir", str(toy_dir), "--checkpoint", str(ckpt),
+                     "--data", "Train", "--symbol", "classify"])
+        assert code == 2
+        assert "final.ckpt" in capsys.readouterr().err
 
     def test_synth_rel_smoke(self, toy_dir, capsys):
         code = main(["synth-rel", "--seeds", "2", "--iterations", "60",

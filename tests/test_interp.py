@@ -113,15 +113,6 @@ class TestSamplers:
         epoch = np.concatenate([s.sample() for _ in range(11)])
         np.testing.assert_array_equal(np.sort(epoch), np.arange(103))
 
-    def test_balanced_per_class(self):
-        labels = np.tile(np.arange(10), 30)
-        s = Sampler(_domain(300), strategy="balanced-per-class", batch_size=2,
-                    labels=labels, rng=np.random.default_rng(7))
-        picks = s.sample()
-        assert len(picks) == 20
-        counts = np.bincount(labels[picks], minlength=10)
-        np.testing.assert_array_equal(counts, np.full(10, 2))
-
     def test_seed_determinism(self):
         def batches(seed):
             s = Sampler(_domain(64), strategy="shuffled-minibatch", batch_size=7,

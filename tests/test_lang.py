@@ -238,6 +238,10 @@ class TestDesugar:
         p, q = RelApp("P", ()), RelApp("Q", ())
         assert desugar(Implies(p, q)) == Not(And((p, Not(q))))
 
+    def test_implies_with_conjunctive_antecedent_is_one_nary_conjunction(self):
+        p, q, r = RelApp("P", ()), RelApp("Q", ()), RelApp("R", ())
+        assert desugar(Implies(And((p, q)), r)) == Not(And((p, q, Not(r))))
+
     def test_exists(self):
         p = RelApp("P", (Variable("x"),))
         assert desugar(Exists(("x",), "D", p)) == Not(Forall(("x",), "D", Not(p)))

@@ -16,7 +16,6 @@ from dasl.logit import (
     EqualityParams,
     InvalidParams,
     bool_vector,
-    broadcast_connective,
     conj,
     conj_reduce,
     disj,
@@ -291,19 +290,19 @@ class TestBroadcastConnective:
     def test_row_broadcast_matches_scalar(self):
         x = np.zeros((2, 2))
         y = np.array([[BIG], [-BIG]])
-        z = broadcast_connective("and", x, y).data
+        z = conj(x, y).data
         for i in range(2):
             for j in range(2):
                 assert z[i, j] == pytest.approx(conj(x[i, j], y[i, 0]).item(), abs=1e-12)
 
     def test_and_with_true_scalar(self):
         x = np.random.default_rng(10).uniform(-6, 6, size=(3, 4))
-        z = broadcast_connective("and", x, BIG).data
+        z = conj(x, BIG).data
         np.testing.assert_allclose(z, x, atol=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(T.ShapeMismatch):
-            broadcast_connective("and", np.zeros((2, 3)), np.zeros(4))
+            conj(np.zeros((2, 3)), np.zeros(4))
 
 
 class TestMaskClasses:

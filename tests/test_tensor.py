@@ -1,9 +1,12 @@
 """Tensor kernels, broadcasting, the tape, and the checkpoint container."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dasl import tensor as T
 from dasl.tensor import (
@@ -308,12 +311,67 @@ class TestCheckpoint:
         save_checkpoint({"ab": np.array([1.0, 2.0])}, path)
         raw = path.read_bytes()
         assert raw[:8] == b"DASLCKPT"
-        assert struct.unpack("<I", raw[8:12])[0] == 1
+        assert struct.unpack("<I", raw[8:12])[0] == 2  # version
         assert struct.unpack("<I", raw[12:16])[0] == 2  # name length
         assert raw[16:18] == b"ab"
         assert struct.unpack("<I", raw[18:22])[0] == 1  # rank
         assert struct.unpack("<I", raw[22:26])[0] == 2  # dim
         assert np.frombuffer(raw[26:42], dtype="<f8").tolist() == [1.0, 2.0]
+        assert struct.unpack("<I", raw[42:46])[0] == zlib.crc32(raw[:42])
+        assert len(raw) == 46
+
+    def test_reads_version_1(self, tmp_path):
+        # version 1 is the same layout without the CRC-32 trailer
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"DASLCKPT" + struct.pack("<2I", 1, 1) + b"s"
+                         + struct.pack("<Id", 0, 2.5))
+        loaded = load_checkpoint(path)
+        assert list(loaded) == ["s"] and loaded["s"].shape == () and loaded["s"] == 2.5
+
+    def test_corrupt_rank_is_a_value_error(self, tmp_path):
+        # version 1 has no checksum, so the bounds checks alone must hold
+        path = tmp_path / "rank.ckpt"
+        path.write_bytes(b"DASLCKPT" + struct.pack("<2I", 1, 1) + b"w"
+                         + struct.pack("<I", 0xFFFFFFFF))
+        with pytest.raises(ValueError, match="truncated dims"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _saved(tmp_path):
+        params = {"w": np.arange(6.0).reshape(2, 3), "bias": np.array([1.5]),
+                  "s": np.array(2.25)}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        return params, path.read_bytes()
+
+    def test_every_truncation_is_a_value_error(self, tmp_path):
+        _, raw = self._saved(tmp_path)
+        path = tmp_path / "cut.ckpt"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError):
+                load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(at=st.integers(0, 10_000), flip=st.integers(1, 255))
+    def test_single_byte_flip_raises_or_loads_same_shapes(self, tmp_path, at, flip):
+        params, raw = self._saved(tmp_path)
+        at %= len(raw)
+        path = tmp_path / "flip.ckpt"
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:])
+        try:
+            loaded = load_checkpoint(path)
+        except ValueError:
+            return
+        assert {k: v.shape for k, v in loaded.items()} == {k: v.shape for k, v in params.items()}
+
+    def test_save_replaces_atomically(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"a": np.zeros(2)}, path)
+        save_checkpoint({"b": np.ones(3)}, path)
+        assert list(load_checkpoint(path)) == ["b"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -266,3 +266,27 @@ class TestCurriculumInTraining:
         assert state.curriculum.working_set > 2
         assert state.curriculum.working_set <= state.curriculum.max_size
         assert state.curriculum.phase in ("growing", "rules-only")
+
+    def test_mistyped_monitor_is_an_error_before_the_first_step(self):
+        th = check_theory(parse_theory("""
+            sort Row dim 4;
+            rel digit : Row out 3 mlp 6 act sigmoid;
+            data Triples : Row x Row x Row from "mem";
+            axiom rule : forall (x1, x2, x3): Triples . pi[0](digit(x1)) -> pi[0](digit(x2));
+        """))
+        rows = np.random.default_rng(4).normal(size=(9, 4))
+        from dasl.interp import build_triples
+
+        trip = build_triples(rows, np.tile(np.arange(3), 3), per_class=2, seed=0, n_classes=3)
+        plan = compile(th, bind_theory(th, data={"Triples": trip}, seed=1), batch_size=3)
+        before = [p.value.copy() for p in plan.parameters]
+        for symbol, arg in (("digit", "x9"), ("digits", "x1")):
+            config = TrainConfig(iterations=5, batch_size=3, curriculum=True,
+                                 curriculum_classes=3, monitor_symbol=symbol, monitor_arg=arg)
+            with pytest.raises(ValueError, match=rf"{symbol}\({arg}\)"):
+                train(plan, config)
+        for p, v in zip(plan.parameters, before):
+            np.testing.assert_array_equal(p.value, v)
+        config = TrainConfig(iterations=1, batch_size=3, curriculum=True, curriculum_classes=3,
+                             monitor_symbol="digit", monitor_arg="x2")
+        assert len(train(plan, config).loss_history) == 1
