@@ -15,10 +15,9 @@ import sys
 
 import numpy as np
 
-from .compiler import compile, explain
+from .compiler import compile, explain, scores
 from .data import spatial_predicate_externs
 from .experiments import (
-    DataMissing,
     ExperimentConfig,
     knowledge_gap,
     run_mnist_experiment,
@@ -27,11 +26,12 @@ from .experiments import (
 )
 from .gradcheck import run_gradcheck
 from .interp import bind_theory
-from .lang import CheckError, LexError, ParseError, check_theory, parse_theory
+from .lang import (CheckError, Forall, LexError, ParseError, RelApp, SoftSelect, check_theory,
+                   children, parse_theory)
 from .logit import BIG, EqualityParams
 from .oracle import agreement_suite
 from .tensor import load_checkpoint
-from .train import TrainConfig, evaluate_classifier, train
+from .train import TrainConfig, train
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -84,16 +84,10 @@ def _diagnostic(e: Exception) -> bool:
 
 
 def _cmd_compile(args) -> int:
-    try:
-        theory = _load_theory(args.theory)
-        interp = _bind(args, theory)
-        plan = compile(theory, interp, batch_size=args.batch_size,
-                       shared_draw=args.shared_draw, seed=args.seed)
-    except Exception as e:  # noqa: BLE001
-        if not _diagnostic(e):
-            raise
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    theory = _load_theory(args.theory)
+    interp = _bind(args, theory)
+    plan = compile(theory, interp, batch_size=args.batch_size,
+                   shared_draw=args.shared_draw, seed=args.seed)
     if args.explain:
         print(explain(plan))
     else:
@@ -132,19 +126,13 @@ def _train_config_from(args, overrides: dict[str, str]) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    try:
-        overrides = parse_config_file(args.config) if args.config else {}
-        config = _train_config_from(args, overrides)
-        theory = _load_theory(args.theory)
-        interp = _bind(args, theory)
-        plan = compile(theory, interp, batch_size=config.batch_size,
-                       shared_draw=args.shared_draw, seed=args.seed)
-        state = train(plan, config)
-    except Exception as e:  # noqa: BLE001
-        if not _diagnostic(e):
-            raise
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    overrides = parse_config_file(args.config) if args.config else {}
+    config = _train_config_from(args, overrides)
+    theory = _load_theory(args.theory)
+    interp = _bind(args, theory)
+    plan = compile(theory, interp, batch_size=config.batch_size,
+                   shared_draw=args.shared_draw, seed=args.seed)
+    state = train(plan, config)
     final = state.loss_history[-1] if state.loss_history else float("nan")
     print(f"trained {config.iterations} iterations; final loss {final:.6f}")
     if args.out:
@@ -152,41 +140,41 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _classifier_axiom(theory, dataset: str, symbol: str) -> str:
+    """The axiom `forall (x…, y): dataset . pi[y](V)` whose V applies symbol."""
+    def applies(f) -> bool:
+        return (isinstance(f, RelApp) and f.symbol == symbol) or any(map(applies, children(f)))
+
+    for ax in theory.axioms:
+        f = ax.formula
+        if (isinstance(f, Forall) and f.domain == dataset and isinstance(f.body, SoftSelect)
+                and applies(f.body.vector)):
+            return ax.name
+    raise ValueError(f"no axiom forall (x…, y): {dataset} . pi[y](V) with V applying {symbol!r}")
+
+
 def _cmd_eval(args) -> int:
-    try:
-        theory = _load_theory(args.theory)
-        interp = _bind(args, theory)
-        loaded = load_checkpoint(args.checkpoint)
-    except Exception as e:  # noqa: BLE001
-        if not _diagnostic(e):
-            raise
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    applied = 0
+    theory = _load_theory(args.theory)
+    interp = _bind(args, theory)
+    axiom = _classifier_axiom(theory, args.data, args.symbol)
+    loaded = load_checkpoint(args.checkpoint)
     for p in interp.parameters:
-        if p.name in loaded:
-            p.value[...] = loaded[p.name]
-            applied += 1
-    domain = interp.domains.get(args.data)
-    if domain is None:
-        print(f"error: dataset {args.data!r} not in theory", file=sys.stderr)
-        return 2
+        value = loaded.get(p.name)
+        if value is None or value.shape != p.value.shape:
+            got = "missing" if value is None else f"of shape {value.shape}"
+            raise ValueError(f"{args.checkpoint}: parameter {p.name!r} is {got}, "
+                             f"the theory needs shape {p.value.shape}")
+        p.value[...] = value
+    domain = interp.domains[args.data]
     idx = np.arange(domain.cardinality)
-    cols = [c.take(idx) for c in domain.columns]
-    inputs, labels = cols[0], cols[-1]
-    acc = evaluate_classifier(interp.symbols[args.symbol], inputs, labels)
-    print(f"loaded {applied} parameters; accuracy {acc!r}")
+    logits, labels = scores(compile(theory, interp), axiom, [c.take(idx) for c in domain.columns])
+    acc = float(np.mean(np.argmax(logits, axis=-1) == labels))
+    print(f"loaded {len(interp.parameters)} parameters; accuracy {acc!r}")
     return 0
 
 
 def _cmd_oracle_check(args) -> int:
-    try:
-        signature = _load_theory(args.signature)
-    except Exception as e:  # noqa: BLE001
-        if not _diagnostic(e):
-            raise
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    signature = _load_theory(args.signature)
     result = agreement_suite(signature, depth=args.depth, trials=args.trials,
                              seed=args.seed, big=args.big)
     print(f"agreement: {result.passes}/{result.trials}")
@@ -210,11 +198,7 @@ def _cmd_mnist(args) -> int:
         data_dir=args.data_dir,
         out_dir=args.out,
     )
-    try:
-        rows = run_mnist_experiment(config)
-    except DataMissing as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    rows = run_mnist_experiment(config)
     mean, std = summarize(rows, "accuracy", "test")
     print(f"mnist ntr={args.ntr} knowledge={args.knowledge} "
           f"accuracy {mean:.4f} +- {std:.4f} over {args.seeds} seeds")
@@ -342,7 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as e:  # noqa: BLE001
+        if not _diagnostic(e):
+            raise
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

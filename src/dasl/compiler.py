@@ -13,6 +13,11 @@ Compilation has three steps: desugar, lower once, evaluate the tree.
   enumerate exhaustively, and quantifiers over datasets and embedding
   tables reduce a sampler draw by an n-ary conjunction.
 
+The same tree scores a classifier: `scores` binds the variables of an axiom
+`forall (x…, y): D . pi[y](V)` to given rows and returns V's class logits and
+the labels, so test-time scoring applies exactly the knowledge that training
+compiled.
+
 The root conjunction fuses with the loss: since the loss of a conjunction
 is the sum of its conjuncts' losses, the fused loss is a plain sum of
 softplus(-l) over root-level conjuncts.
@@ -434,6 +439,29 @@ def evaluate(plan: Plan, draws: dict | None = None) -> CompiledBatch:
         per_axiom[name] = root
     root = L.conj(*per_axiom.values()) if per_axiom else None
     return CompiledBatch(root, per_axiom, draws, ev.symbol_outputs)
+
+
+def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Class logits and labels of a classifier axiom on the given rows.
+
+    The axiom must lower to `forall (x…, y): D . pi[y](V)`.  Its variables
+    bind to `columns`, one array per variable in order; V evaluates to the
+    logits and the pi index term to the labels.  Sampled quantifiers inside
+    V range over their whole domain, and no sampler advances.  No tape is
+    opened.
+    """
+    node = dict(plan.roots).get(axiom)
+    if node is None or node.kind != "sample" or node.kids[0].kind != "select":
+        raise ValueError(f"axiom {axiom!r} is not of the form forall (x…, y): D . pi[y](V)")
+    names = node.data[0]
+    if len(columns) != len(names):
+        raise ValueError(f"axiom {axiom!r} binds {len(names)} variables, got {len(columns)} columns")
+    token = ("draw", node.uid)
+    env = {v: (col, token) for v, col in zip(names, columns)}
+    ev = _Evaluator(plan, {key: np.arange(s.domain.cardinality)
+                           for key, s in plan.samplers.items()})
+    index, vector = node.kids[0].kids
+    return ev.formula(vector, env).data, np.asarray(ev.term(index, env))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import logit as L
-from .compiler import compile
+from .compiler import compile, scores
 from .data import (
     RelationSplit,
     RelationSplits,
@@ -28,7 +27,6 @@ from .data import (
 )
 from .interp import bind_theory, build_triples
 from .lang import Theory, check_theory, parse_theory
-from .tensor import Tensor
 from .train import TrainConfig, TrainState, train
 
 
@@ -231,17 +229,6 @@ _SPATIAL_REL = {"above": "above", "below": "below",
                 "left-of": "left_of", "right-of": "right_of"}
 
 
-def _member_vec_names(vocab: RelationVocab) -> dict[tuple[int, ...], str]:
-    return {
-        vocab.can_ride: "can_ride",
-        vocab.ridable: "ridable",
-        vocab.living: "living",
-        vocab.wearable: "wearable",
-        vocab.sleepable: "sleepable",
-        vocab.eatable: "eatable",
-    }
-
-
 def relations_theory(knowledge: bool, vocab: RelationVocab | None = None,
                      hidden: int = 64) -> Theory:
     """Classifier theory, optionally conjoined with the rule-schema masks."""
@@ -262,7 +249,14 @@ def relations_theory(knowledge: bool, vocab: RelationVocab | None = None,
     ]
     score = "vrd(f, s, o)"
     if knowledge:
-        names = _member_vec_names(vocab)
+        names = {
+            vocab.can_ride: "can_ride",
+            vocab.ridable: "ridable",
+            vocab.living: "living",
+            vocab.wearable: "wearable",
+            vocab.sleepable: "sleepable",
+            vocab.eatable: "eatable",
+        }
         for vec, name in names.items():
             src.append(f"boolvec {name} : {bits(vocab.bits(vec))};")
         for rel in sorted(set(_SPATIAL_REL.values())):
@@ -286,30 +280,19 @@ def relations_theory(knowledge: bool, vocab: RelationVocab | None = None,
 
 
 def masked_scores(interp, vocab: RelationVocab, split: RelationSplit,
-                  knowledge: bool, big: float = L.BIG) -> np.ndarray:
-    """Class logits for a split: raw classifier output, plus rule masks if on."""
-    out = interp.symbols["vrd"]([split.features, split.subject, split.object])
-    scores = out if isinstance(out, Tensor) else Tensor(out)
-    if not knowledge:
-        return scores.data
-    names = _member_vec_names(vocab)
-    spatial = spatial_predicate_externs(big)
-    member_bits = {name: np.asarray(vocab.bits(vec)) for vec, name in names.items()}
-    for pred in sorted(vocab.rules):
-        subj, obj, sp = vocab.rules[pred]
-        conds = []
-        if subj is not None:
-            bits = member_bits[names[subj]]
-            conds.append(np.where(bits[split.subject] == 1, big, -big))
-        if obj is not None:
-            bits = member_bits[names[obj]]
-            conds.append(np.where(bits[split.object] == 1, big, -big))
-        if sp is not None:
-            conds.append(spatial[_SPATIAL_REL[sp]](split.features))
-        cond = L.conj(*conds) if len(conds) > 1 else Tensor(conds[0])
-        mask = L.bool_vector(vocab.predicate_mask(pred), big)
-        scores = L.mask_classes(scores, mask, cond)
-    return scores.data
+                  knowledge: bool) -> np.ndarray:
+    """Class logits for a split, scored through the theory's `labels` axiom.
+
+    The rule masks apply exactly when the theory declares them, as
+    `relations_theory(True)` does; `knowledge` must agree with that, and a
+    mismatch raises ValueError.  `vocab` is not read: the masks come from
+    the theory text.
+    """
+    if knowledge != bool(interp.theory.boolvecs):
+        raise ValueError(f"knowledge={knowledge}, but the theory "
+                         f"{'declares' if interp.theory.boolvecs else 'has no'} rule masks")
+    columns = (split.features, split.subject, split.object, split.predicate)
+    return scores(compile(interp.theory, interp), "labels", columns)[0]
 
 
 def recall_at(scores: np.ndarray, labels: np.ndarray, k: int) -> float:

@@ -103,10 +103,6 @@ class Domain:
     cardinality: int
     columns: tuple
 
-    def check_nonempty(self) -> None:
-        if self.cardinality < 1:
-            raise EmptyDomain(self.name)
-
 
 # ---------------------------------------------------------------------------
 # symbol bindings

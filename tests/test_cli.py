@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from dasl.cli import main, parse_config_file
-from dasl.data import write_csv_table
+from dasl.cli import _load_theory, main, parse_config_file
+from dasl.data import load_csv_table, write_csv_table
+from dasl.interp import bind_theory
+from dasl.tensor import load_checkpoint
+from dasl.train import evaluate_classifier
 
 
 SIGNATURE = """
@@ -24,12 +27,24 @@ axiom labels : forall (r, y): Train . pi[y](classify(r));
 """
 
 
+PAIR = """
+sort Row dim 5;
+sort A card 4;
+sort K card 3;
+rel classify : Row x A out 3 mlp 6 act relu;
+data Train : Row x A x K from "rows.csv,a.csv,labels.csv";
+axiom labels : forall (r, a, y): Train . pi[y](classify(r, a));
+"""
+
+
 @pytest.fixture()
 def toy_dir(tmp_path):
     rng = np.random.default_rng(0)
     write_csv_table(tmp_path / "rows.csv", rng.normal(size=(24, 5)))
     write_csv_table(tmp_path / "labels.csv", rng.integers(3, size=(24, 1)).astype(float))
+    write_csv_table(tmp_path / "a.csv", rng.integers(4, size=(24, 1)).astype(float))
     (tmp_path / "toy.dasl").write_text(TOY)
+    (tmp_path / "pair.dasl").write_text(PAIR)
     (tmp_path / "sig.dasl").write_text(SIGNATURE)
     return tmp_path
 
@@ -114,18 +129,82 @@ class TestCompileTrainEval:
         assert code == 2
         assert "clasify(r)" in capsys.readouterr().err
 
+    @staticmethod
+    def _train(toy_dir, theory="toy.dasl", out="run_eval"):
+        assert main(["train", "--theory", str(toy_dir / theory),
+                     "--data-dir", str(toy_dir), "--out", str(toy_dir / out),
+                     "--iterations", "10", "--batch-size", "8", "--seed", "5"]) == 0
+        return toy_dir / out / "final.ckpt"
+
+    @staticmethod
+    def _trained_classifier(toy_dir, theory, ckpt):
+        interp = bind_theory(_load_theory(toy_dir / theory), data_dir=str(toy_dir))
+        loaded = load_checkpoint(ckpt)
+        for p in interp.parameters:
+            p.value[...] = loaded[p.name]
+        return interp.symbols["classify"]
+
+    @staticmethod
+    def _eval(toy_dir, theory, ckpt, symbol="classify"):
+        return main(["eval", "--theory", str(toy_dir / theory), "--data-dir", str(toy_dir),
+                     "--checkpoint", str(ckpt), "--data", "Train", "--symbol", symbol,
+                     "--seed", "5"])
+
     def test_eval_round_trip(self, toy_dir, capsys):
-        out = toy_dir / "run_eval"
-        main(["train", "--theory", str(toy_dir / "toy.dasl"),
-              "--data-dir", str(toy_dir), "--out", str(out),
-              "--iterations", "10", "--batch-size", "8", "--seed", "5"])
+        ckpt = self._train(toy_dir)
         capsys.readouterr()
-        code = main(["eval", "--theory", str(toy_dir / "toy.dasl"),
-                     "--data-dir", str(toy_dir),
-                     "--checkpoint", str(out / "final.ckpt"),
-                     "--data", "Train", "--symbol", "classify", "--seed", "5"])
-        assert code == 0
-        assert "accuracy" in capsys.readouterr().out
+        assert self._eval(toy_dir, "toy.dasl", ckpt) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("loaded 4 parameters; accuracy ")
+        rows = load_csv_table(toy_dir / "rows.csv")
+        labels = load_csv_table(toy_dir / "labels.csv")[:, 0].astype(int)
+        classify = self._trained_classifier(toy_dir, "toy.dasl", ckpt)
+        assert float(out.split()[-1]) == evaluate_classifier(classify, rows, labels)
+
+    def test_eval_two_argument_classifier(self, toy_dir, capsys):
+        ckpt = self._train(toy_dir, "pair.dasl", "run_pair")
+        capsys.readouterr()
+        assert self._eval(toy_dir, "pair.dasl", ckpt) == 0
+        rows = load_csv_table(toy_dir / "rows.csv")
+        a = load_csv_table(toy_dir / "a.csv")[:, 0].astype(int)
+        labels = load_csv_table(toy_dir / "labels.csv")[:, 0].astype(int)
+        logits = self._trained_classifier(toy_dir, "pair.dasl", ckpt)([rows, a]).data
+        want = float(np.mean(np.argmax(logits, axis=-1) == labels))
+        assert capsys.readouterr().out.split()[-1] == repr(want)
+
+    def test_eval_applies_the_theory_masks(self, toy_dir, capsys):
+        # the classifier axiom's vector is conjoined with a mask that rules
+        # out class 2, so no row is predicted as class 2
+        masked = TOY.replace("pi[y](classify(r))", "pi[y](classify(r) & nottwo)")
+        (toy_dir / "masked.dasl").write_text("boolvec nottwo : [1, 1, 0];\n" + masked)
+        ckpt = self._train(toy_dir)
+        capsys.readouterr()
+        assert self._eval(toy_dir, "masked.dasl", ckpt) == 0
+        labels = load_csv_table(toy_dir / "labels.csv")[:, 0].astype(int)
+        rows = load_csv_table(toy_dir / "rows.csv")
+        logits = self._trained_classifier(toy_dir, "toy.dasl", ckpt)([rows]).data
+        pred = np.argmax(logits[:, :2], axis=-1)
+        want = float(np.mean(pred == labels))
+        assert capsys.readouterr().out.split()[-1] == repr(want)
+
+    @pytest.mark.parametrize("edit, symbol, param", [
+        (("classify", "classifier"), "classifier", "classifier.w0"),
+        (("mlp 6", "mlp 7"), "classify", "classify.w0"),
+    ], ids=["renamed-symbol", "hidden-size"])
+    def test_eval_checkpoint_mismatch_is_diagnostic(self, toy_dir, capsys, edit, symbol,
+                                                    param):
+        ckpt = self._train(toy_dir)
+        (toy_dir / "edited.dasl").write_text(TOY.replace(*edit))
+        capsys.readouterr()
+        assert self._eval(toy_dir, "edited.dasl", ckpt, symbol) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and param in err and "final.ckpt" in err
+
+    def test_eval_unknown_symbol_is_diagnostic(self, toy_dir, capsys):
+        ckpt = self._train(toy_dir)
+        capsys.readouterr()
+        assert self._eval(toy_dir, "toy.dasl", ckpt, "nosuch") == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_eval_truncated_checkpoint_is_diagnostic(self, toy_dir, capsys):
         out = toy_dir / "run_bad"

@@ -6,7 +6,7 @@ import pytest
 import _scalar_ref as ref
 from dasl import logit as L
 from dasl import tensor as T
-from dasl.compiler import NonFiniteLogit, compile, evaluate, explain, fuse_loss
+from dasl.compiler import NonFiniteLogit, compile, evaluate, explain, fuse_loss, scores
 from dasl.interp import bind_theory, build_triples
 from dasl.lang import UnboundSymbol, check_theory, parse_theory
 from dasl.logit import BIG
@@ -209,6 +209,49 @@ class TestNestedSampling:
         fused = fuse_loss(plan)
         report = T.grad_check(lambda: fused.evaluate()[0], plan.parameters)
         assert report.passed, report
+
+
+class TestScores:
+    """`scores` gives, row by row, the scalar reference's value of V."""
+
+    SRC = """
+        sort Row dim 3;
+        sort A card 4;
+        sort K card 3;
+        rel C : Row x A out 3 mlp 5 act tanh;
+        rel Q : Row x Row mlp 4 act sigmoid;
+        boolvec notlast : [1, 1, 0];
+        data Train : Row x A x K from "mem";
+        data Pool : Row from "mem";
+        axiom labels : forall (r, a, y): Train .
+            pi[y](C(r, a) & (notlast -> exists q: Pool . Q(r, q)));
+    """
+
+    def test_matches_reference_interpreter(self):
+        th = check_theory(parse_theory(self.SRC))
+        (ax,) = th.axioms
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            columns = (rng.normal(size=(6, 3)), rng.integers(4, size=6), rng.integers(3, size=6))
+            interp = bind_theory(th, data={"Train": columns,
+                                           "Pool": (rng.normal(size=(4, 3)),)}, seed=seed)
+            plan = compile(th, interp, batch_size=2, seed=seed)
+            logits, labels = scores(plan, "labels", columns)
+            np.testing.assert_array_equal(labels, columns[2])
+            assert logits.shape == (6, 3)
+            for i in range(6):
+                env = {v: ref._column_value(col, i)
+                       for v, col in zip(ax.formula.vars, interp.domains["Train"].columns)}
+                want = ref.eval_formula(th, interp, ax.formula.body.vector, env)
+                assert logits[i] == pytest.approx(want, abs=1e-9), f"seed {seed} row {i}"
+
+    def test_rejects_wrong_column_count(self):
+        th = check_theory(parse_theory(self.SRC))
+        rows = np.zeros((2, 3))
+        interp = bind_theory(th, data={"Train": (rows, np.zeros(2, int), np.zeros(2, int)),
+                                       "Pool": (rows,)})
+        with pytest.raises(ValueError, match="3 variables"):
+            scores(compile(th, interp), "labels", (rows,))
 
 
 class TestExistsForallDuality:

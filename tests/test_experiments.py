@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from dasl.data import gen_synth_relations, write_idx
+from dasl import logit as L
+from dasl.compiler import compile, scores
+from dasl.data import gen_synth_relations, spatial_predicate_externs, write_idx
 from dasl.experiments import (
     DataMissing,
     ExperimentConfig,
@@ -24,6 +26,8 @@ from dasl.experiments import (
     write_results,
 )
 from dasl.interp import bind_theory
+from dasl.tensor import Tensor
+from dasl.train import TrainConfig, train
 
 
 def _fixture_digits(n_per_class=12, dim=36, seed=0, modes=4, noise=0.3):
@@ -162,6 +166,38 @@ class TestMnistHarness:
         assert means[39] >= means[5]
 
 
+def _reference_masked_scores(interp, vocab, split):
+    """The rule masks composed in numpy straight from the vocab.
+
+    It does not read the theory text, so it is the independent reference
+    for `masked_scores`.
+    """
+    big = interp.big
+    spatial = spatial_predicate_externs(big)
+    scores = interp.symbols["vrd"]([split.features, split.subject, split.object])
+    for pred in sorted(vocab.rules):
+        subj, obj, sp = vocab.rules[pred]
+        conds = []
+        if subj is not None:
+            conds.append(np.where(np.asarray(vocab.bits(subj))[split.subject] == 1, big, -big))
+        if obj is not None:
+            conds.append(np.where(np.asarray(vocab.bits(obj))[split.object] == 1, big, -big))
+        if sp is not None:
+            conds.append(spatial[sp.replace("-", "_")](split.features))
+        cond = L.conj(*conds) if len(conds) > 1 else Tensor(conds[0])
+        mask = L.bool_vector(vocab.predicate_mask(pred), big)
+        scores = L.mask_classes(scores, mask, cond)
+    return scores.data
+
+
+def _relations_interp(splits, knowledge, seed):
+    th = relations_theory(knowledge, splits.vocab)
+    return bind_theory(th, externs=spatial_predicate_externs(),
+                       data={"Train": (splits.train.features, splits.train.subject,
+                                       splits.train.object, splits.train.predicate)},
+                       seed=seed)
+
+
 class TestRelationsHarness:
     def test_theory_compiles_both_variants(self):
         for knowledge in (False, True):
@@ -169,15 +205,41 @@ class TestRelationsHarness:
             assert th.rel("vrd").out == 12
             assert (th.boolvec("h_riding") is not None) == knowledge
 
+    def test_masked_scores_match_the_numpy_rule_masks(self):
+        splits = gen_synth_relations(n_train_pool=400, n_test=120, seed=9)
+        interp = _relations_interp(splits, True, seed=9)
+        plan = compile(interp.theory, interp, batch_size=32, seed=11)
+        train(plan, TrainConfig(iterations=40, batch_size=32, lr=1e-2, seed=9, cadence=40,
+                                eval_symbol=None))
+        for split in (splits.test_standard, splits.test_zero_shot):
+            got = masked_scores(interp, splits.vocab, split, knowledge=True)
+            want = _reference_masked_scores(interp, splits.vocab, split)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(np.argsort(-got, axis=-1, kind="stable"),
+                                          np.argsort(-want, axis=-1, kind="stable"))
+
+    @pytest.mark.parametrize("knowledge", [False, True])
+    def test_masked_scores_knowledge_must_match_the_theory(self, knowledge):
+        splits = gen_synth_relations(n_train_pool=200, n_test=40, seed=3)
+        interp = _relations_interp(splits, not knowledge, seed=3)
+        with pytest.raises(ValueError, match="rule masks"):
+            masked_scores(interp, splits.vocab, splits.test_standard, knowledge)
+
+    def test_scores_rejects_a_non_classifier_axiom(self):
+        images, labels = _fixture_digits(n_per_class=2)
+        th = mnist_theory(knowledge=True, image_dim=images.shape[1], hidden=8)
+        interp = bind_theory(th, data={"Labeled": (images, labels),
+                                       "Triples": (images, images, images)})
+        plan = compile(th, interp)
+        with pytest.raises(ValueError, match="'rule'"):
+            scores(plan, "rule", (images, images, images))
+        logits, got = scores(plan, "labels", (images, labels))
+        assert logits.shape == (len(labels), 10)
+        np.testing.assert_array_equal(got, labels)
+
     def test_masked_rule_violating_classes_are_crushed(self):
         splits = gen_synth_relations(n_train_pool=400, n_test=120, seed=5)
-        th = relations_theory(True, splits.vocab)
-        from dasl.data import spatial_predicate_externs
-
-        interp = bind_theory(th, externs=spatial_predicate_externs(),
-                             data={"Train": (splits.train.features, splits.train.subject,
-                                             splits.train.object, splits.train.predicate)},
-                             seed=5)
+        interp = _relations_interp(splits, True, seed=5)
         split = splits.test_standard
         scores = masked_scores(interp, splits.vocab, split, knowledge=True)
         probs = np.exp(scores - scores.max(axis=1, keepdims=True))
