@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .compiler import compile, explain, scores
+from .compiler import classifier_axiom, compile, explain, scores
 from .data import spatial_predicate_externs
 from .experiments import (
     ExperimentConfig,
@@ -26,8 +26,7 @@ from .experiments import (
 )
 from .gradcheck import run_gradcheck
 from .interp import bind_theory
-from .lang import (CheckError, Forall, LexError, ParseError, RelApp, SoftSelect, check_theory,
-                   children, parse_theory)
+from .lang import CheckError, LexError, ParseError, check_theory, parse_theory
 from .logit import BIG, EqualityParams
 from .oracle import agreement_suite
 from .tensor import load_checkpoint
@@ -140,23 +139,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _classifier_axiom(theory, dataset: str, symbol: str) -> str:
-    """The axiom `forall (x…, y): dataset . pi[y](V)` whose V applies symbol."""
-    def applies(f) -> bool:
-        return (isinstance(f, RelApp) and f.symbol == symbol) or any(map(applies, children(f)))
-
-    for ax in theory.axioms:
-        f = ax.formula
-        if (isinstance(f, Forall) and f.domain == dataset and isinstance(f.body, SoftSelect)
-                and applies(f.body.vector)):
-            return ax.name
-    raise ValueError(f"no axiom forall (x…, y): {dataset} . pi[y](V) with V applying {symbol!r}")
-
-
 def _cmd_eval(args) -> int:
     theory = _load_theory(args.theory)
     interp = _bind(args, theory)
-    axiom = _classifier_axiom(theory, args.data, args.symbol)
+    plan = compile(theory, interp)
+    axiom = classifier_axiom(plan, args.symbol, args.data)
     loaded = load_checkpoint(args.checkpoint)
     for p in interp.parameters:
         value = loaded.get(p.name)
@@ -167,7 +154,7 @@ def _cmd_eval(args) -> int:
         p.value[...] = value
     domain = interp.domains[args.data]
     idx = np.arange(domain.cardinality)
-    logits, labels = scores(compile(theory, interp), axiom, [c.take(idx) for c in domain.columns])
+    logits, labels = scores(plan, axiom, [c.take(idx) for c in domain.columns])
     acc = float(np.mean(np.argmax(logits, axis=-1) == labels))
     print(f"loaded {len(interp.parameters)} parameters; accuracy {acc!r}")
     return 0

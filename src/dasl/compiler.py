@@ -13,6 +13,15 @@ Compilation has three steps: desugar, lower once, evaluate the tree.
   enumerate exhaustively, and quantifiers over datasets and embedding
   tables reduce a sampler draw by an n-ary conjunction.
 
+A node is static when no parameter can reach it: its value is a function of
+the dataset rows and the extern, fixed-constant and boolvec bindings alone.
+Inside a batched sampled quantifier, each maximal static formula over the
+quantifier's own variables is wrapped in a `fold` node.  The first
+evaluation of a fold computes its formula once over the quantifier's whole
+domain and keeps the per-row result in `Plan.folds`; every later step
+gathers those rows by the draw.  A plan's datasets and bindings are
+therefore fixed once it is compiled.
+
 The same tree scores a classifier: `scores` binds the variables of an axiom
 `forall (x…, y): D . pi[y](V)` to given rows and returns V's class logits and
 the labels, so test-time scoring applies exactly the knowledge that training
@@ -31,7 +40,7 @@ import numpy as np
 
 from . import logit as L
 from . import tensor as T
-from .interp import Interpretation, Sampler
+from .interp import EmbeddingColumn, ExternBinding, FixedBinding, Interpretation, Sampler
 from .lang import (
     And,
     ArithExpr,
@@ -63,6 +72,10 @@ class NonFiniteLogit(Exception):
     pass
 
 
+class RowAxisMismatch(Exception):
+    """A folded formula's value has no leading axis of one entry per row."""
+
+
 @dataclass
 class CompiledBatch:
     """One forward evaluation: root logit, per-axiom logits, provenance."""
@@ -91,23 +104,38 @@ class Node:
     int       the integer                               ()
     arith     "add" or "mod"                            (lhs, rhs)
     func      the function symbol                       argument terms
+    fold      (variables, sampler key, axiom)           (static formula,)
 
     A `rel` has a symbol_outputs key only when its relation is vector-valued.
     A sampled quantifier is batched when no sampled quantifier encloses it:
     its body sees the whole draw at once, while a nested one binds the rows
     of its draw one at a time.
+
+    `static` is true when no parameter can reach the node: `bool`,
+    `boolvec` and `int`; a `var` whose column is not an embedding table; a
+    `const` bound to a fixed value; a `rel` or `func` bound to an extern or
+    a fixed value, with static arguments and no symbol_outputs key; and an
+    `eq`, `arith`, `bits`, `not`, `and`, `select` or `index` whose kids are
+    all static.  A `sample` is never static: its value depends on the draw.
+    A `fold` gathers its formula's per-row values by the draw of the batched
+    quantifier that binds `variables`.
     """
 
-    __slots__ = ("kind", "uid", "fv", "width", "kids", "data")
+    __slots__ = ("kind", "uid", "fv", "width", "kids", "data", "static")
 
     def __init__(self, kind: str, uid: int, fv: tuple[str, ...], width: int,
-                 kids: tuple, data):
+                 kids: tuple, data, static: bool):
         self.kind = kind
         self.uid = uid
         self.fv = fv
         self.width = width
         self.kids = kids
         self.data = data
+        self.static = static
+
+
+# kinds that are static exactly when all their kids are
+_STATIC_IF_KIDS = frozenset(("eq", "arith", "bits", "not", "and", "select", "index"))
 
 
 class _Lowering:
@@ -124,16 +152,28 @@ class _Lowering:
         self.uids = 0
         self.axiom = ""
         self.batched = True  # no sampled quantifier encloses the current node
+        self.scope: dict[str, bool] = {}  # bound variable -> static
 
     def node(self, kind: str, kids: tuple = (), data=None, width: int = 1,
-             fv: tuple[str, ...] | None = None) -> Node:
-        if fv is None:
-            if len(kids) == 1:
-                fv = kids[0].fv
-            else:
+             fv: tuple[str, ...] | None = None, static: bool | None = None) -> Node:
+        if len(kids) == 1:
+            kid = kids[0]
+            if fv is None:
+                fv = kid.fv
+            if static is None:
+                static = kid.static and kind in _STATIC_IF_KIDS
+        else:
+            if fv is None:
                 fv = tuple(sorted({v for k in kids for v in k.fv}))
+            if static is None:
+                static = kind in _STATIC_IF_KIDS and False not in [k.static for k in kids]
         self.uids += 1
-        return Node(kind, self.uids, fv, width, kids, data)
+        return Node(kind, self.uids, fv, width, kids, data, static)
+
+    def fixed(self, symbol: str, args: tuple) -> bool:
+        """Whether a symbol application is static: a fixed binding on static args."""
+        return (isinstance(self.symbols[symbol], (ExternBinding, FixedBinding))
+                and False not in [a.static for a in args])
 
     def lower_axiom(self, name: str, formula: Formula) -> Node:
         self.axiom, self.batched = name, True
@@ -155,7 +195,8 @@ class _Lowering:
                 out_key = (f.symbol, tuple(print_term(a) for a in f.args))
                 self.vector_outputs.add(out_key)
             args = tuple(self.term(a) for a in f.args)
-            return self.node("rel", args, (f.symbol, out_key), width=out or 1)
+            return self.node("rel", args, (f.symbol, out_key), width=out or 1,
+                             static=out_key is None and self.fixed(f.symbol, args))
         if isinstance(f, Not):
             body = self.formula(f.body)
             return self.node("not", (body,), width=body.width)
@@ -170,19 +211,19 @@ class _Lowering:
             return self.node("eq", (self.term(f.lhs), self.term(f.rhs)))
         if isinstance(f, BoolConst):
             big = self.plan.interp.big
-            return self.node("bool", data=big if f.value else -big)
+            return self.node("bool", data=big if f.value else -big, static=True)
         if isinstance(f, BoolVectorConst):
             bits = self.boolvecs.get(f.name)
             if bits is None:
                 raise UnboundSymbol(f.name)
-            return self.node("boolvec", data=bits, width=len(bits))
+            return self.node("boolvec", data=bits, width=len(bits), static=True)
         raise SortError("compile", "a formula", type(f).__name__)
 
     def quantifier(self, f: Forall) -> Node:
         sort = self.theory.sort(f.domain)
         if sort is not None and sort.is_index:
             # index-range quantifiers are always exhaustive, never sampled
-            body = self.formula(f.body)
+            body = self.bound(f, (True,))
             fv = tuple(v for v in body.fv if v != f.vars[0])
             return self.node("index", (body,), (f.vars[0], sort.cardinality), body.width, fv)
         domain = self.plan.interp.domains.get(f.domain)
@@ -191,26 +232,59 @@ class _Lowering:
         key = self.plan.sampler_key(self.axiom, f.vars, f.domain)
         self.sites.setdefault(key, domain)
         batched, self.batched = self.batched, False
-        body = self.formula(f.body)
+        body = self.bound(f, [not isinstance(c, EmbeddingColumn) for c in domain.columns])
         self.batched = batched
+        if batched:
+            body = self.fold(body, frozenset(f.vars), (f.vars, key, self.axiom), True)
         fv = tuple(v for v in body.fv if v not in f.vars)
         return self.node("sample", (body,), (f.vars, key, batched), body.width, fv)
 
+    def bound(self, f: Forall, static) -> Node:
+        """Lower a quantifier's body with its variables in scope."""
+        outer = self.scope
+        self.scope = {**outer, **dict(zip(f.vars, static))}
+        body = self.formula(f.body)
+        self.scope = outer
+        return body
+
+    def fold(self, node: Node, names: frozenset, data: tuple, loss: bool) -> Node:
+        """Wrap each maximal static formula over `names` in a fold node.
+
+        `names` are the batched quantifier's variables; the checker renames
+        bound variables apart, so no inner quantifier rebinds them.  An `and`
+        or `index` that the fused loss descends into (`loss`) is not folded
+        whole; its operands are, so each keeps its own loss term.
+        """
+        kind = node.kind
+        if (node.static and node.fv and names.issuperset(node.fv)
+                and not (loss and kind in ("and", "index"))):
+            return self.node("fold", (node,), data, node.width, static=True)
+        if kind in ("and", "index"):
+            node.kids = tuple(self.fold(k, names, data, loss) for k in node.kids)
+        elif kind in ("not", "sample"):
+            node.kids = (self.fold(node.kids[0], names, data, False),)
+        elif kind == "select":
+            node.kids = (node.kids[0], self.fold(node.kids[1], names, data, False))
+        return node
+
     def term(self, t) -> Node:
         if isinstance(t, Variable):
-            return self.node("var", data=t.name, fv=(t.name,))
+            return self.node("var", data=t.name, fv=(t.name,),
+                             static=self.scope.get(t.name, False))
         if isinstance(t, IntLiteral):
-            return self.node("int", data=t.value)
+            return self.node("int", data=t.value, static=True)
         if isinstance(t, ArithExpr):
             return self.node("arith", tuple(self.term(a) for a in t.args), t.op)
         if isinstance(t, Constant):
             if t.name not in self.symbols:
                 raise UnboundSymbol(t.name)
-            return self.node("const", data=t.name)
+            return self.node("const", data=t.name,
+                             static=isinstance(self.symbols[t.name], FixedBinding))
         if isinstance(t, FuncApp):
             if t.symbol not in self.symbols:
                 raise UnboundSymbol(t.symbol)
-            return self.node("func", tuple(self.term(a) for a in t.args), t.symbol)
+            args = tuple(self.term(a) for a in t.args)
+            return self.node("func", args, t.symbol, static=self.fixed(t.symbol, args))
         raise SortError("compile", "a term", type(t).__name__)
 
 
@@ -218,7 +292,8 @@ class Plan:
     """Evaluation plan: checked theory + interpretation + samplers.
 
     `roots` holds each axiom's lowered tree; `vector_outputs` holds every
-    key that `CompiledBatch.symbol_outputs` can carry.
+    key that `CompiledBatch.symbol_outputs` can carry; `folds` maps a fold
+    node's uid to its per-row values, filled on its first evaluation.
     """
 
     def __init__(self, theory: Theory, interp: Interpretation,
@@ -231,6 +306,7 @@ class Plan:
         self.roots: list[tuple[str, Node]] = [
             (ax.name, lowering.lower_axiom(ax.name, ax.formula)) for ax in theory.axioms]
         self.vector_outputs = frozenset(lowering.vector_outputs)
+        self.folds: dict[int, np.ndarray] = {}
         strategy = "full" if batch_size is None else "shuffled-minibatch"
         seeds = np.random.SeedSequence(seed).spawn(len(lowering.sites))
         self.samplers: dict[tuple, Sampler] = {
@@ -280,11 +356,15 @@ class _Evaluator:
     token names the value: the integer itself for an index, ("draw", uid)
     for the rows of a batched draw, and (uid, row) for one row of a nested
     draw.  A memo key is a node's uid plus the tokens of its free variables.
+
+    With `fold` false, a fold node evaluates its formula on the rows bound
+    in the environment instead of gathering its table by the draw.
     """
 
-    def __init__(self, plan: Plan, draws: dict):
+    def __init__(self, plan: Plan, draws: dict, fold: bool = True):
         self.plan = plan
         self.draws = draws
+        self.fold = fold
         self.symbols = plan.interp.symbols
         self.big = plan.interp.big
         self.memo: dict = {}
@@ -339,6 +419,18 @@ class _Evaluator:
             return hit
         if kind == "and":
             return L.conj(*self.aligned(node, env))
+        if kind == "fold":
+            if not self.fold:
+                return self.formula(node.kids[0], env)
+            key = self.key(node, env)
+            hit = self.memo.get(key)
+            if hit is None:
+                table = self.plan.folds.get(node.uid)
+                if table is None:
+                    table = self.plan.folds[node.uid] = self.fold_table(node)
+                hit = Tensor(table[self.draws[node.data[1]]])
+                self.memo[key] = hit
+            return hit
         if kind == "not":
             return T.neg(self.formula(node.kids[0], env))
         if kind == "index":
@@ -376,6 +468,22 @@ class _Evaluator:
                 val = T.reshape(val, val.data.shape + (1,))
             out.append(val)
         return out
+
+    def fold_table(self, node: Node) -> np.ndarray:
+        """A fold's formula evaluated once over its quantifier's whole domain."""
+        names, key, axiom = node.data
+        domain = self.plan.samplers[key].domain
+        rows = np.arange(domain.cardinality)
+        token = ("fold", node.uid)
+        env = {v: (col.take(rows), token)
+               for v, col in zip(names, domain.columns) if v in node.fv}
+        table = _Evaluator(self.plan, {}).formula(node.kids[0], env).data
+        if table.ndim == 0 or table.shape[0] != domain.cardinality:
+            raise RowAxisMismatch(
+                f"axiom {axiom!r}: {', '.join(sorted(set(_symbols(node))))} over the "
+                f"{domain.cardinality} rows of {domain.name} gave shape {table.shape}; an "
+                f"extern must return one result per row")
+        return table
 
     def bind_draw(self, node: Node, env: dict) -> dict:
         """Bind a batched quantifier's variables to the rows of its draw."""
@@ -424,6 +532,16 @@ class _Evaluator:
         return T.reduce_sum(T.softplus(T.neg(self.formula(node, env))))
 
 
+def _symbols(node: Node):
+    """The symbols a node applies, at any depth."""
+    if node.kind == "rel":
+        yield node.data[0]
+    elif node.kind == "func":
+        yield node.data
+    for kid in node.kids:
+        yield from _symbols(kid)
+
+
 def evaluate(plan: Plan, draws: dict | None = None) -> CompiledBatch:
     """Forward pass; inner index quantifiers enumerate, datasets use draws."""
     if draws is None:
@@ -441,17 +559,44 @@ def evaluate(plan: Plan, draws: dict | None = None) -> CompiledBatch:
     return CompiledBatch(root, per_axiom, draws, ev.symbol_outputs)
 
 
+def _classifier(node: Node) -> Node | None:
+    """The `pi[y](V)` of a root `forall (x…, y): D . pi[y](V)`, or None."""
+    if node.kind != "sample":
+        return None
+    body = node.kids[0]
+    if body.kind == "fold":
+        body = body.kids[0]
+    return body if body.kind == "select" else None
+
+
+def classifier_axiom(plan: Plan, symbol: str, dataset: str | None = None) -> str:
+    """The first axiom `forall (x…, y): D . pi[y](V)` whose V applies `symbol`.
+
+    With `dataset` given, D must be that dataset.  Raises ValueError when
+    no axiom qualifies.
+    """
+    for name, node in plan.roots:
+        select = _classifier(node)
+        if (select is not None and symbol in _symbols(select.kids[1])
+                and dataset in (None, plan.samplers[node.data[1]].domain.name)):
+            return name
+    raise ValueError(f"no axiom forall (x…, y): {dataset or 'D'} . pi[y](V) "
+                     f"with V applying {symbol!r}")
+
+
 def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
     """Class logits and labels of a classifier axiom on the given rows.
 
     The axiom must lower to `forall (x…, y): D . pi[y](V)`.  Its variables
     bind to `columns`, one array per variable in order; V evaluates to the
     logits and the pi index term to the labels.  Sampled quantifiers inside
-    V range over their whole domain, and no sampler advances.  No tape is
-    opened.
+    V range over their whole domain, and no sampler advances.  Folded
+    formulas are evaluated on the given rows; `Plan.folds` is not read.  No
+    tape is opened.
     """
     node = dict(plan.roots).get(axiom)
-    if node is None or node.kind != "sample" or node.kids[0].kind != "select":
+    select = None if node is None else _classifier(node)
+    if select is None:
         raise ValueError(f"axiom {axiom!r} is not of the form forall (x…, y): D . pi[y](V)")
     names = node.data[0]
     if len(columns) != len(names):
@@ -459,8 +604,8 @@ def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
     token = ("draw", node.uid)
     env = {v: (col, token) for v, col in zip(names, columns)}
     ev = _Evaluator(plan, {key: np.arange(s.domain.cardinality)
-                           for key, s in plan.samplers.items()})
-    index, vector = node.kids[0].kids
+                           for key, s in plan.samplers.items()}, fold=False)
+    index, vector = select.kids
     return ev.formula(vector, env).data, np.asarray(ev.term(index, env))
 
 

@@ -231,6 +231,8 @@ def satisfies_at_threshold(model: CrispModel, theory: Theory,
 
 
 def _conjunct_count(plan: Plan, node: Node) -> int:
+    if node.kind == "fold":
+        return _conjunct_count(plan, node.kids[0])
     if node.kind == "and":
         return sum(_conjunct_count(plan, k) for k in node.kids)
     if node.kind == "index":

@@ -168,7 +168,9 @@ def _ensure(x) -> tuple[np.ndarray, int | None]:
     """Coerce an operand to (data, node id), enrolling Parameters on the tape."""
     if isinstance(x, Tensor):
         if x.node is not None and x.tape is not active_tape():
-            return x.data, None  # value from another (dead) tape: treat as constant
+            if active_tape() is not None:
+                raise DetachedNode("tensor from another tape used while a tape records")
+            return x.data, None  # no tape records: nothing to differentiate
         return x.data, x.node
     if isinstance(x, Parameter):
         tape = active_tape()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .compiler import FusedPlan, NonFiniteLogit, Plan, fuse_loss
+from .compiler import FusedPlan, NonFiniteLogit, Plan, classifier_axiom, fuse_loss, scores
 from .tensor import NonFiniteGradient, Parameter, Tensor, save_checkpoint
 
 
@@ -167,11 +167,17 @@ def _p_max(batch, symbol: str, arg: str) -> float | None:
 def train(plan, config: TrainConfig, test_set=None) -> TrainState:
     """Run the optimization loop; returns the final TrainState.
 
-    test_set is an optional (inputs, labels) pair scored with
-    config.eval_symbol at every metrics cadence.
+    test_set is an optional tuple of columns, one per variable of the
+    classifier axiom `forall (x…, y): D . pi[y](V)` whose V applies
+    config.eval_symbol.  At every metrics cadence that axiom scores them
+    through `compiler.scores`, so masks in V apply, and the accuracy is the
+    share of rows whose argmax is y.
     """
     fused = plan if isinstance(plan, FusedPlan) else fuse_loss(plan)
     base = fused.plan
+    axiom = None
+    if test_set is not None and config.eval_symbol is not None:
+        axiom = classifier_axiom(base, config.eval_symbol)
     params = base.parameters
     adam = AdamState(lr=config.lr)
     curriculum = None
@@ -196,10 +202,10 @@ def train(plan, config: TrainConfig, test_set=None) -> TrainState:
     state = TrainState(params, adam, curriculum, config.seed)
 
     def test_accuracy() -> float | None:
-        if test_set is None or config.eval_symbol is None:
+        if axiom is None:
             return None
-        binding = base.interp.symbols[config.eval_symbol]
-        return evaluate_classifier(binding, test_set[0], test_set[1])
+        logits, labels = scores(base, axiom, test_set)
+        return float(np.mean(np.argmax(logits, axis=-1) == labels))
 
     def probe_loss() -> float:
         with T.Tape():

@@ -6,7 +6,9 @@ import pytest
 import _scalar_ref as ref
 from dasl import logit as L
 from dasl import tensor as T
-from dasl.compiler import NonFiniteLogit, compile, evaluate, explain, fuse_loss, scores
+from dasl import compiler
+from dasl.compiler import (NonFiniteLogit, RowAxisMismatch, compile, evaluate, explain,
+                           fuse_loss, scores)
 from dasl.interp import bind_theory, build_triples
 from dasl.lang import UnboundSymbol, check_theory, parse_theory
 from dasl.logit import BIG
@@ -252,6 +254,139 @@ class TestScores:
                                        "Pool": (rows,)})
         with pytest.raises(ValueError, match="3 variables"):
             scores(compile(th, interp), "labels", (rows,))
+
+
+def _folds(node):
+    """The fold nodes of a lowered tree."""
+    out = [node] if node.kind == "fold" else []
+    for kid in node.kids:
+        out += _folds(kid)
+    return out
+
+
+def _loss_and_grads(plan, draws, fold):
+    """The fused loss on `draws`, with or without the fold tables, and its gradients."""
+    with Tape():
+        for p in plan.parameters:
+            p.zero_grad()
+        ev = compiler._Evaluator(plan, draws, fold=fold)
+        total = T.Tensor(0.0)
+        for _, node in plan.roots:
+            total = T.add(total, ev.loss(node, {}))
+        backward(total)
+    return float(total.data), {p.name: p.grad.copy() for p in plan.parameters}
+
+
+class TestFold:
+    """Static guards are evaluated once per dataset and gathered by the draw."""
+
+    def _relations_plan(self, **kwargs):
+        from dasl import data, experiments
+
+        splits = data.gen_synth_relations(train_fraction=0.01, seed=0)
+        th = experiments.relations_theory(True, splits.vocab, hidden=8)
+        rows = (splits.train.features, splits.train.subject, splits.train.object,
+                splits.train.predicate)
+        interp = bind_theory(th, externs=data.spatial_predicate_externs(), data={"Train": rows})
+        return compile(th, interp, **kwargs)
+
+    def _assert_fold_is_exact(self, plan, steps):
+        for step in range(steps):
+            draws = plan.draw()
+            got = _loss_and_grads(plan, draws, fold=True)
+            want = _loss_and_grads(plan, draws, fold=False)
+            assert got[0] == want[0], f"step {step}"
+            for name, grad in want[1].items():
+                np.testing.assert_array_equal(got[1][name], grad, err_msg=f"step {step} {name}")
+
+    def test_relations_guards_fold_bit_for_bit(self):
+        plan = self._relations_plan(batch_size=16, seed=2)
+        (_, root), = plan.roots
+        folds = _folds(root)
+        assert len(folds) == 10  # one per guard, beside the unfolded vrd(f, s, o)
+        assert all("vrd" not in compiler._symbols(f) for f in folds)
+        self._assert_fold_is_exact(plan, 20)
+        assert sorted(plan.folds) == sorted(f.uid for f in folds)
+        assert all(t.shape == (200, 12) for t in plan.folds.values())
+
+    def test_working_set_prefix_indexes_the_full_table(self):
+        plan = self._relations_plan(batch_size=4, seed=3)
+        (sampler,) = plan.samplers.values()
+        sampler.set_active_size(10)
+        self._assert_fold_is_exact(plan, 5)
+        assert all(t.shape[0] == sampler.domain.cardinality for t in plan.folds.values())
+        sampler.set_active_size(sampler.domain.cardinality)
+        self._assert_fold_is_exact(plan, 5)
+
+    SRC = """
+        sort Row dim 3;
+        sort E card 4 dim 2;
+        rel M : E x Row mlp 5 act tanh;
+        rel Q : Row mlp 4 act sigmoid;
+        rel near : E x Row extern near;
+        rel side : E extern side;
+        rel far : Row extern far;
+        data Pool : Row from "mem";
+        %s
+    """
+    # piecewise constant in the embedding rows, so finite differences see no
+    # slope where the tape records none
+    EXTERNS = {
+        "near": lambda e, u: np.where(e[..., 0] > 0, 2.0, -2.0) + u[..., 0],
+        "side": lambda e: np.where(e[..., 1] > 0, 3.0, -3.0),
+        "far": lambda u: u[..., 0] - 0.5 * u[..., 2],
+    }
+
+    def _plan(self, axioms, externs=EXTERNS, **kwargs):
+        th = check_theory(parse_theory(self.SRC % axioms))
+        rows = np.random.default_rng(4).normal(size=(7, 3))
+        interp = bind_theory(th, externs=externs, data={"Pool": (rows,)}, seed=4)
+        return th, interp, compile(th, interp, **kwargs)
+
+    def test_embedding_variables_stay_unfolded(self):
+        th, interp, plan = self._plan(
+            "axiom ed : forall u: Pool . far(u) & (Q(u) -> exists e: E . M(e, u) & near(e, u));\n"
+            "axiom es : forall e: E . side(e) -> exists u: Pool . M(e, u);")
+        assert [[list(compiler._symbols(f)) for f in _folds(root)]
+                for _, root in plan.roots] == [[["far"]], []]
+        table = interp.domains["E"].columns[0].param.value
+        for _ in range(2):  # a stale fold of near or side would miss the sign flip
+            got = evaluate(plan).root.item()
+            assert got == pytest.approx(ref.root_logit(th, interp), abs=1e-9)
+            table *= -1.0
+        assert len(plan.folds) == 1
+        report = T.grad_check(lambda: fuse_loss(plan).evaluate()[0], plan.parameters)
+        assert report.passed, report
+
+    def test_shared_draw(self):
+        # a3 is static as a whole; its loss keeps one term per conjunct
+        _, _, plan = self._plan("axiom a1 : forall u: Pool . Q(u) & far(u);\n"
+                                "axiom a2 : forall v: Pool . far(v) -> Q(v);\n"
+                                "axiom a3 : forall w: Pool . far(w) & ~far(w);",
+                                batch_size=3, shared_draw=True, seed=1)
+        assert len(plan.samplers) == 1
+        assert [len(_folds(root)) for _, root in plan.roots] == [1, 1, 2]
+        self._assert_fold_is_exact(plan, 6)
+        assert len(plan.folds) == 4
+
+    def test_extern_without_a_row_axis_is_a_typed_error(self):
+        externs = {**self.EXTERNS, "far": lambda u: 0.5}
+        _, _, plan = self._plan("axiom flat : forall u: Pool . Q(u) & far(u);", externs)
+        with pytest.raises(RowAxisMismatch, match="'flat'.*far.*7 rows of Pool"):
+            evaluate(plan)
+
+    def test_extern_runs_once_per_plan(self):
+        calls = []
+
+        def far(u):
+            calls.append(len(u))
+            return self.EXTERNS["far"](u)
+
+        _, _, plan = self._plan("axiom a : forall u: Pool . Q(u) & far(u);",
+                                {**self.EXTERNS, "far": far}, batch_size=3)
+        state = train(plan, TrainConfig(iterations=10, batch_size=3, lr=1e-2))
+        assert len(state.loss_history) == 10
+        assert calls == [7]
 
 
 class TestExistsForallDuality:

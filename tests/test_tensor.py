@@ -166,6 +166,18 @@ class TestBackward:
             with Tape():
                 backward(out)
 
+    def test_tensor_from_another_tape_raises(self):
+        p = Parameter("p", np.ones(()))
+        with Tape():
+            out = T.softplus(p)
+            with Tape():  # a second live tape would drop out's gradient
+                with pytest.raises(DetachedNode):
+                    T.mul(out, 2.0)
+        with Tape():  # and so would a later one
+            with pytest.raises(DetachedNode):
+                T.mul(out, 2.0)
+        assert T.mul(out, 2.0).data == 2.0 * out.data  # no tape records: a constant
+
     def test_tape_consumed_once(self):
         p = Parameter("p", np.zeros(()))
         with Tape():

@@ -201,6 +201,49 @@ class TestTrainLoop:
         assert outs[0] == outs[1]
 
 
+class TestTestAccuracy:
+    """`test_accuracy` scores the classifier axiom, so masks in V apply."""
+
+    SRC = """
+        sort Row dim 4;
+        sort K card 3;
+        rel classify : Row out 3 mlp 6 act relu;
+        boolvec nottwo : [1, 1, 0];
+        data Train : Row x K from "mem";
+        axiom labels : forall (r, y): Train . pi[y](%s);
+    """
+
+    def _run(self, body, tmp_path=None):
+        th = check_theory(parse_theory(self.SRC % body))
+        rows = np.random.default_rng(8).normal(size=(40, 4))
+        ys = np.full(40, 2)
+        interp = bind_theory(th, data={"Train": (rows, ys)}, seed=8)
+        config = TrainConfig(iterations=1, batch_size=8, lr=1e-3, cadence=1,
+                             eval_symbol="classify")
+        state = train(compile(th, interp, batch_size=8, seed=8), config, test_set=(rows, ys))
+        raw = evaluate_classifier(interp.symbols["classify"], rows, ys)
+        return [m["test_accuracy"] for m in state.metrics], raw
+
+    def test_unmasked_accuracy_is_the_bindings(self):
+        accs, raw = self._run("classify(r)")
+        assert accs[-1] == raw
+
+    def test_masks_apply(self):
+        accs, raw = self._run("classify(r) & nottwo")
+        assert raw > 0.0  # the raw binding predicts the masked class on some rows
+        assert accs == [0.0, 0.0]
+
+    def test_no_classifier_axiom_is_an_error_before_the_first_step(self):
+        th = check_theory(parse_theory(self.SRC % "classify(r)"))
+        rows = np.zeros((4, 4))
+        interp = bind_theory(th, data={"Train": (rows, np.zeros(4, int))})
+        before = [p.value.copy() for p in interp.parameters]
+        config = TrainConfig(iterations=3, batch_size=2, eval_symbol="nosuch")
+        with pytest.raises(ValueError, match="nosuch"):
+            train(compile(th, interp, batch_size=2), config, test_set=(rows, np.zeros(4, int)))
+        assert all(np.array_equal(a, p.value) for a, p in zip(before, interp.parameters))
+
+
 class TestEvaluateClassifier:
     class _OneHot:
         def __init__(self, scores):
