@@ -5,17 +5,20 @@ Compilation has three steps: desugar, lower once, evaluate the tree.
 - `lang.desugar` rewrites each axiom into the Not/And/Forall core, so Or,
   Implies and Exists become negations.
 - One pass lowers the result into a tree of `Node`s.  Each node carries a
-  uid, its sorted free variables, its class width and its per-kind payload.
-  The same pass checks every symbol against the interpretation and
-  registers the sampler of every sampled quantifier.
-- Evaluation reads only that tree.  Atoms become symbol evaluations, `not`
-  and `and` become logit-algebra nodes, quantifiers over index-range sorts
-  enumerate exhaustively, and quantifiers over datasets and embedding
-  tables reduce a sampler draw by an n-ary conjunction.
+  uid, its sorted free variables, its class width, its depth (the number of
+  quantifiers that enclose it) and its per-kind payload.  The same pass
+  checks every symbol against the interpretation and registers the sampler
+  of every sampled quantifier.
+- Evaluation reads only that tree and visits each node once per forward
+  pass.  Every quantifier owns a tensor axis, holding `arange(card)` for an
+  index sort or the sampler's draw for a dataset or embedding table, so
+  nested quantifiers range over the cross product of their groundings.  A
+  quantifier broadcasts its body to its axis and reduces it by an n-ary
+  conjunction; a symbol sees the groundings flattened into one row axis.
 
 A node is static when no parameter can reach it: its value is a function of
 the dataset rows and the extern, fixed-constant and boolvec bindings alone.
-Inside a batched sampled quantifier, each maximal static formula over the
+Inside a sampled quantifier, each maximal static formula over the
 quantifier's own variables is wrapped in a `fold` node.  The first
 evaluation of a fold computes its formula once over the quantifier's whole
 domain and keeps the per-row result in `Plan.folds`; every later step
@@ -29,11 +32,12 @@ compiled.
 
 The root conjunction fuses with the loss: since the loss of a conjunction
 is the sum of its conjuncts' losses, the fused loss is a plain sum of
-softplus(-l) over root-level conjuncts.
+softplus(-l) over root-level conjuncts and all their groundings.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,18 +102,20 @@ class Node:
     not, and  None                                      operands
     select    None                                      (index term, vector)
     index     (variable, cardinality)                   (body,)
-    sample    (variables, sampler key, batched)         (body,)
+    sample    (variables, sampler key)                  (body,)
     var       the variable name                         ()
     const     the constant name                         ()
     int       the integer                               ()
     arith     "add" or "mod"                            (lhs, rhs)
     func      the function symbol                       argument terms
-    fold      (variables, sampler key, axiom)           (static formula,)
+    fold      (variables, sampler key, axis, axiom)     (static formula,)
 
     A `rel` has a symbol_outputs key only when its relation is vector-valued.
-    A sampled quantifier is batched when no sampled quantifier encloses it:
-    its body sees the whole draw at once, while a nested one binds the rows
-    of its draw one at a time.
+    `depth` counts the quantifiers that enclose a node, and an `index` or
+    `sample` node's own axis is its depth.  A node's value has one leading
+    axis per enclosing quantifier (size 1 where the node does not depend on
+    its variables; a node without free variables may have none), then its
+    class axis when `width` exceeds 1, or for a term its feature axis.
 
     `static` is true when no parameter can reach the node: `bool`,
     `boolvec` and `int`; a `var` whose column is not an embedding table; a
@@ -117,14 +123,14 @@ class Node:
     a fixed value, with static arguments and no symbol_outputs key; and an
     `eq`, `arith`, `bits`, `not`, `and`, `select` or `index` whose kids are
     all static.  A `sample` is never static: its value depends on the draw.
-    A `fold` gathers its formula's per-row values by the draw of the batched
-    quantifier that binds `variables`.
+    A `fold` gathers its formula's per-row values by the draw of the sampled
+    quantifier that binds `variables` on `axis`.
     """
 
-    __slots__ = ("kind", "uid", "fv", "width", "kids", "data", "static")
+    __slots__ = ("kind", "uid", "fv", "width", "kids", "data", "static", "depth")
 
     def __init__(self, kind: str, uid: int, fv: tuple[str, ...], width: int,
-                 kids: tuple, data, static: bool):
+                 kids: tuple, data, static: bool, depth: int):
         self.kind = kind
         self.uid = uid
         self.fv = fv
@@ -132,6 +138,7 @@ class Node:
         self.kids = kids
         self.data = data
         self.static = static
+        self.depth = depth
 
 
 # kinds that are static exactly when all their kids are
@@ -151,11 +158,12 @@ class _Lowering:
         self.vector_outputs: set[tuple] = set()
         self.uids = 0
         self.axiom = ""
-        self.batched = True  # no sampled quantifier encloses the current node
+        self.depth = 0  # quantifiers enclosing the current node
         self.scope: dict[str, bool] = {}  # bound variable -> static
 
     def node(self, kind: str, kids: tuple = (), data=None, width: int = 1,
-             fv: tuple[str, ...] | None = None, static: bool | None = None) -> Node:
+             fv: tuple[str, ...] | None = None, static: bool | None = None,
+             depth: int | None = None) -> Node:
         if len(kids) == 1:
             kid = kids[0]
             if fv is None:
@@ -168,7 +176,8 @@ class _Lowering:
             if static is None:
                 static = kind in _STATIC_IF_KIDS and False not in [k.static for k in kids]
         self.uids += 1
-        return Node(kind, self.uids, fv, width, kids, data, static)
+        return Node(kind, self.uids, fv, width, kids, data, static,
+                    self.depth if depth is None else depth)
 
     def fixed(self, symbol: str, args: tuple) -> bool:
         """Whether a symbol application is static: a fixed binding on static args."""
@@ -176,7 +185,7 @@ class _Lowering:
                 and False not in [a.static for a in args])
 
     def lower_axiom(self, name: str, formula: Formula) -> Node:
-        self.axiom, self.batched = name, True
+        self.axiom = name
         root = self.formula(desugar(formula))
         if root.fv:
             raise UnboundSymbol(root.fv[0])
@@ -224,33 +233,31 @@ class _Lowering:
         if sort is not None and sort.is_index:
             # index-range quantifiers are always exhaustive, never sampled
             body = self.bound(f, (True,))
-            fv = tuple(v for v in body.fv if v != f.vars[0])
-            return self.node("index", (body,), (f.vars[0], sort.cardinality), body.width, fv)
-        domain = self.plan.interp.domains.get(f.domain)
-        if domain is None:
-            raise UnboundSymbol(f.domain)
-        key = self.plan.sampler_key(self.axiom, f.vars, f.domain)
-        self.sites.setdefault(key, domain)
-        batched, self.batched = self.batched, False
-        body = self.bound(f, [not isinstance(c, EmbeddingColumn) for c in domain.columns])
-        self.batched = batched
-        if batched:
-            body = self.fold(body, frozenset(f.vars), (f.vars, key, self.axiom), True)
+            kind, data = "index", (f.vars[0], sort.cardinality)
+        else:
+            domain = self.plan.interp.domains.get(f.domain)
+            if domain is None:
+                raise UnboundSymbol(f.domain)
+            key = self.plan.sampler_key(self.axiom, f.vars, f.domain)
+            self.sites.setdefault(key, domain)
+            body = self.bound(f, [not isinstance(c, EmbeddingColumn) for c in domain.columns])
+            body = self.fold(body, frozenset(f.vars), (f.vars, key, self.depth, self.axiom), True)
+            kind, data = "sample", (f.vars, key)
         fv = tuple(v for v in body.fv if v not in f.vars)
-        return self.node("sample", (body,), (f.vars, key, batched), body.width, fv)
+        return self.node(kind, (body,), data, body.width, fv)
 
     def bound(self, f: Forall, static) -> Node:
-        """Lower a quantifier's body with its variables in scope."""
-        outer = self.scope
-        self.scope = {**outer, **dict(zip(f.vars, static))}
+        """Lower a quantifier's body, one level deeper, with its variables in scope."""
+        outer, self.scope = self.scope, {**self.scope, **dict(zip(f.vars, static))}
+        self.depth += 1
         body = self.formula(f.body)
-        self.scope = outer
+        self.scope, self.depth = outer, self.depth - 1
         return body
 
     def fold(self, node: Node, names: frozenset, data: tuple, loss: bool) -> Node:
         """Wrap each maximal static formula over `names` in a fold node.
 
-        `names` are the batched quantifier's variables; the checker renames
+        `names` are the sampled quantifier's variables; the checker renames
         bound variables apart, so no inner quantifier rebinds them.  An `and`
         or `index` that the fused loss descends into (`loss`) is not folded
         whole; its operands are, so each keeps its own loss term.
@@ -258,10 +265,10 @@ class _Lowering:
         kind = node.kind
         if (node.static and node.fv and names.issuperset(node.fv)
                 and not (loss and kind in ("and", "index"))):
-            return self.node("fold", (node,), data, node.width, static=True)
-        if kind in ("and", "index"):
+            return self.node("fold", (node,), data, node.width, static=True, depth=node.depth)
+        if kind in ("and", "index", "sample"):
             node.kids = tuple(self.fold(k, names, data, loss) for k in node.kids)
-        elif kind in ("not", "sample"):
+        elif kind == "not":
             node.kids = (self.fold(node.kids[0], names, data, False),)
         elif kind == "select":
             node.kids = (node.kids[0], self.fold(node.kids[1], names, data, False))
@@ -349,13 +356,45 @@ def _is_integerish(v) -> bool:
     return isinstance(v, np.ndarray) and np.issubdtype(v.dtype, np.integer)
 
 
+def _shape(value) -> tuple:
+    return value.data.shape if isinstance(value, Tensor) else getattr(value, "shape", ())
+
+
+def _on_axis(n: int, axis: int, depth: int) -> tuple:
+    """The leading shape of a value that spans only `axis`, under `depth` quantifiers."""
+    return (1,) * axis + (n,) + (1,) * (depth - axis - 1)
+
+
+def _reshape(value, shape: tuple):
+    if _shape(value) == shape:
+        return value
+    if isinstance(value, Tensor):
+        return T.reshape(value, shape)
+    return np.asarray(value).reshape(shape)
+
+
+def _spread(value, shape: tuple):
+    """`value` broadcast to `shape`, differentiably when it is a Tensor."""
+    if _shape(value) == shape:
+        return value
+    if isinstance(value, Tensor):
+        return T.add(value, np.zeros(shape))
+    return np.broadcast_to(value, shape)
+
+
+def _with_classes(value: Tensor, width: int, classes: int) -> Tensor:
+    """A width-1 value meeting a class vector gets a trailing class axis."""
+    if width == 1 and classes > 1 and value.data.ndim:
+        return T.reshape(value, value.data.shape + (1,))
+    return value
+
+
 class _Evaluator:
     """One forward pass over the lowered trees of a plan.
 
-    An environment maps each bound variable to a (value, token) pair.  The
-    token names the value: the integer itself for an index, ("draw", uid)
-    for the rows of a batched draw, and (uid, row) for one row of a nested
-    draw.  A memo key is a node's uid plus the tokens of its free variables.
+    Each node is evaluated once, to an array laid out as `Node` describes:
+    one leading axis per enclosing quantifier.  An environment maps each
+    bound variable to its column values and the axis they lie on.
 
     With `fold` false, a fold node evaluates its formula on the rows bound
     in the environment instead of gathering its table by the draw.
@@ -367,30 +406,42 @@ class _Evaluator:
         self.fold = fold
         self.symbols = plan.interp.symbols
         self.big = plan.interp.big
-        self.memo: dict = {}
         self.symbol_outputs: dict = {}
-
-    def key(self, node: Node, env: dict) -> tuple:
-        return (node.uid, *[env[v][1] for v in node.fv])
 
     def term(self, node: Node, env: dict):
         kind = node.kind
         if kind == "var":
-            return env[node.data][0]
+            value, axis = env[node.data]
+            shape = _shape(value)
+            return _reshape(value, _on_axis(shape[0], axis, node.depth) + shape[1:])
         if kind == "int":
             return node.data
         if kind == "arith":
-            a, b = node.kids
-            a, b = self.term(a, env), self.term(b, env)
+            a, b = (self.term(k, env) for k in node.kids)
             return (a + b) if node.data == "add" else (a % b)
         if kind == "const":
             return self.symbols[node.data]([])
-        key = self.key(node, env)  # func
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self.symbols[node.data]([self.term(a, env) for a in node.kids])
-            self.memo[key] = hit
-        return hit
+        return self.apply(node.data, node, env)  # func
+
+    def apply(self, symbol: str, node: Node, env: dict):
+        """`symbol` on the node's arguments, called once with one row per grounding.
+
+        The arguments are spread to their common leading axes and flattened into
+        one row axis; the result gets the leading axes back.
+        """
+        depth = node.depth
+        values = [self.term(k, env) for k in node.kids]
+        leads = [_shape(v)[:depth] for v, k in zip(values, node.kids) if k.fv]
+        lead = T._check_broadcast(*leads) if leads else ()
+        rows, args = math.prod(lead), []
+        for v, k in zip(values, node.kids):
+            tail = _shape(v)[depth if k.fv else 0:]
+            args.append(_reshape(_spread(v, lead + tail), (rows,) + tail))
+        out = self.symbols[symbol](args)
+        shape = _shape(out)
+        if shape[:1] == (rows,):  # an extern that returns no row axis is left as it is
+            out = _reshape(out, lead + shape[1:])
+        return out
 
     def formula(self, node: Node, env: dict) -> Tensor:
         kind = node.kind
@@ -398,50 +449,37 @@ class _Evaluator:
             index, vector = node.kids
             idx = self.term(index, env)
             vec = self.formula(vector, env)
-            # key on the evaluated index so a y1+y2 grid hits 10 entries, not 100
-            ikey = int(idx) if isinstance(idx, (int, np.integer)) else self.key(index, env)
-            key = (node.uid, ikey, self.key(vector, env))
-            hit = self.memo.get(key)
-            if hit is None:
-                hit = L.softselect(vec, idx)
-                self.memo[key] = hit
-            return hit
+            if _shape(idx):  # one index per grounding: v spans the index's axes too
+                lead = T._check_broadcast(idx.shape, vec.data.shape[:-1])
+                idx, vec = _spread(idx, lead), _spread(vec, lead + vec.data.shape[-1:])
+            return L.softselect(vec, idx)
         if kind == "rel":
-            key = self.key(node, env)
-            hit = self.memo.get(key)
-            if hit is None:
-                symbol, out_key = node.data
-                out = self.symbols[symbol]([self.term(a, env) for a in node.kids])
-                hit = out if isinstance(out, Tensor) else Tensor(out)
-                self.memo[key] = hit
-                if out_key is not None:
-                    self.symbol_outputs.setdefault(out_key, hit)
-            return hit
+            symbol, out_key = node.data
+            out = self.apply(symbol, node, env)
+            out = out if isinstance(out, Tensor) else Tensor(out)
+            if out_key is not None:
+                self.symbol_outputs.setdefault(out_key, out)
+            return out
         if kind == "and":
-            return L.conj(*self.aligned(node, env))
+            return L.conj(*[_with_classes(self.formula(k, env), k.width, node.width)
+                            for k in node.kids])
         if kind == "fold":
             if not self.fold:
                 return self.formula(node.kids[0], env)
-            key = self.key(node, env)
-            hit = self.memo.get(key)
-            if hit is None:
-                table = self.plan.folds.get(node.uid)
-                if table is None:
-                    table = self.plan.folds[node.uid] = self.fold_table(node)
-                hit = Tensor(table[self.draws[node.data[1]]])
-                self.memo[key] = hit
-            return hit
+            _, key, axis, _ = node.data
+            table = self.plan.folds.get(node.uid)
+            if table is None:
+                table = self.plan.folds[node.uid] = self.fold_table(node)
+            rows = table[self.draws[key]]
+            return Tensor(rows.reshape(_on_axis(len(rows), axis, node.depth) + rows.shape[1:]))
         if kind == "not":
             return T.neg(self.formula(node.kids[0], env))
-        if kind == "index":
-            var, card = node.data
-            body = node.kids[0]
-            return L.conj(*[self.formula(body, {**env, var: (i, i)}) for i in range(card)])
-        if kind == "sample":
-            body = node.kids[0]
-            if node.data[2]:
-                return L.conj_reduce(self.formula(body, self.bind_draw(node, env)), axis=0)
-            return L.conj(*[self.formula(body, inner) for inner in self.bind_rows(node, env)])
+        if kind in ("index", "sample"):
+            inner, n = self.bind(node, env)
+            value = self.formula(node.kids[0], inner)
+            axis = _on_axis(n, node.depth, node.depth + 1) + (1,) * (node.width > 1)
+            shape = np.broadcast_shapes(value.data.shape, axis)
+            return L.conj_reduce(_spread(value, shape), node.depth)
         if kind == "eq":
             lhs, rhs = (self.term(t, env) for t in node.kids)
             if _is_integerish(lhs) and _is_integerish(rhs):
@@ -454,82 +492,53 @@ class _Evaluator:
             return Tensor(node.data)
         return L.bool_vector(node.data, self.big)  # boolvec
 
-    def aligned(self, node: Node, env: dict) -> list[Tensor]:
-        """Evaluate connective operands, aligning class axes of unequal width.
-
-        A width-1 operand evaluates without a class axis, so when it meets a
-        class vector inside a batched quantifier its batch axis must not be
-        mistaken for the class axis; give it an explicit trailing axis.
-        """
-        out = []
-        for item in node.kids:
-            val = self.formula(item, env)
-            if node.width > 1 and item.width == 1 and val.data.ndim >= 1:
-                val = T.reshape(val, val.data.shape + (1,))
-            out.append(val)
-        return out
+    def bind(self, node: Node, env: dict) -> tuple[dict, int]:
+        """A quantifier's variables bound on its axis; returns the env and the axis size."""
+        if node.kind == "index":
+            var, card = node.data
+            return {**env, var: (np.arange(card), node.depth)}, card
+        names, key = node.data
+        rows = self.draws[key]
+        inner = dict(env)
+        for v, col in zip(names, self.plan.samplers[key].domain.columns):
+            inner[v] = (col.take(rows), node.depth)
+        return inner, len(rows)
 
     def fold_table(self, node: Node) -> np.ndarray:
         """A fold's formula evaluated once over its quantifier's whole domain."""
-        names, key, axiom = node.data
+        names, key, axis, axiom = node.data
         domain = self.plan.samplers[key].domain
-        rows = np.arange(domain.cardinality)
-        token = ("fold", node.uid)
-        env = {v: (col.take(rows), token)
+        n = domain.cardinality
+        env = {v: (col.take(np.arange(n)), axis)
                for v, col in zip(names, domain.columns) if v in node.fv}
         table = _Evaluator(self.plan, {}).formula(node.kids[0], env).data
-        if table.ndim == 0 or table.shape[0] != domain.cardinality:
+        if table.shape[:node.depth] != _on_axis(n, axis, node.depth):
             raise RowAxisMismatch(
                 f"axiom {axiom!r}: {', '.join(sorted(set(_symbols(node))))} over the "
-                f"{domain.cardinality} rows of {domain.name} gave shape {table.shape}; an "
+                f"{n} rows of {domain.name} gave shape {table.shape}; an "
                 f"extern must return one result per row")
-        return table
+        return table.reshape((n,) + table.shape[node.depth:])
 
-    def bind_draw(self, node: Node, env: dict) -> dict:
-        """Bind a batched quantifier's variables to the rows of its draw."""
-        names, key, _ = node.data
-        indices = self.draws[key]
-        token = ("draw", node.uid)
-        inner = dict(env)
-        for v, col in zip(names, self.plan.samplers[key].domain.columns):
-            inner[v] = (col.take(indices), token)
-        return inner
+    def loss(self, node: Node, env: dict, lead: tuple = (), classes: int = 1) -> Tensor:
+        """softplus(-l) summed over the root-level conjuncts below node.
 
-    def bind_rows(self, node: Node, env: dict):
-        """Bind a nested quantifier's variables row by row (one env per row)."""
-        names, key, _ = node.data
-        columns = self.plan.samplers[key].domain.columns
-        for row, j in enumerate(self.draws[key]):
-            inner = dict(env)
-            one = np.array([j])
-            for v, col in zip(names, columns):
-                taken = col.take(one)
-                if isinstance(taken, Tensor):
-                    inner[v] = (T.reshape(taken, taken.data.shape[1:]), (node.uid, row))
-                elif np.issubdtype(np.asarray(taken).dtype, np.integer):
-                    value = int(taken[0])
-                    inner[v] = (value, value)
-                else:
-                    inner[v] = (taken[0], (node.uid, row))
-            yield inner
-
-    def loss(self, node: Node, env: dict) -> Tensor:
-        """softplus(-l) summed over the root-level conjuncts below node."""
+        Each conjunct is broadcast to the quantifier axes above it (`lead`) and
+        the class width around it before the sum, so it counts once per
+        grounding and class, as in the conjunction it stands for.
+        """
         kind = node.kind
+        classes = max(classes, node.width)
         if kind == "and":
             total = Tensor(0.0)
             for item in node.kids:
-                total = T.add(total, self.loss(item, env))
+                total = T.add(total, self.loss(item, env, lead, classes))
             return total
-        if kind == "index":
-            var, card = node.data
-            total = Tensor(0.0)
-            for i in range(card):
-                total = T.add(total, self.loss(node.kids[0], {**env, var: (i, i)}))
-            return total
-        if kind == "sample" and node.data[2]:
-            return self.loss(node.kids[0], self.bind_draw(node, env))
-        return T.reduce_sum(T.softplus(T.neg(self.formula(node, env))))
+        if kind in ("index", "sample"):
+            inner, n = self.bind(node, env)
+            return self.loss(node.kids[0], inner, lead + (n,), classes)
+        value = _with_classes(self.formula(node, env), node.width, classes)
+        shape = lead + ((classes,) if classes > 1 else ())
+        return T.reduce_sum(T.softplus(T.neg(_spread(value, shape))))
 
 
 def _symbols(node: Node):
@@ -543,7 +552,7 @@ def _symbols(node: Node):
 
 
 def evaluate(plan: Plan, draws: dict | None = None) -> CompiledBatch:
-    """Forward pass; inner index quantifiers enumerate, datasets use draws."""
+    """Forward pass; index quantifiers span their sort, datasets use draws."""
     if draws is None:
         draws = plan.draw()
     ev = _Evaluator(plan, draws)
@@ -601,8 +610,8 @@ def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
     names = node.data[0]
     if len(columns) != len(names):
         raise ValueError(f"axiom {axiom!r} binds {len(names)} variables, got {len(columns)} columns")
-    token = ("draw", node.uid)
-    env = {v: (col, token) for v, col in zip(names, columns)}
+    env = {v: (col if isinstance(col, Tensor) else np.asarray(col), 0)
+           for v, col in zip(names, columns)}
     ev = _Evaluator(plan, {key: np.arange(s.domain.cardinality)
                            for key, s in plan.samplers.items()}, fold=False)
     index, vector = select.kids

@@ -114,7 +114,9 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
 
 
 class MlpBinding:
-    """Affine/activation chain on the concatenated, one-hot-encoded args."""
+    """Affine/activation chain on the concatenated, one-hot-encoded args.
+
+    The args are single rows, or all have the same number of rows."""
 
     def __init__(self, name: str, spec: MlpSpec, arg_widths: list[int],
                  arg_cards: list[int | None], out_width: int, rng: np.random.Generator):
@@ -164,21 +166,8 @@ class MlpBinding:
             enc, is_batch = self._encode(arg, width, card)
             encoded.append(enc)
             batched = batched or is_batch
-        rows = max(
-            (e.data.shape[0] if isinstance(e, Tensor) else e.shape[0]) for e in encoded
-        )
-        parts = []
-        for e in encoded:
-            n = e.data.shape[0] if isinstance(e, Tensor) else e.shape[0]
-            if n == 1 and rows > 1:
-                if isinstance(e, Tensor):  # a learned row: broadcast differentiably
-                    e = T.add(e, np.zeros((rows, e.data.shape[1])))
-                else:
-                    e = np.broadcast_to(e, (rows, e.shape[1]))
-            parts.append(e)
-        x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+        h = encoded[0] if len(encoded) == 1 else T.concat(encoded, axis=-1)
         act = {"sigmoid": T.sigmoid, "relu": T.relu, "tanh": T.tanh}[self.activation]
-        h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = T.add(T.matmul(h, w), b)

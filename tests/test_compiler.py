@@ -176,14 +176,22 @@ class TestScalarOracleEquivalence:
 
 
 class TestNestedSampling:
-    """Sampled quantifiers inside sampled quantifiers bind row by row."""
+    """Every quantified variable is a tensor axis: nested quantifiers, sampled or
+    over an index sort, range over the cross product of their groundings, and a
+    body that does not mention a quantifier's variable still counts once per
+    grounding of it."""
 
     SRC = """
         sort Row dim 3;
         sort E card 4 dim 2;
+        sort K card 3;
+        const c : Row learned;
+        boolvec bv : [1, 0, 1];
         rel M : E x Row mlp 5 act tanh;
         rel Q : Row mlp 4 act sigmoid;
         rel R : Row x Row mlp 4 act sigmoid;
+        rel N : Row x K mlp 4 act sigmoid;
+        rel V : Row out 3 mlp 4 act tanh;
         data Pool : Row from "mem";
         axiom %s;
     """
@@ -191,6 +199,17 @@ class TestNestedSampling:
         "data_in_data": "dd : forall r: Pool . exists q: Pool . R(r, q) | Q(q)",
         "data_in_embedding": "de : forall e: E . exists r: Pool . M(e, r)",
         "embedding_in_data": "ed : forall u: Pool . Q(u) -> exists e: E . M(e, u)",
+        # bodies without the quantifier's variable
+        "constant_body": "cb : forall r: Pool . Q(c)",
+        "vector_body": "vb : forall r: Pool . bv",
+        "vector_conjunction": "vc : forall r: Pool . Q(r) & bv",
+        # sampled and index quantifiers mixed
+        "data_in_index": "di : forall k: K . exists r: Pool . N(r, k)",
+        "data_in_data_in_index": "ddi : forall k: K . forall r: Pool . "
+                                 "exists q: Pool . R(r, q) | N(q, k)",
+        "mod_index_in_data": "mi : forall r: Pool . forall j: K . forall k: K . "
+                             "pi[(j + k) mod 3](V(r)) | ~pi[j](V(r)) & ~pi[k](V(r))",
+        "one_hot_index_in_data": "oh : forall r: Pool . forall k: K . N(r, k) | Q(r)",
     }
 
     def _plan(self, axiom, seed):
@@ -205,9 +224,17 @@ class TestNestedSampling:
             th, interp, plan = self._plan(self.AXIOMS[nesting], seed)
             got = evaluate(plan).root.item()
             assert got == pytest.approx(ref.root_logit(th, interp), abs=1e-9), f"seed {seed}"
+            fused = fuse_loss(plan).evaluate()[0].item()
+            assert fused == pytest.approx(float(np.logaddexp(0.0, -got)), rel=1e-9), f"seed {seed}"
 
     def test_learned_row_across_a_batch_has_exact_gradients(self):
         _, _, plan = self._plan(self.AXIOMS["embedding_in_data"], 0)
+        fused = fuse_loss(plan)
+        report = T.grad_check(lambda: fused.evaluate()[0], plan.parameters)
+        assert report.passed, report
+
+    def test_learned_constant_across_axes_has_exact_gradients(self):
+        _, _, plan = self._plan("lc : forall r: Pool . forall k: K . N(c, k) | R(r, c)", 1)
         fused = fuse_loss(plan)
         report = T.grad_check(lambda: fused.evaluate()[0], plan.parameters)
         assert report.passed, report
@@ -321,6 +348,7 @@ class TestFold:
     SRC = """
         sort Row dim 3;
         sort E card 4 dim 2;
+        sort K card 3;
         rel M : E x Row mlp 5 act tanh;
         rel Q : Row mlp 4 act sigmoid;
         rel near : E x Row extern near;
@@ -368,6 +396,17 @@ class TestFold:
         assert [len(_folds(root)) for _, root in plan.roots] == [1, 1, 2]
         self._assert_fold_is_exact(plan, 6)
         assert len(plan.folds) == 4
+
+    def test_guards_beside_an_index_axis(self):
+        # in ik the index quantifier encloses the dataset quantifier; in ki the
+        # dataset quantifier encloses it, so far(u)'s rows sit on axis 0 of 2
+        _, _, plan = self._plan("axiom ik : forall k: K . forall u: Pool . Q(u) & far(u);\n"
+                                "axiom ki : forall u: Pool . forall k: K . far(u) -> Q(u);",
+                                batch_size=3, seed=1)
+        assert [[list(compiler._symbols(f)) for f in _folds(root)]
+                for _, root in plan.roots] == [[["far"]], [["far"]]]
+        self._assert_fold_is_exact(plan, 6)
+        assert len(plan.folds) == 2
 
     def test_extern_without_a_row_axis_is_a_typed_error(self):
         externs = {**self.EXTERNS, "far": lambda u: 0.5}
@@ -533,7 +572,7 @@ class TestRecordedLosses:
                              curriculum_initial=2, monitor_symbol="digit", monitor_arg="x1")
         state = train(compile(th, interp, batch_size=8, seed=5), config)
         assert state.loss_history == [26.00736800236372, 13.944103288178319, 26.0982341051945,
-                                      25.94927510428597, 13.679732227287413]
+                                      25.949275104285974, 13.679732227287415]
 
     def test_relations_knowledge_run(self):
         from dasl import data, experiments
