@@ -77,7 +77,7 @@ class NonFiniteLogit(Exception):
 
 
 class RowAxisMismatch(Exception):
-    """A folded formula's value has no leading axis of one entry per row."""
+    """A symbol applied to arguments returned no leading axis of one result per row."""
 
 
 @dataclass
@@ -314,11 +314,9 @@ class Plan:
             (ax.name, lowering.lower_axiom(ax.name, ax.formula)) for ax in theory.axioms]
         self.vector_outputs = frozenset(lowering.vector_outputs)
         self.folds: dict[int, np.ndarray] = {}
-        strategy = "full" if batch_size is None else "shuffled-minibatch"
         seeds = np.random.SeedSequence(seed).spawn(len(lowering.sites))
         self.samplers: dict[tuple, Sampler] = {
-            key: Sampler(domain, strategy=strategy, batch_size=batch_size,
-                         rng=np.random.default_rng(ss))
+            key: Sampler(domain, batch_size=batch_size, rng=np.random.default_rng(ss))
             for (key, domain), ss in zip(lowering.sites.items(), seeds)
         }
 
@@ -397,13 +395,15 @@ class _Evaluator:
     bound variable to its column values and the axis they lie on.
 
     With `fold` false, a fold node evaluates its formula on the rows bound
-    in the environment instead of gathering its table by the draw.
+    in the environment instead of gathering its table by the draw.  `axiom`
+    names the axiom being evaluated, for errors.
     """
 
-    def __init__(self, plan: Plan, draws: dict, fold: bool = True):
+    def __init__(self, plan: Plan, draws: dict, fold: bool = True, axiom: str = ""):
         self.plan = plan
         self.draws = draws
         self.fold = fold
+        self.axiom = axiom
         self.symbols = plan.interp.symbols
         self.big = plan.interp.big
         self.symbol_outputs: dict = {}
@@ -427,7 +427,11 @@ class _Evaluator:
         """`symbol` on the node's arguments, called once with one row per grounding.
 
         The arguments are spread to their common leading axes and flattened into
-        one row axis; the result gets the leading axes back.
+        one row axis.  The symbol, an MLP or an extern, folded or not, must
+        return one result per row: a value whose leading axis has that many
+        entries, which then gets the leading axes back.  Any other result
+        raises RowAxisMismatch.  A symbol without arguments (a constant or a
+        0-ary relation) returns one value, which is used as it is.
         """
         depth = node.depth
         values = [self.term(k, env) for k in node.kids]
@@ -438,10 +442,14 @@ class _Evaluator:
             tail = _shape(v)[depth if k.fv else 0:]
             args.append(_reshape(_spread(v, lead + tail), (rows,) + tail))
         out = self.symbols[symbol](args)
+        if not args:
+            return out
         shape = _shape(out)
-        if shape[:1] == (rows,):  # an extern that returns no row axis is left as it is
-            out = _reshape(out, lead + shape[1:])
-        return out
+        if shape[:1] != (rows,):
+            raise RowAxisMismatch(
+                f"axiom {self.axiom!r}: {symbol} on {rows} rows gave shape {shape}; a "
+                f"symbol applied to arguments must return one result per row")
+        return _reshape(out, lead + shape[1:])
 
     def formula(self, node: Node, env: dict) -> Tensor:
         kind = node.kind
@@ -511,12 +519,7 @@ class _Evaluator:
         n = domain.cardinality
         env = {v: (col.take(np.arange(n)), axis)
                for v, col in zip(names, domain.columns) if v in node.fv}
-        table = _Evaluator(self.plan, {}).formula(node.kids[0], env).data
-        if table.shape[:node.depth] != _on_axis(n, axis, node.depth):
-            raise RowAxisMismatch(
-                f"axiom {axiom!r}: {', '.join(sorted(set(_symbols(node))))} over the "
-                f"{n} rows of {domain.name} gave shape {table.shape}; an "
-                f"extern must return one result per row")
+        table = _Evaluator(self.plan, {}, axiom=axiom).formula(node.kids[0], env).data
         return table.reshape((n,) + table.shape[node.depth:])
 
     def loss(self, node: Node, env: dict, lead: tuple = (), classes: int = 1) -> Tensor:
@@ -558,6 +561,7 @@ def evaluate(plan: Plan, draws: dict | None = None) -> CompiledBatch:
     ev = _Evaluator(plan, draws)
     per_axiom: dict[str, Tensor] = {}
     for name, node in plan.roots:
+        ev.axiom = name
         root = ev.formula(node, {})
         while root.data.ndim >= 1:  # vector-valued axiom roots conjoin componentwise
             root = L.conj_reduce(root, axis=-1)
@@ -613,7 +617,7 @@ def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
     env = {v: (col if isinstance(col, Tensor) else np.asarray(col), 0)
            for v, col in zip(names, columns)}
     ev = _Evaluator(plan, {key: np.arange(s.domain.cardinality)
-                           for key, s in plan.samplers.items()}, fold=False)
+                           for key, s in plan.samplers.items()}, fold=False, axiom=axiom)
     index, vector = select.kids
     return ev.formula(vector, env).data, np.asarray(ev.term(index, env))
 
@@ -644,6 +648,7 @@ class FusedPlan:
         for name, node in self.plan.roots:
             if active_axioms is not None and name not in active_axioms:
                 continue
+            ev.axiom = name
             part = ev.loss(node, {})
             if not np.isfinite(part.data):
                 raise NonFiniteLogit(f"axiom {name!r} produced a non-finite loss")
@@ -700,20 +705,19 @@ def explain(plan: Plan) -> str:
         lines.append("  (none)")
     for key, s in plan.samplers.items():
         label = "/".join(",".join(k) if isinstance(k, tuple) else str(k) for k in key)
-        batch = s.batch_size if s.batch_size is not None else "all"
-        lines.append(f"  {label}: {s.strategy} over {s.domain.name} "
-                     f"(n={s.domain.cardinality}, batch={batch})")
+        full = s.batch_size is None
+        lines.append(f"  {label}: {'full' if full else 'shuffled-minibatch'} over "
+                     f"{s.domain.name} (n={s.domain.cardinality}, "
+                     f"batch={'all' if full else s.batch_size})")
     lines.append("parameters:")
-    total = 0
     for name, binding in sorted(plan.interp.symbols.items()):
         count = sum(p.value.size for p in getattr(binding, "parameters", []))
-        total += count
         kind = type(binding).__name__.replace("Binding", "").lower()
         lines.append(f"  {name}: {kind}, {count} parameters")
     for dname, dom in sorted(plan.interp.domains.items()):
         for col in dom.columns:
-            if hasattr(col, "param"):
-                total += col.param.value.size
+            if isinstance(col, EmbeddingColumn):
                 lines.append(f"  sort {dname}: embedding-table, {col.param.value.size} parameters")
-    lines.append(f"total parameters: {total}")
+    # a table shared by several domains is listed under each, counted once
+    lines.append(f"total parameters: {plan.interp.parameter_count}")
     return "\n".join(lines)

@@ -48,26 +48,20 @@ class InsufficientClassCount(Exception):
 # columns and domains
 
 
-class IndexColumn:
-    """Integer ids of an index-range sort."""
+class Column:
+    """Constant values of a variable, not learned: index-sort ids or feature rows.
 
-    def __init__(self, values: np.ndarray, sort: str):
-        self.values = np.asarray(values, dtype=np.int64)
+    Row i is `values[i]`, or `values[ids[i]]` when `ids` is set, so several
+    columns can address one shared table (the triples' image rows).
+    """
+
+    def __init__(self, values: np.ndarray, sort: str, ids: np.ndarray | None = None):
+        self.values = values
         self.sort = sort
+        self.ids = ids
 
     def take(self, idx: np.ndarray):
-        return self.values[idx]
-
-
-class RowColumn:
-    """Constant feature rows (inputs, not learned)."""
-
-    def __init__(self, rows: np.ndarray, sort: str):
-        self.rows = np.asarray(rows, dtype=np.float64)
-        self.sort = sort
-
-    def take(self, idx: np.ndarray):
-        return self.rows[idx]
+        return self.values[idx if self.ids is None else self.ids[idx]]
 
 
 class EmbeddingColumn:
@@ -82,24 +76,11 @@ class EmbeddingColumn:
         return T.gather(self.param, self.ids[idx])
 
 
-class ViewColumn:
-    """Rows of a base table addressed through an index view (triples)."""
-
-    def __init__(self, base: np.ndarray, ids: np.ndarray, sort: str):
-        self.base = np.asarray(base, dtype=np.float64)
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.sort = sort
-
-    def take(self, idx: np.ndarray):
-        return self.base[self.ids[idx]]
-
-
 @dataclass
 class Domain:
     """A quantifiable population: one column per bound variable."""
 
     name: str
-    kind: str  # index-range | data-table | embedding-table | triple-view
     cardinality: int
     columns: tuple
 
@@ -116,7 +97,10 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
 class MlpBinding:
     """Affine/activation chain on the concatenated, one-hot-encoded args.
 
-    The args are single rows, or all have the same number of rows."""
+    Every argument has the same leading row axis: an index argument is a 1-D
+    array of ids, any other an (rows, width) array or Tensor.  The result
+    has one row per input row: (rows, out_width), or (rows,) for width 1.
+    """
 
     def __init__(self, name: str, spec: MlpSpec, arg_widths: list[int],
                  arg_cards: list[int | None], out_width: int, rng: np.random.Generator):
@@ -140,32 +124,22 @@ class MlpBinding:
     def _encode(self, arg, width: int, card: int | None):
         if card is not None:  # index-range argument: one-hot rows
             ids = np.asarray(arg, dtype=np.int64)
-            flat = np.atleast_1d(ids)
-            hot = np.zeros((flat.size, card))
-            hot[np.arange(flat.size), flat] = 1.0
-            return hot, ids.ndim > 0
-        if isinstance(arg, (Tensor, Parameter)):
-            data = arg.data if isinstance(arg, Tensor) else arg.value
-            if data.shape[-1] != width:
-                raise WidthMismatch(f"{self.name}: expected width {width}, got {data.shape}")
-            if data.ndim == 1:
-                return T.reshape(arg, (1, width)), False
-            return arg, True
-        data = np.asarray(arg, dtype=np.float64)
-        if data.shape[-1] != width:
-            raise WidthMismatch(f"{self.name}: expected width {width}, got {data.shape}")
-        if data.ndim == 1:
-            return data.reshape(1, width), False
-        return data, True
+            if ids.ndim != 1:
+                raise WidthMismatch(f"{self.name}: expected a 1-D id array, got {ids.shape}")
+            hot = np.zeros((ids.size, card))
+            hot[np.arange(ids.size), ids] = 1.0
+            return hot
+        if not isinstance(arg, Tensor):
+            arg = np.asarray(arg, dtype=np.float64)
+        shape = arg.shape
+        if len(shape) != 2 or shape[1] != width:
+            raise WidthMismatch(f"{self.name}: expected rows of width {width}, got {shape}")
+        return arg
 
     def __call__(self, args: list) -> Tensor:
         if len(args) != len(self.arg_widths):
             raise WidthMismatch(f"{self.name}: expected {len(self.arg_widths)} args")
-        encoded, batched = [], False
-        for arg, width, card in zip(args, self.arg_widths, self.arg_cards):
-            enc, is_batch = self._encode(arg, width, card)
-            encoded.append(enc)
-            batched = batched or is_batch
+        encoded = [self._encode(*a) for a in zip(args, self.arg_widths, self.arg_cards)]
         h = encoded[0] if len(encoded) == 1 else T.concat(encoded, axis=-1)
         act = {"sigmoid": T.sigmoid, "relu": T.relu, "tanh": T.tanh}[self.activation]
         last = len(self.weights) - 1
@@ -173,11 +147,8 @@ class MlpBinding:
             h = T.add(T.matmul(h, w), b)
             if i < last:
                 h = act(h)
-        if not batched:
-            h = T.reshape(h, (self.out_width,))
         if self.out_width == 1:
-            shape = h.data.shape
-            h = T.reshape(h, shape[:-1])
+            h = T.reshape(h, h.data.shape[:1])
         return h
 
 
@@ -226,18 +197,23 @@ class FixedBinding:
 class Sampler:
     """Per-quantifier batch generator over a domain.
 
-    `full` returns the whole (active) domain in order; `shuffled-minibatch`
-    partitions each epoch into disjoint batches covering it exactly once.
-    The active_size prefix is the curriculum working set.
+    With `batch_size` None it returns the whole (active) domain in order;
+    otherwise it partitions each epoch into shuffled batches of `batch_size`
+    that cover it exactly once.  The active_size prefix is the curriculum
+    working set.
     """
 
     domain: Domain
-    strategy: str = "full"
     batch_size: int | None = None
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     active_size: int | None = None
     _order: np.ndarray | None = field(default=None, repr=False)
     _cursor: int = field(default=0, repr=False)
+
+    def __post_init__(self):
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"sampler over {self.domain.name}: batch_size must be at least 1, "
+                             f"got {self.batch_size}")
 
     def _n(self) -> int:
         n = self.domain.cardinality
@@ -254,17 +230,15 @@ class Sampler:
         n = self._n()
         if n < 1:
             raise EmptyDomain(self.domain.name)
-        if self.strategy == "full":
+        if self.batch_size is None:
             return np.arange(n)
-        if self.strategy == "shuffled-minibatch":
-            if self._order is None or self._cursor >= len(self._order):
-                self._order = self.rng.permutation(n)
-                self._cursor = 0
-            take = min(self.batch_size or n, len(self._order) - self._cursor)
-            out = self._order[self._cursor : self._cursor + take]
-            self._cursor += take
-            return out
-        raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self._order is None or self._cursor >= len(self._order):
+            self._order = self.rng.permutation(n)
+            self._cursor = 0
+        take = min(self.batch_size, len(self._order) - self._cursor)
+        out = self._order[self._cursor : self._cursor + take]
+        self._cursor += take
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +278,9 @@ def build_triples(rows: np.ndarray, labels: np.ndarray, per_class: int, seed: in
             i2.append(take(y2))
             i3.append(take(c))
     sort = "Image"
-    cols = tuple(ViewColumn(rows, np.array(ids), sort) for ids in (i1, i2, i3))
-    return Domain("Triples", "triple-view", len(i1), cols)
+    rows = np.asarray(rows, dtype=np.float64)
+    cols = tuple(Column(rows, sort, np.array(ids)) for ids in (i1, i2, i3))
+    return Domain("Triples", len(i1), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +297,10 @@ class Interpretation:
 
     @property
     def parameters(self) -> list[Parameter]:
-        out, seen = [], set()
-        for b in self.symbols.values():
-            for p in getattr(b, "parameters", []):
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    out.append(p)
-        for d in self.domains.values():
-            for col in d.columns:
-                if isinstance(col, EmbeddingColumn) and id(col.param) not in seen:
-                    seen.add(id(col.param))
-                    out.append(col.param)
-        return out
+        symbols = [p for b in self.symbols.values() for p in getattr(b, "parameters", [])]
+        tables = [col.param for d in self.domains.values() for col in d.columns
+                  if isinstance(col, EmbeddingColumn)]
+        return list(dict.fromkeys(symbols + tables))
 
     @property
     def parameter_count(self) -> int:
@@ -386,12 +353,12 @@ def bind_theory(
 
     for s in theory.sorts:
         if s.representation == "index-range":
-            domains[s.name] = Domain(s.name, "index-range", s.cardinality,
-                                     (IndexColumn(np.arange(s.cardinality), s.name),))
+            domains[s.name] = Domain(s.name, s.cardinality,
+                                     (Column(np.arange(s.cardinality), s.name),))
         elif s.representation == "embedding-table":
             param = Parameter(f"sort.{s.name}",
                               glorot_uniform(rng, s.cardinality, s.dim, (s.cardinality, s.dim)))
-            domains[s.name] = Domain(s.name, "embedding-table", s.cardinality,
+            domains[s.name] = Domain(s.name, s.cardinality,
                                      (EmbeddingColumn(param, np.arange(s.cardinality), s.name),))
         # data-table sorts have no standalone population; rows arrive via datasets
 
@@ -419,7 +386,7 @@ def bind_theory(
             dom = data[d.name]
             if len(dom.columns) != len(d.column_sorts):
                 raise DataLoadError(f"{d.name}: expected {len(d.column_sorts)} columns")
-            domains[d.name] = Domain(d.name, dom.kind, dom.cardinality, dom.columns)
+            domains[d.name] = Domain(d.name, dom.cardinality, dom.columns)
             continue
         if d.name in data:
             columns = data[d.name]
@@ -441,12 +408,12 @@ def bind_theory(
             elif arr.shape[0] != n:
                 raise DataLoadError(f"{d.name}: column lengths differ")
             if sort.is_index:
-                cols.append(IndexColumn(arr.astype(np.int64), sort_name))
+                cols.append(Column(arr.astype(np.int64), sort_name))
             else:
                 if arr.ndim != 2 or arr.shape[1] != sort.dim:
                     raise DataLoadError(f"{d.name}: column of sort {sort_name} must be n x {sort.dim}")
-                cols.append(RowColumn(arr, sort_name))
-        domains[d.name] = Domain(d.name, "data-table", n or 0, tuple(cols))
+                cols.append(Column(np.asarray(arr, dtype=np.float64), sort_name))
+        domains[d.name] = Domain(d.name, n or 0, tuple(cols))
 
     return Interpretation(theory, domains, symbols, big=big, equality=equality)
 

@@ -72,7 +72,7 @@ class Tape:
     def __init__(self):
         self._records: list[tuple[int, tuple]] = []  # (out node, inputs; see _make)
         self._next_node = 0
-        self._param_nodes: dict[int, tuple[Parameter, int]] = {}
+        self._param_nodes: dict[Parameter, int] = {}
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -91,12 +91,10 @@ class Tape:
         self._records.append((out_node, inputs))
 
     def param_node(self, p: "Parameter") -> int:
-        entry = self._param_nodes.get(id(p))
-        if entry is None:
-            nid = self.new_node()
-            self._param_nodes[id(p)] = (p, nid)
-            return nid
-        return entry[1]
+        nid = self._param_nodes.get(p)
+        if nid is None:
+            nid = self._param_nodes[p] = self.new_node()
+        return nid
 
 
 class Tensor:
@@ -144,9 +142,11 @@ class Tensor:
         return matmul(self, other)
 
 
-@dataclass
+@dataclass(eq=False)
 class Parameter:
-    """Named trainable tensor with a persistent gradient accumulator."""
+    """Named trainable tensor with a persistent gradient accumulator.
+
+    Parameters compare and hash by identity, so they can key a dict."""
 
     name: str
     value: np.ndarray
@@ -566,7 +566,7 @@ def backward(root: Tensor) -> None:
             contrib = item[1](g, *item[2:])
             prev = grads.get(nid)
             grads[nid] = contrib if prev is None else prev + contrib
-    for p, nid in tape._param_nodes.values():
+    for p, nid in tape._param_nodes.items():
         g = grads.get(nid)
         if g is not None:
             p.grad += g

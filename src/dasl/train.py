@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .compiler import FusedPlan, NonFiniteLogit, Plan, classifier_axiom, fuse_loss, scores
+from .compiler import NonFiniteLogit, Plan, classifier_axiom, fuse_loss, scores
 from .tensor import NonFiniteGradient, Parameter, Tensor, save_checkpoint
 
 
@@ -164,7 +164,7 @@ def _p_max(batch, symbol: str, arg: str) -> float | None:
     return float(probs.max(axis=-1).mean())
 
 
-def train(plan, config: TrainConfig, test_set=None) -> TrainState:
+def train(plan: Plan, config: TrainConfig, test_set=None) -> TrainState:
     """Run the optimization loop; returns the final TrainState.
 
     test_set is an optional tuple of columns, one per variable of the
@@ -173,22 +173,21 @@ def train(plan, config: TrainConfig, test_set=None) -> TrainState:
     through `compiler.scores`, so masks in V apply, and the accuracy is the
     share of rows whose argmax is y.
     """
-    fused = plan if isinstance(plan, FusedPlan) else fuse_loss(plan)
-    base = fused.plan
+    fused = fuse_loss(plan)
     axiom = None
     if test_set is not None and config.eval_symbol is not None:
-        axiom = classifier_axiom(base, config.eval_symbol)
-    params = base.parameters
+        axiom = classifier_axiom(plan, config.eval_symbol)
+    params = plan.parameters
     adam = AdamState(lr=config.lr)
     curriculum = None
     triples_sampler = None
     if config.curriculum:
         monitor = (config.monitor_symbol, (config.monitor_arg,))
-        if monitor not in base.vector_outputs:
+        if monitor not in plan.vector_outputs:
             raise ValueError(
                 f"curriculum monitor {config.monitor_symbol}({config.monitor_arg}) is not a "
                 f"vector-valued relation application in any axiom")
-        candidates = [s for s in base.samplers.values()
+        candidates = [s for s in plan.samplers.values()
                       if s.domain.name == config.curriculum_domain]
         if not candidates:
             raise ValueError(f"no sampler over domain {config.curriculum_domain!r}")
@@ -204,12 +203,12 @@ def train(plan, config: TrainConfig, test_set=None) -> TrainState:
     def test_accuracy() -> float | None:
         if axiom is None:
             return None
-        logits, labels = scores(base, axiom, test_set)
+        logits, labels = scores(plan, axiom, test_set)
         return float(np.mean(np.argmax(logits, axis=-1) == labels))
 
     def probe_loss() -> float:
         with T.Tape():
-            value, _ = fused.evaluate(active_axioms=_active(state, config, base))
+            value, _ = fused.evaluate(active_axioms=_active(state, config, plan))
         return float(value.data)
 
     if config.iterations > 0:
@@ -217,7 +216,7 @@ def train(plan, config: TrainConfig, test_set=None) -> TrainState:
         _record(state, 0, probe_loss(), acc, config)
 
     for it in range(1, config.iterations + 1):
-        active = _active(state, config, base)
+        active = _active(state, config, plan)
         try:
             with T.Tape():
                 for p in params:

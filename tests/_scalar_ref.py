@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from dasl.interp import EmbeddingColumn, IndexColumn, RowColumn, ViewColumn
+from dasl.interp import Column, EmbeddingColumn
 from dasl.lang import (
     And,
     ArithExpr,
@@ -111,12 +111,9 @@ def _mlp_forward(binding, args: list) -> list[float]:
 
 
 def _column_value(col, i: int):
-    if isinstance(col, IndexColumn):
-        return int(col.values[i])
-    if isinstance(col, RowColumn):
-        return [float(v) for v in col.rows[i]]
-    if isinstance(col, ViewColumn):
-        return [float(v) for v in col.base[col.ids[i]]]
+    if isinstance(col, Column):
+        value = col.values[i if col.ids is None else col.ids[i]]
+        return int(value) if value.ndim == 0 else [float(v) for v in value]
     if isinstance(col, EmbeddingColumn):
         return [float(v) for v in col.param.value[col.ids[i]]]
     raise TypeError(col)

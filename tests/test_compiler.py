@@ -1,5 +1,7 @@
 """Compilation, evaluation, loss fusion, and the scalar-reference check."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -408,11 +410,19 @@ class TestFold:
         self._assert_fold_is_exact(plan, 6)
         assert len(plan.folds) == 2
 
-    def test_extern_without_a_row_axis_is_a_typed_error(self):
-        externs = {**self.EXTERNS, "far": lambda u: 0.5}
-        _, _, plan = self._plan("axiom flat : forall u: Pool . Q(u) & far(u);", externs)
-        with pytest.raises(RowAxisMismatch, match="'flat'.*far.*7 rows of Pool"):
+    @pytest.mark.parametrize("axiom, symbol, result, rows", [
+        ("forall u: Pool . Q(u) & far(u)", "far", 0.5, 7),  # folded
+        ("forall e: E . forall u: Pool . near(e, u)", "near", 0.5, 28),
+        ("forall e: E . forall u: Pool . near(e, u)", "near", np.full(7, 0.5), 28),
+    ], ids=["folded", "scalar", "one_axis_of_two"])
+    def test_extern_without_a_row_axis_is_a_typed_error(self, axiom, symbol, result, rows):
+        externs = {**self.EXTERNS, symbol: lambda *args: result}
+        _, _, plan = self._plan(f"axiom flat : {axiom};", externs)
+        match = f"'flat': {symbol} on {rows} rows gave shape {np.shape(result)}"
+        with pytest.raises(RowAxisMismatch, match=re.escape(match)):
             evaluate(plan)
+        with pytest.raises(RowAxisMismatch, match=re.escape(match)):
+            fuse_loss(plan).evaluate()
 
     def test_extern_runs_once_per_plan(self):
         calls = []

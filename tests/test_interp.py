@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from dasl.compiler import compile, explain
 from dasl.interp import (
     EmptyDomain,
     InsufficientClassCount,
     MissingExtern,
     Sampler,
+    WidthMismatch,
     bind_theory,
     build_triples,
 )
@@ -44,6 +46,19 @@ class TestBindTheory:
         out = interp.symbols["c"]([])
         assert out.data.shape == (6,)
 
+    def test_shared_embedding_domain_is_one_parameter(self):
+        th = check_theory(parse_theory("sort E card 5 dim 3;"))
+        table = bind_theory(th).domains["E"]
+        th2 = check_theory(parse_theory(
+            "sort E card 5 dim 3;\ndata A : E from \"mem\";\ndata B : E from \"mem\";"))
+        interp = bind_theory(th2, data={"A": table, "B": table})
+        shared = table.columns[0].param
+        assert [p for p in interp.parameters if p is shared] == [shared]
+        assert len(interp.parameters) == 2  # the shared table and E's own
+        listing = explain(compile(th2, interp))
+        assert listing.count("embedding-table, 15 parameters") == 3
+        assert listing.endswith("total parameters: 30")
+
 
 class TestEvalSymbol:
     def test_extern_modular_add(self):
@@ -73,8 +88,15 @@ class TestEvalSymbol:
         interp = bind_theory(th, seed=3)
         rows = np.random.default_rng(1).normal(size=(5, 784))
         batched = interp.symbols["digit"]([rows]).data
-        single = np.stack([interp.symbols["digit"]([rows[i]]).data for i in range(5)])
+        single = np.concatenate([interp.symbols["digit"]([rows[i:i + 1]]).data
+                                 for i in range(5)])
         np.testing.assert_allclose(batched, single, atol=1e-12)
+
+    def test_a_row_without_a_row_axis_is_a_width_mismatch(self):
+        th = check_theory(parse_theory(MNIST_DECLS.replace("512", "32")))
+        interp = bind_theory(th)
+        with pytest.raises(WidthMismatch, match="digit"):
+            interp.symbols["digit"]([np.zeros(784)])
 
     def test_index_argument_one_hot(self):
         th = check_theory(parse_theory(
@@ -94,11 +116,11 @@ def _domain(n, dim=2):
 
 class TestSamplers:
     def test_full_returns_domain_in_order(self):
-        s = Sampler(_domain(10), strategy="full")
+        s = Sampler(_domain(10), batch_size=None)
         np.testing.assert_array_equal(s.sample(), np.arange(10))
 
     def test_minibatch_epoch_partition(self):
-        s = Sampler(_domain(50000), strategy="shuffled-minibatch", batch_size=64,
+        s = Sampler(_domain(50000), batch_size=64,
                     rng=np.random.default_rng(5))
         batches = [s.sample() for _ in range(782)]
         assert len(batches) == 782
@@ -108,28 +130,32 @@ class TestSamplers:
         np.testing.assert_array_equal(np.sort(joined), np.arange(50000))
 
     def test_epoch_coverage_is_permutation(self):
-        s = Sampler(_domain(103), strategy="shuffled-minibatch", batch_size=10,
+        s = Sampler(_domain(103), batch_size=10,
                     rng=np.random.default_rng(6))
         epoch = np.concatenate([s.sample() for _ in range(11)])
         np.testing.assert_array_equal(np.sort(epoch), np.arange(103))
 
     def test_seed_determinism(self):
         def batches(seed):
-            s = Sampler(_domain(64), strategy="shuffled-minibatch", batch_size=7,
+            s = Sampler(_domain(64), batch_size=7,
                         rng=np.random.default_rng(seed))
             return [s.sample().tolist() for _ in range(30)]
 
         assert batches(9) == batches(9)
         assert batches(9) != batches(10)
 
+    def test_batch_size_below_one_is_an_error(self):
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            Sampler(_domain(4), batch_size=0)
+
     def test_empty_domain(self):
-        s = Sampler(_domain(4), strategy="full")
+        s = Sampler(_domain(4), batch_size=None)
         s.set_active_size(0)
         with pytest.raises(EmptyDomain):
             s.sample()
 
     def test_active_size_prefix(self):
-        s = Sampler(_domain(100), strategy="shuffled-minibatch", batch_size=100,
+        s = Sampler(_domain(100), batch_size=100,
                     rng=np.random.default_rng(8))
         s.set_active_size(30)
         batch = s.sample()
