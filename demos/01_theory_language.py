@@ -1,16 +1,14 @@
-"""Walk through the theory language: tokens, parsing, checking, printing.
+"""Walk through the theory language: tokens, parsing, checking, printing, lowering.
 
 A theory file declares sorts, symbol bindings, datasets, and axioms.  This
 script builds the digit-triples theory a piece at a time and shows what
 each stage of the front end produces.
 """
 
-import numpy as np
-
+from dasl.compiler import compile, explain
+from dasl.interp import bind_theory
 from dasl.lang import (
     check_theory,
-    desugar,
-    free_variables,
     parse_formula,
     parse_theory,
     print_formula,
@@ -56,8 +54,12 @@ print("=== precedence: ~ binds tighter than &, -> is right-associative ===")
 f = parse_formula("~P(c) & Q(c) -> R(c) -> S(c)")
 print(print_formula(f))
 
-print("\n=== desugaring to the Not/And/Forall core ===")
-g = parse_formula("exists x: D . P(x) | Q(x)")
-print("before:", print_formula(g))
-print("after: ", print_formula(desugar(g)))
-print("free variables preserved:", free_variables(g) == free_variables(desugar(g)))
+print("\n=== lowering to the Not/And/Forall core (demo 04 lists a full plan) ===")
+# the compiler lowers |, -> and exists into negations; explain prints the
+# lowered tree, one node per line with its uid
+small = check_theory(parse_theory(
+    "sort D card 3;\nrel P : D extern P;\nrel Q : D extern Q;\n"
+    "axiom a : exists x: D . P(x) | Q(x);"))
+print("source:", print_formula(small.axioms[0].formula))
+plan = compile(small, bind_theory(small, externs=dict.fromkeys("PQ", lambda i: i - 1.0)))
+print(explain(plan).split("samplers:")[0].rstrip())

@@ -33,8 +33,13 @@ from .tensor import load_checkpoint
 from .train import TrainConfig, train
 
 
+TRAIN_CONFIG_KEYS = ("iterations", "batch_size", "lr", "cadence", "curriculum", "eval_symbol",
+                     "labeled_axioms", "curriculum_domain", "monitor_symbol", "monitor_arg",
+                     "rules_only_after")
+
+
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat `key = value` lines; `#` starts a comment."""
+    """Flat `key = value` lines over TRAIN_CONFIG_KEYS; `#` starts a comment."""
     out: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -43,8 +48,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: bad config line {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in TRAIN_CONFIG_KEYS:
+                raise ValueError(f"{path}: unknown config key {key!r}")
+            out[key] = value
     return out
 
 
@@ -245,9 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "train", help="train a theory against its data",
         epilog="config file keys (flat `key = value`, overridden by flags): "
-               "iterations, batch_size, lr, cadence, curriculum, eval_symbol, "
-               "labeled_axioms, curriculum_domain, monitor_symbol, monitor_arg, "
-               "rules_only_after")
+               + ", ".join(TRAIN_CONFIG_KEYS))
     p.add_argument("--theory", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)

@@ -1,14 +1,13 @@
 """Lower a checked, bound theory to a differentiable evaluation plan.
 
-Compilation has three steps: desugar, lower once, evaluate the tree.
+Compilation has two steps: lower once, evaluate the tree.
 
-- `lang.desugar` rewrites each axiom into the Not/And/Forall core, so Or,
-  Implies and Exists become negations.
-- One pass lowers the result into a tree of `Node`s.  Each node carries a
-  uid, its sorted free variables, its class width, its depth (the number of
-  quantifiers that enclose it) and its per-kind payload.  The same pass
-  checks every symbol against the interpretation and registers the sampler
-  of every sampled quantifier.
+- One pass lowers each checked axiom into a tree of `Node`s over the
+  Not/And/Forall core: Or, Implies and Exists become negations as they are
+  lowered.  Each node carries a uid, its sorted free variables, its class
+  width, its depth (the number of quantifiers that enclose it) and its
+  per-kind payload.  The same pass checks every symbol against the
+  interpretation and registers the sampler of every sampled quantifier.
 - Evaluation reads only that tree and visits each node once per forward
   pass.  Every quantifier owns a tensor axis, holding `arange(card)` for an
   index sort or the sampler's draw for a dataset or embedding table, so
@@ -54,7 +53,6 @@ from .lang import (
     Equals,
     Exists,
     Forall,
-    Formula,
     FuncApp,
     Implies,
     IntLiteral,
@@ -64,8 +62,6 @@ from .lang import (
     SoftSelect,
     Theory,
     Variable,
-    children,
-    desugar,
 )
 from .lang.check import SortError, UnboundSymbol
 from .lang.printer import print_formula, print_term
@@ -125,12 +121,14 @@ class Node:
     all static.  A `sample` is never static: its value depends on the draw.
     A `fold` gathers its formula's per-row values by the draw of the sampled
     quantifier that binds `variables` on `axis`.
+
+    `src`, read by `explain` alone, is the source formula of an atom, select or quantifier.
     """
 
-    __slots__ = ("kind", "uid", "fv", "width", "kids", "data", "static", "depth")
+    __slots__ = ("kind", "uid", "fv", "width", "kids", "data", "static", "depth", "src")
 
     def __init__(self, kind: str, uid: int, fv: tuple[str, ...], width: int,
-                 kids: tuple, data, static: bool, depth: int):
+                 kids: tuple, data, static: bool, depth: int, src=None):
         self.kind = kind
         self.uid = uid
         self.fv = fv
@@ -139,6 +137,7 @@ class Node:
         self.data = data
         self.static = static
         self.depth = depth
+        self.src = src
 
 
 # kinds that are static exactly when all their kids are
@@ -146,7 +145,7 @@ _STATIC_IF_KIDS = frozenset(("eq", "arith", "bits", "not", "and", "select", "ind
 
 
 class _Lowering:
-    """The single pass from a desugared axiom to its Node tree."""
+    """The single pass from a checked axiom to its Node tree."""
 
     def __init__(self, plan: Plan):
         self.plan = plan
@@ -163,7 +162,7 @@ class _Lowering:
 
     def node(self, kind: str, kids: tuple = (), data=None, width: int = 1,
              fv: tuple[str, ...] | None = None, static: bool | None = None,
-             depth: int | None = None) -> Node:
+             depth: int | None = None, src=None) -> Node:
         if len(kids) == 1:
             kid = kids[0]
             if fv is None:
@@ -177,16 +176,22 @@ class _Lowering:
                 static = kind in _STATIC_IF_KIDS and False not in [k.static for k in kids]
         self.uids += 1
         return Node(kind, self.uids, fv, width, kids, data, static,
-                    self.depth if depth is None else depth)
+                    self.depth if depth is None else depth, src)
+
+    def negate(self, node: Node) -> Node:
+        return self.node("not", (node,), width=node.width)
+
+    def conj(self, items: tuple) -> Node:
+        return self.node("and", items, width=max(i.width for i in items))
 
     def fixed(self, symbol: str, args: tuple) -> bool:
         """Whether a symbol application is static: a fixed binding on static args."""
         return (isinstance(self.symbols[symbol], (ExternBinding, FixedBinding))
                 and False not in [a.static for a in args])
 
-    def lower_axiom(self, name: str, formula: Formula) -> Node:
+    def lower_axiom(self, name: str, formula) -> Node:
         self.axiom = name
-        root = self.formula(desugar(formula))
+        root = self.formula(formula)
         if root.fv:
             raise UnboundSymbol(root.fv[0])
         return root
@@ -195,7 +200,7 @@ class _Lowering:
         if isinstance(f, RelApp):
             bits = self.boolvecs.get(f.symbol)
             if bits is not None:
-                return self.node("bits", (self.term(f.args[0]),), np.asarray(bits))
+                return self.node("bits", (self.term(f.args[0]),), np.asarray(bits), src=f)
             if f.symbol not in self.symbols:
                 raise UnboundSymbol(f.symbol)
             out = self.outs.get(f.symbol)
@@ -205,30 +210,36 @@ class _Lowering:
                 self.vector_outputs.add(out_key)
             args = tuple(self.term(a) for a in f.args)
             return self.node("rel", args, (f.symbol, out_key), width=out or 1,
-                             static=out_key is None and self.fixed(f.symbol, args))
+                             static=out_key is None and self.fixed(f.symbol, args), src=f)
         if isinstance(f, Not):
-            body = self.formula(f.body)
-            return self.node("not", (body,), width=body.width)
+            return self.negate(self.formula(f.body))
         if isinstance(f, And):
-            items = tuple(self.formula(i) for i in f.items)
-            return self.node("and", items, width=max(i.width for i in items))
+            return self.conj(tuple(self.formula(i) for i in f.items))
+        if isinstance(f, Or):  # a | b becomes ~(~a & ~b)
+            return self.negate(self.conj(tuple(self.negate(self.formula(i)) for i in f.items)))
+        if isinstance(f, Implies):  # a & b -> c becomes ~(a & b & ~c), one n-ary and
+            lhs = f.lhs.items if isinstance(f.lhs, And) else (f.lhs,)
+            items = tuple(self.formula(i) for i in lhs)
+            return self.negate(self.conj((*items, self.negate(self.formula(f.rhs)))))
         if isinstance(f, Forall):
             return self.quantifier(f)
+        if isinstance(f, Exists):  # exists x: S . f becomes ~forall x: S . ~f (see bound)
+            return self.negate(self.quantifier(f))
         if isinstance(f, SoftSelect):
-            return self.node("select", (self.term(f.index), self.formula(f.vector)))
+            return self.node("select", (self.term(f.index), self.formula(f.vector)), src=f)
         if isinstance(f, Equals):
-            return self.node("eq", (self.term(f.lhs), self.term(f.rhs)))
+            return self.node("eq", (self.term(f.lhs), self.term(f.rhs)), src=f)
         if isinstance(f, BoolConst):
             big = self.plan.interp.big
-            return self.node("bool", data=big if f.value else -big, static=True)
+            return self.node("bool", data=big if f.value else -big, static=True, src=f)
         if isinstance(f, BoolVectorConst):
             bits = self.boolvecs.get(f.name)
             if bits is None:
                 raise UnboundSymbol(f.name)
-            return self.node("boolvec", data=bits, width=len(bits), static=True)
+            return self.node("boolvec", data=bits, width=len(bits), static=True, src=f)
         raise SortError("compile", "a formula", type(f).__name__)
 
-    def quantifier(self, f: Forall) -> Node:
+    def quantifier(self, f: Forall | Exists) -> Node:
         sort = self.theory.sort(f.domain)
         if sort is not None and sort.is_index:
             # index-range quantifiers are always exhaustive, never sampled
@@ -244,13 +255,15 @@ class _Lowering:
             body = self.fold(body, frozenset(f.vars), (f.vars, key, self.depth, self.axiom), True)
             kind, data = "sample", (f.vars, key)
         fv = tuple(v for v in body.fv if v not in f.vars)
-        return self.node(kind, (body,), data, body.width, fv)
+        return self.node(kind, (body,), data, body.width, fv, src=f)
 
-    def bound(self, f: Forall, static) -> Node:
+    def bound(self, f: Forall | Exists, static) -> Node:
         """Lower a quantifier's body, one level deeper, with its variables in scope."""
         outer, self.scope = self.scope, {**self.scope, **dict(zip(f.vars, static))}
         self.depth += 1
         body = self.formula(f.body)
+        if isinstance(f, Exists):
+            body = self.negate(body)
         self.scope, self.depth = outer, self.depth - 1
         return body
 
@@ -667,39 +680,35 @@ def fuse_loss(plan: Plan) -> FusedPlan:
 
 
 def explain(plan: Plan) -> str:
-    """Human-readable plan listing; deterministic across runs."""
+    """Plan listing, one line per lowered node headed by its uid; deterministic across runs."""
     lines: list[str] = []
     if not plan.theory.axioms:
         lines.append("0 axioms; loss = 0")
     else:
         lines.append(f"{len(plan.theory.axioms)} axioms")
 
-    def walk(f, depth: int) -> None:
-        pad = "  " * depth
-        if isinstance(f, (Forall, Exists)):
-            sort = plan.theory.sort(f.domain)
-            if sort is not None and sort.is_index:
-                how = f"exhaustive 0..{sort.cardinality - 1}"
-            else:
-                how = "sampled"
-            kw = "forall" if isinstance(f, Forall) else "exists"
-            lines.append(f"{pad}{kw} {', '.join(f.vars)} in {f.domain} [{how}]")
-        elif isinstance(f, (And, Or)):
-            lines.append(f"{pad}{type(f).__name__.lower()} of {len(f.items)}")
-        elif isinstance(f, (Implies, Not)):
-            lines.append(f"{pad}{type(f).__name__.lower()}")
-        elif isinstance(f, SoftSelect):
-            lines.append(f"{pad}softselect[{print_term(f.index)}]")
+    def walk(node: Node, pad: str) -> None:
+        kind, src, kids = node.kind, node.src, node.kids
+        if kind in ("index", "sample"):
+            how = f"exhaustive 0..{node.data[1] - 1}" if kind == "index" else "sampled"
+            text = f"forall {', '.join(src.vars)} in {src.domain} [{how}]"
+        elif kind == "fold":  # data[1] is the sampler key, which ends with the domain
+            text = f"fold [computed once over {node.data[1][-1]}, gathered by the draw]"
+        elif kind == "and":
+            text = f"and of {len(kids)}"
+        elif kind == "not":
+            text = "not"
+        elif kind == "select":
+            text, kids = f"softselect[{print_term(src.index)}]", kids[1:]
         else:
-            lines.append(f"{pad}{print_formula(f)}")
-            return
-        for c in children(f):
-            if isinstance(c, Formula):
-                walk(c, depth + 1)
+            text, kids = print_formula(src), ()
+        lines.append(f"{pad}#{node.uid} {text}")
+        for kid in kids:
+            walk(kid, pad + "  ")
 
-    for ax in plan.theory.axioms:
-        lines.append(f"axiom {ax.name}:")
-        walk(ax.formula, 1)
+    for name, node in plan.roots:
+        lines.append(f"axiom {name}:")
+        walk(node, "  ")
     lines.append("samplers:")
     if not plan.samplers:
         lines.append("  (none)")

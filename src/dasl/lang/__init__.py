@@ -28,7 +28,6 @@ from .ast import (
     Theory,
     Variable,
     children,
-    desugar,
     free_variables,
 )
 from .check import CheckError, DuplicateDecl, SortError, UnboundSymbol, check_theory
@@ -43,6 +42,6 @@ __all__ = [
     "FuncApp", "FuncDecl", "Implies", "IntLiteral", "LexError", "MlpSpec",
     "Not", "Or", "ParseError", "RelApp", "RelDecl", "SoftSelect", "SortDecl",
     "SortError", "Term", "Theory", "Token", "UnboundSymbol", "Variable",
-    "check_theory", "children", "desugar", "free_variables", "parse_formula",
+    "check_theory", "children", "free_variables", "parse_formula",
     "parse_theory", "print_formula", "print_term", "print_theory", "tokenize",
 ]

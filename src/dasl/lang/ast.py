@@ -293,29 +293,3 @@ def free_variables(formula: Formula | Term) -> set[str]:
         out -= set(formula.vars)
     return out
 
-
-def desugar(formula: Formula) -> Formula:
-    """Rewrite Or/Implies/Exists into the Not/And/Forall core.
-
-    Or(a, b)                -> ~(~a & ~b)
-    Implies(a, b)           -> ~(a & ~b)
-    Implies(a & b & ..., c) -> ~(a & b & ... & ~c), one n-ary conjunction
-    Exists(x, S, f)         -> ~forall x: S . ~f
-    """
-    if isinstance(formula, Or):
-        items = tuple(Not(desugar(f)) for f in formula.items)
-        return Not(And(items))
-    if isinstance(formula, Implies):
-        lhs = formula.lhs.items if isinstance(formula.lhs, And) else (formula.lhs,)
-        return Not(And((*(desugar(f) for f in lhs), Not(desugar(formula.rhs)))))
-    if isinstance(formula, Exists):
-        return Not(Forall(formula.vars, formula.domain, Not(desugar(formula.body))))
-    if isinstance(formula, Not):
-        return Not(desugar(formula.body))
-    if isinstance(formula, And):
-        return And(tuple(desugar(f) for f in formula.items))
-    if isinstance(formula, Forall):
-        return Forall(formula.vars, formula.domain, desugar(formula.body))
-    if isinstance(formula, SoftSelect):
-        return SoftSelect(formula.index, desugar(formula.vector))
-    return formula

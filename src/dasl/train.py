@@ -114,6 +114,8 @@ class TrainConfig:
             raise ValueError("iterations must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.cadence < 1:
+            raise ValueError("cadence must be >= 1")
 
 
 @dataclass

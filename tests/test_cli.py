@@ -120,6 +120,21 @@ class TestCompileTrainEval:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert len(lines) - 1 == 8 // 4 + 1
 
+    def test_unknown_config_key_is_diagnostic(self, toy_dir, capsys):
+        cfg = toy_dir / "typo.cfg"
+        cfg.write_text("iteratons = 5\n")
+        code = main(["train", "--theory", str(toy_dir / "toy.dasl"),
+                     "--data-dir", str(toy_dir), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "'iteratons'" in err
+
+    def test_cadence_below_one_is_diagnostic(self, toy_dir, capsys):
+        code = main(["train", "--theory", str(toy_dir / "toy.dasl"),
+                     "--data-dir", str(toy_dir), "--iterations", "3", "--cadence", "0"])
+        assert code == 2
+        assert "cadence must be >= 1" in capsys.readouterr().err
+
     def test_mistyped_curriculum_monitor_is_diagnostic(self, toy_dir, capsys):
         cfg = toy_dir / "curriculum.cfg"
         cfg.write_text("curriculum = on\nmonitor_symbol = clasify\nmonitor_arg = r\n")

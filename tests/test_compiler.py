@@ -30,17 +30,18 @@ def _crisp_plan(table, axiom):
 EXPLAIN_DIGIT_RULE = """\
 1 axioms
 axiom rule:
-  forall x1, x2, x3 in Triples [sampled]
-    forall y1 in Digit [exhaustive 0..9]
-      forall y2 in Digit [exhaustive 0..9]
-        implies
-          and of 2
-            softselect[y1]
-              digit(x1)
-            softselect[y2]
-              digit(x2)
-          softselect[y1 + y2 mod 10]
-            digit(x3)
+  #22 forall x1, x2, x3 in Triples [sampled]
+    #21 forall y1 in Digit [exhaustive 0..9]
+      #20 forall y2 in Digit [exhaustive 0..9]
+        #19 not
+          #18 and of 3
+            #4 softselect[y1]
+              #3 digit(x1)
+            #8 softselect[y2]
+              #7 digit(x2)
+            #17 not
+              #16 softselect[y1 + y2 mod 10]
+                #15 digit(x3)
 samplers:
   rule/x1,x2,x3/Triples: full over Triples (n=20, batch=all)
 parameters:
@@ -84,6 +85,61 @@ class TestCompile:
         th = check_theory(parse_theory("sort D card 2;\nrel P : D extern P;"))
         interp = bind_theory(th, externs={"P": lambda i: np.full_like(i, 1.0, dtype=float)})
         assert "0 axioms" in explain(compile(th, interp))
+
+
+def _relations_plan():
+    from dasl import data, experiments
+
+    splits = data.gen_synth_relations(train_fraction=0.01, seed=0)
+    th = experiments.relations_theory(True, splits.vocab, hidden=8)
+    rows = (splits.train.features, splits.train.subject, splits.train.object,
+            splits.train.predicate)
+    interp = bind_theory(th, externs=data.spatial_predicate_externs(), data={"Train": rows})
+    return compile(th, interp, batch_size=16)
+
+
+def _lowered(axiom):
+    th = check_theory(parse_theory(
+        "sort D card 3;\nrel P : D extern P;\nrel Q : D extern Q;\nrel R : D extern R;\n"
+        f"axiom a : {axiom};"))
+    externs = dict.fromkeys("PQR", lambda i: np.zeros(len(i)))
+    (_, root), = compile(th, bind_theory(th, externs=externs)).roots
+    return root
+
+
+def _skeleton(node):
+    """A lowered formula's connectives, with atoms and folds by kind alone."""
+    if node.kind not in ("not", "and", "index", "sample", "select"):
+        return node.kind
+    kids = node.kids[1:] if node.kind == "select" else node.kids  # a select's index is a term
+    return (node.kind, *map(_skeleton, kids))
+
+
+class TestLowering:
+    @pytest.mark.parametrize("root, skeleton", [
+        (lambda: _lowered("forall x: D . P(x) | Q(x)"),
+         ("index", ("not", ("and", ("not", "rel"), ("not", "rel"))))),
+        (lambda: _lowered("forall x: D . P(x) -> Q(x)"),
+         ("index", ("not", ("and", "rel", ("not", "rel"))))),
+        (lambda: _lowered("forall x: D . (P(x) & Q(x)) -> R(x)"),  # one n-ary and
+         ("index", ("not", ("and", "rel", "rel", ("not", "rel"))))),
+        (lambda: _lowered("exists x: D . P(x)"),
+         ("not", ("index", ("not", "rel")))),
+        (lambda: _relations_plan().roots[0][1],  # vrd(f, s, o) beside ten folded guards
+         ("sample", ("select", ("and", "rel", *["fold"] * 10)))),
+    ], ids=["or", "implies", "conjunctive_implies", "exists", "relations_labels"])
+    def test_lowers_to_the_core(self, root, skeleton):
+        assert _skeleton(root()) == skeleton
+
+    def test_explain_lists_every_node_with_its_uid(self):
+        plan = _relations_plan()
+        (_, root), = plan.roots
+        text = explain(plan)
+        listing = text[text.index("axiom labels:\n") + 14:text.index("samplers:")].splitlines()
+        assert all(re.match(r" +#\d+ ", line) for line in listing)
+        uids = [int(line.split()[0][1:]) for line in listing]
+        assert uids[0] == root.uid and len(set(uids)) == len(uids)
+        assert sum("fold [computed once over Train" in line for line in listing) == 10
 
 
 class TestEvaluate:

@@ -10,7 +10,6 @@ from dasl.lang import (
     Constant,
     DuplicateDecl,
     Equals,
-    Exists,
     Forall,
     Implies,
     LexError,
@@ -23,7 +22,6 @@ from dasl.lang import (
     UnboundSymbol,
     Variable,
     check_theory,
-    desugar,
     free_variables,
     parse_formula,
     parse_theory,
@@ -31,7 +29,7 @@ from dasl.lang import (
     print_theory,
     tokenize,
 )
-from dasl.oracle import default_signature, random_formula, random_model, tarski_eval
+from dasl.oracle import default_signature, random_formula
 
 
 class TestTokenize:
@@ -227,40 +225,6 @@ class TestCheck:
     def test_softselect_needs_vector(self):
         with pytest.raises(SortError):
             _checked("axiom a : forall x: D . pi[0](P(x));")
-
-
-class TestDesugar:
-    def test_or(self):
-        p, q = RelApp("P", ()), RelApp("Q", ())
-        assert desugar(Or((p, q))) == Not(And((Not(p), Not(q))))
-
-    def test_implies(self):
-        p, q = RelApp("P", ()), RelApp("Q", ())
-        assert desugar(Implies(p, q)) == Not(And((p, Not(q))))
-
-    def test_implies_with_conjunctive_antecedent_is_one_nary_conjunction(self):
-        p, q, r = RelApp("P", ()), RelApp("Q", ()), RelApp("R", ())
-        assert desugar(Implies(And((p, q)), r)) == Not(And((p, q, Not(r))))
-
-    def test_exists(self):
-        p = RelApp("P", (Variable("x"),))
-        assert desugar(Exists(("x",), "D", p)) == Not(Forall(("x",), "D", Not(p)))
-
-    def test_free_variables_preserved(self):
-        rng = np.random.default_rng(5)
-        sig = default_signature(3)
-        for _ in range(100):
-            f = random_formula(sig, depth=4, rng=rng)
-            assert free_variables(desugar(f)) == free_variables(f)
-
-    def test_preserves_classical_truth(self):
-        rng = np.random.default_rng(11)
-        sig = default_signature(3)
-        sizes = {"D": 3}
-        for _ in range(150):
-            f = random_formula(sig, depth=4, rng=rng)
-            model = random_model(sig, sizes, rng)
-            assert tarski_eval(model, f) == tarski_eval(model, desugar(f))
 
 
 class TestFreeVariables:

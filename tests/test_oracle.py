@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dasl.lang import check_theory, desugar, parse_formula, parse_theory
+from dasl.lang import check_theory, parse_formula, parse_theory
 from dasl.oracle import (
     CrispModel,
     SearchSpaceTooLarge,
@@ -136,14 +136,6 @@ class TestRandomGeneration:
         assert m.functions["f"].shape == (3,)
         assert m.relations["R"].shape == (3, 3)
         assert 0 <= m.constants["c"] < 3
-
-    def test_desugar_agreement_over_suite(self):
-        sig = default_signature(3)
-        rng = np.random.default_rng(2)
-        for _ in range(120):
-            f = random_formula(sig, depth=4, rng=rng)
-            m = random_model(sig, {"D": 3}, rng)
-            assert tarski_eval(m, f) == tarski_eval(m, desugar(f))
 
 
 class TestAgreementSuite:

@@ -166,6 +166,12 @@ class TestTrainLoop:
             lines = (out / "metrics.csv").read_text().splitlines()
             assert len(lines) - 1 == iterations // cadence + 1
 
+    @pytest.mark.parametrize("cadence", [0, -1])
+    def test_cadence_below_one_is_an_error(self, cadence):
+        # 0 divided by zero at iteration 1; -1 wrote a metrics row every iteration
+        with pytest.raises(ValueError, match="cadence must be >= 1"):
+            TrainConfig(iterations=4, batch_size=8, cadence=cadence)
+
     def test_loss_decreases_on_learnable_task(self):
         th, interp, rows, ys = _toy_setup(n=60)
         plan = compile(th, interp, batch_size=16, seed=3)
