@@ -102,6 +102,11 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+_BOOLEANS = {"1": True, "true": True, "on": True, "yes": True,
+             "0": False, "false": False, "off": False, "no": False}
+_KINDS = {bool: "one of " + "/".join(_BOOLEANS), int: "an integer", float: "a number"}
+
+
 def _train_config_from(args, overrides: dict[str, str]) -> TrainConfig:
     def get(key, cast, default):
         cli = getattr(args, key, None)
@@ -109,9 +114,11 @@ def _train_config_from(args, overrides: dict[str, str]) -> TrainConfig:
             return cli
         if key in overrides:
             raw = overrides[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "on", "yes")
-            return cast(raw)
+            try:
+                return _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
+            except (KeyError, ValueError):
+                raise ValueError(f"{args.config}: config key {key!r} needs "
+                                 f"{_KINDS[cast]}, got {raw!r}") from None
         return default
 
     return TrainConfig(

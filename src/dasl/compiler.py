@@ -14,6 +14,8 @@ Compilation has two steps: lower once, evaluate the tree.
   nested quantifiers range over the cross product of their groundings.  A
   quantifier broadcasts its body to its axis and reduces it by an n-ary
   conjunction; a symbol sees the groundings flattened into one row axis.
+  A learned symbol applied at several nodes is called once per pass, on
+  the rows of all those applications, and each node reads its own slice.
 
 A node is static when no parameter can reach it: its value is a function of
 the dataset rows and the extern, fixed-constant and boolvec bindings alone.
@@ -37,6 +39,7 @@ softplus(-l) over root-level conjuncts and all their groundings.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,6 +158,7 @@ class _Lowering:
         self.outs = {r.name: r.out for r in plan.theory.rels}
         self.sites: dict[tuple, object] = {}  # sampler key -> domain, in pre-order
         self.vector_outputs: set[tuple] = set()
+        self.applied: list[str] = []  # the symbol of every application node
         self.uids = 0
         self.axiom = ""
         self.depth = 0  # quantifiers enclosing the current node
@@ -203,6 +207,7 @@ class _Lowering:
                 return self.node("bits", (self.term(f.args[0]),), np.asarray(bits), src=f)
             if f.symbol not in self.symbols:
                 raise UnboundSymbol(f.symbol)
+            self.applied.append(f.symbol)
             out = self.outs.get(f.symbol)
             out_key = None
             if out is not None:
@@ -303,6 +308,7 @@ class _Lowering:
         if isinstance(t, FuncApp):
             if t.symbol not in self.symbols:
                 raise UnboundSymbol(t.symbol)
+            self.applied.append(t.symbol)
             args = tuple(self.term(a) for a in t.args)
             return self.node("func", args, t.symbol, static=self.fixed(t.symbol, args))
         raise SortError("compile", "a term", type(t).__name__)
@@ -314,6 +320,8 @@ class Plan:
     `roots` holds each axiom's lowered tree; `vector_outputs` holds every
     key that `CompiledBatch.symbol_outputs` can carry; `folds` maps a fold
     node's uid to its per-row values, filled on its first evaluation.
+    `shared_symbols` holds the learned symbols applied at more than one node,
+    which each evaluator pass calls once (`_Evaluator.batch`).
     """
 
     def __init__(self, theory: Theory, interp: Interpretation,
@@ -326,6 +334,9 @@ class Plan:
         self.roots: list[tuple[str, Node]] = [
             (ax.name, lowering.lower_axiom(ax.name, ax.formula)) for ax in theory.axioms]
         self.vector_outputs = frozenset(lowering.vector_outputs)
+        self.shared_symbols = frozenset(
+            s for s, n in Counter(lowering.applied).items()
+            if n > 1 and getattr(interp.symbols[s], "parameters", None))
         self.folds: dict[int, np.ndarray] = {}
         seeds = np.random.SeedSequence(seed).spawn(len(lowering.sites))
         self.samplers: dict[tuple, Sampler] = {
@@ -393,6 +404,17 @@ def _spread(value, shape: tuple):
     return np.broadcast_to(value, shape)
 
 
+def _per_row(symbol: str, out, rows: int, axioms) -> tuple:
+    """The shape of one row of `symbol`'s result on `rows` rows; raises RowAxisMismatch."""
+    shape = _shape(out)
+    if shape[:1] != (rows,):
+        names = ", ".join(repr(a) for a in dict.fromkeys(axioms))
+        raise RowAxisMismatch(
+            f"axiom {names}: {symbol} on {rows} rows gave shape {shape}; a "
+            f"symbol applied to arguments must return one result per row")
+    return shape[1:]
+
+
 def _with_classes(value: Tensor, width: int, classes: int) -> Tensor:
     """A width-1 value meeting a class vector gets a trailing class axis."""
     if width == 1 and classes > 1 and value.data.ndim:
@@ -410,6 +432,11 @@ class _Evaluator:
     With `fold` false, a fold node evaluates its formula on the rows bound
     in the environment instead of gathering its table by the draw.  `axiom`
     names the axiom being evaluated, for errors.
+
+    Each pass starts with `batch`, which calls every symbol of
+    `Plan.shared_symbols` once on the rows of its applications in the trees
+    about to be evaluated.  A fold's table needs no batch: its formula is
+    static, so no learned symbol appears in it.
     """
 
     def __init__(self, plan: Plan, draws: dict, fold: bool = True, axiom: str = ""):
@@ -420,6 +447,8 @@ class _Evaluator:
         self.symbols = plan.interp.symbols
         self.big = plan.interp.big
         self.symbol_outputs: dict = {}
+        self.batched: dict[int, object] = {}  # node uid -> its slice of a batched call
+        self.taken: dict[int, dict] = {}  # sampled quantifier uid -> its bound columns
 
     def term(self, node: Node, env: dict):
         kind = node.kind
@@ -439,12 +468,26 @@ class _Evaluator:
     def apply(self, symbol: str, node: Node, env: dict):
         """`symbol` on the node's arguments, called once with one row per grounding.
 
-        The arguments are spread to their common leading axes and flattened into
-        one row axis.  The symbol, an MLP or an extern, folded or not, must
-        return one result per row: a value whose leading axis has that many
-        entries, which then gets the leading axes back.  Any other result
-        raises RowAxisMismatch.  A symbol without arguments (a constant or a
-        0-ary relation) returns one value, which is used as it is.
+        A node that `batch` collected gets its slice of the batched call.  Any
+        other is called on its own rows (see `rows`).  The symbol, an MLP or
+        an extern, folded or not, must return one result per row: a value
+        whose leading axis has that many entries, which then gets the leading
+        axes back.  Any other result raises RowAxisMismatch.  A symbol without
+        arguments (a constant or a 0-ary relation) returns one value, which is
+        used as it is.
+        """
+        out = self.batched.pop(node.uid, None)
+        if out is None:
+            lead, args = self.rows(node, env)
+            out = self.symbols[symbol](args)
+            if args:
+                out = _reshape(out, lead + _per_row(symbol, out, math.prod(lead), [self.axiom]))
+        return out
+
+    def rows(self, node: Node, env: dict) -> tuple[tuple, list]:
+        """An application's leading axes, and its arguments flattened into one row per grounding.
+
+        The arguments are spread to their common leading axes, then flattened.
         """
         depth = node.depth
         values = [self.term(k, env) for k in node.kids]
@@ -454,15 +497,51 @@ class _Evaluator:
         for v, k in zip(values, node.kids):
             tail = _shape(v)[depth if k.fv else 0:]
             args.append(_reshape(_spread(v, lead + tail), (rows,) + tail))
-        out = self.symbols[symbol](args)
-        if not args:
-            return out
-        shape = _shape(out)
-        if shape[:1] != (rows,):
-            raise RowAxisMismatch(
-                f"axiom {self.axiom!r}: {symbol} on {rows} rows gave shape {shape}; a "
-                f"symbol applied to arguments must return one result per row")
-        return _reshape(out, lead + shape[1:])
+        return lead, args
+
+    def batch(self, roots: list, env: dict) -> None:
+        """Call each shared learned symbol once for all its applications under `roots`.
+
+        `roots` holds (axiom, node) pairs, evaluated next in `env`.  Each
+        application's rows are built as `apply` would build them, and the rows
+        of all of them are concatenated argument by argument.  Each node's
+        slice of the one call, with its leading axes back, waits in `batched`
+        for `apply`.  An application inside another's arguments is evaluated
+        with its parent's arguments.
+        """
+        if not self.plan.shared_symbols:
+            return
+        apps: dict[str, list] = {}
+        for axiom, node in roots:
+            self.axiom = axiom
+            self.collect(node, env, apps)
+        for symbol, group in apps.items():
+            axioms, nodes, leads, arg_lists = zip(*group)
+            args = arg_lists[0]
+            if len(group) > 1:
+                args = [T.concat(parts, axis=0) if any(isinstance(a, Tensor) for a in parts)
+                        else np.concatenate(parts) for parts in zip(*arg_lists)]
+            out = self.symbols[symbol](args)
+            sizes = [math.prod(lead) for lead in leads]
+            tail = _per_row(symbol, out, sum(sizes), axioms)
+            for node, lead, n, end in zip(nodes, leads, sizes, np.cumsum(sizes).tolist()):
+                part = out if len(group) == 1 else T.slice_rows(out, end - n, end)
+                self.batched[node.uid] = _reshape(part, lead + tail)
+
+    def collect(self, node: Node, env: dict, apps: dict) -> None:
+        """Append to `apps` each application of a shared symbol under `node`, with its rows."""
+        if node.static:  # no parameter below
+            return
+        kind = node.kind
+        if kind in ("rel", "func") and node.kids:
+            symbol = node.data[0] if kind == "rel" else node.data
+            if symbol in self.plan.shared_symbols:
+                apps.setdefault(symbol, []).append((self.axiom, node, *self.rows(node, env)))
+                return
+        if kind in ("index", "sample"):
+            env = self.bind(node, env)[0]
+        for kid in node.kids:
+            self.collect(kid, env, apps)
 
     def formula(self, node: Node, env: dict) -> Tensor:
         kind = node.kind
@@ -514,16 +593,21 @@ class _Evaluator:
         return L.bool_vector(node.data, self.big)  # boolvec
 
     def bind(self, node: Node, env: dict) -> tuple[dict, int]:
-        """A quantifier's variables bound on its axis; returns the env and the axis size."""
+        """A quantifier's variables bound on its axis; returns the env and the axis size.
+
+        A sampled quantifier takes its drawn rows once per pass, and `batch`
+        and the evaluation after it share them.
+        """
         if node.kind == "index":
             var, card = node.data
             return {**env, var: (np.arange(card), node.depth)}, card
         names, key = node.data
         rows = self.draws[key]
-        inner = dict(env)
-        for v, col in zip(names, self.plan.samplers[key].domain.columns):
-            inner[v] = (col.take(rows), node.depth)
-        return inner, len(rows)
+        taken = self.taken.get(node.uid)
+        if taken is None:
+            taken = self.taken[node.uid] = {v: (col.take(rows), node.depth) for v, col in
+                                            zip(names, self.plan.samplers[key].domain.columns)}
+        return {**env, **taken}, len(rows)
 
     def fold_table(self, node: Node) -> np.ndarray:
         """A fold's formula evaluated once over its quantifier's whole domain."""
@@ -572,6 +656,7 @@ def evaluate(plan: Plan, draws: dict | None = None) -> CompiledBatch:
     if draws is None:
         draws = plan.draw()
     ev = _Evaluator(plan, draws)
+    ev.batch(plan.roots, {})
     per_axiom: dict[str, Tensor] = {}
     for name, node in plan.roots:
         ev.axiom = name
@@ -632,6 +717,7 @@ def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
     ev = _Evaluator(plan, {key: np.arange(s.domain.cardinality)
                            for key, s in plan.samplers.items()}, fold=False, axiom=axiom)
     index, vector = select.kids
+    ev.batch([(axiom, vector), (axiom, index)], env)
     return ev.formula(vector, env).data, np.asarray(ev.term(index, env))
 
 
@@ -655,12 +741,13 @@ class FusedPlan:
                  active_axioms: set[str] | None = None) -> tuple[Tensor, CompiledBatch]:
         if draws is None:
             draws = self.plan.draw()
+        roots = [(name, node) for name, node in self.plan.roots
+                 if active_axioms is None or name in active_axioms]
         ev = _Evaluator(self.plan, draws)
+        ev.batch(roots, {})
         total = Tensor(0.0)
         per_axiom: dict[str, Tensor] = {}
-        for name, node in self.plan.roots:
-            if active_axioms is not None and name not in active_axioms:
-                continue
+        for name, node in roots:
             ev.axiom = name
             part = ev.loss(node, {})
             if not np.isfinite(part.data):

@@ -146,14 +146,15 @@ class Tensor:
 class Parameter:
     """Named trainable tensor with a persistent gradient accumulator.
 
-    Parameters compare and hash by identity, so they can key a dict."""
+    Parameters compare and hash by identity, so they can key a dict.  The
+    value is C-contiguous, so a flat view of it writes through."""
 
     name: str
     value: np.ndarray
     grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=np.float64)
+        self.value = np.asarray(self.value, dtype=np.float64, order="C")
         self.grad = np.zeros_like(self.value)
 
     def zero_grad(self) -> None:
@@ -494,6 +495,18 @@ def _pull_slice(g, axis, lo, hi):
     sl = [slice(None)] * g.ndim
     sl[axis] = slice(lo, hi)
     return g[tuple(sl)]
+
+
+def slice_rows(t, lo: int, hi: int) -> Tensor:
+    """Rows lo..hi-1 of t's first axis; backward writes into zeros of t's shape."""
+    dt, nt = _ensure(t)
+    return _make(dt[lo:hi], (nt, _pull_rows, dt.shape, lo, hi))
+
+
+def _pull_rows(g, shape, lo, hi):
+    full = np.zeros(shape)
+    full[lo:hi] = g
+    return full
 
 
 def reshape(t, shape) -> Tensor:

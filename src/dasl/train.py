@@ -39,21 +39,50 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+_CHUNK = 1 << 14  # values per Adam block: a block's operands and scratch stay in L2
+
+
 def adam_step(params: list[Parameter], state: AdamState) -> AdamState:
-    """One bias-corrected Adam update from the accumulated gradients."""
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    """One bias-corrected Adam update from the accumulated gradients.
+
+    All or nothing: every gradient is checked before any value, moment or
+    the step count changes.  Each parameter is updated in place, block by
+    block, through two scratch buffers, with the operations of
+
+        m += (1 - b1) * (g - m);  v += (1 - b2) * (g * g - v)
+        value -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+
+    in this order, so the result is bit-identical to that formula.
+    """
     for p in params:
-        g = p.grad
-        if not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(p.grad)):
             raise NonFiniteGradient(f"parameter {p.name!r} has a non-finite gradient")
-        m = state.m.setdefault(p.name, np.zeros_like(p.value))
-        v = state.v.setdefault(p.name, np.zeros_like(p.value))
-        m += (1.0 - b1) * (g - m)
-        v += (1.0 - b2) * (g * g - v)
-        m_hat = m / (1.0 - b1 ** state.step)
-        v_hat = v / (1.0 - b2 ** state.step)
-        p.value -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.step += 1
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    scratch = np.empty(_CHUNK), np.empty(_CHUNK)
+    for p in params:
+        for moments in (state.m, state.v):
+            if p.name not in moments:
+                moments[p.name] = np.zeros_like(p.value)
+        flat = [a.reshape(-1) for a in (p.value, p.grad, state.m[p.name], state.v[p.name])]
+        for lo in range(0, flat[0].size, _CHUNK):
+            value, g, m, v = (a[lo:lo + _CHUNK] for a in flat)
+            t, u = (s[:value.size] for s in scratch)
+            np.subtract(g, m, out=t)
+            t *= 1.0 - b1
+            m += t
+            np.multiply(g, g, out=t)
+            t -= v
+            t *= 1.0 - b2
+            v += t
+            np.divide(v, c2, out=t)
+            np.sqrt(t, out=t)
+            t += eps
+            np.divide(m, c1, out=u)
+            u *= lr
+            u /= t
+            value -= u
     return state
 
 

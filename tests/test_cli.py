@@ -1,9 +1,11 @@
 """CLI contract: subcommands, exit codes, config files."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from dasl.cli import _load_theory, main, parse_config_file
+from dasl.cli import _load_theory, _train_config_from, main, parse_config_file
 from dasl.data import load_csv_table, write_csv_table
 from dasl.interp import bind_theory
 from dasl.tensor import load_checkpoint
@@ -128,6 +130,26 @@ class TestCompileTrainEval:
         assert code == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and "'iteratons'" in err
+
+    @pytest.mark.parametrize("line, wanted", [
+        ("curriculum = ture", "one of 1/true/on/yes/0/false/off/no"),
+        ("iterations = five", "an integer"),
+        ("lr = fast", "a number"),
+    ], ids=["boolean", "int", "float"])
+    def test_unreadable_config_value_is_diagnostic(self, toy_dir, capsys, line, wanted):
+        cfg = toy_dir / "value.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["train", "--theory", str(toy_dir / "toy.dasl"),
+                     "--data-dir", str(toy_dir), "--config", str(cfg)])
+        assert code == 2
+        key, raw = (part.strip() for part in line.split("="))
+        assert f"{cfg}: config key {key!r} needs {wanted}, got {raw!r}" in capsys.readouterr().err
+
+    def test_config_booleans_in_any_case(self):
+        args = SimpleNamespace(seed=0, out=None, config="x.cfg")
+        for raw, want in [("YES", True), ("On", True), ("1", True), ("False", False),
+                          ("off", False), ("0", False), ("No", False)]:
+            assert _train_config_from(args, {"curriculum": raw}).curriculum is want
 
     def test_cadence_below_one_is_diagnostic(self, toy_dir, capsys):
         code = main(["train", "--theory", str(toy_dir / "toy.dasl"),

@@ -618,38 +618,120 @@ class TestSharedDraw:
         assert len(shared.samplers) == 1
 
 
+class _Calls:
+    """A learned binding that records the row count of every call."""
+
+    def __init__(self, binding):
+        self.binding = binding
+        self.parameters = binding.parameters
+        self.rows: list[int] = []
+
+    def __call__(self, args):
+        self.rows.append(np.shape(getattr(args[0], "data", args[0]))[0])
+        return self.binding(args)
+
+
+def _digit_plan():
+    from dasl import experiments
+
+    rng = np.random.default_rng(3)
+    images, labels = rng.random((200, 12)), np.tile(np.arange(10), 20)
+    labeled = experiments.balanced_subset(labels, 2, np.random.default_rng(3))
+    mask = np.zeros(200, dtype=bool)
+    mask[labeled] = True
+    th = experiments.mnist_theory(True, image_dim=12, hidden=8)
+    interp = bind_theory(th, data={
+        "Labeled": (images[labeled], labels[labeled]),
+        "Triples": build_triples(images[~mask], labels[~mask], 4, seed=4),
+    }, seed=3)
+    return compile(th, interp, batch_size=8, seed=5)
+
+
+def _relations_plan():
+    from dasl import data, experiments
+
+    splits = data.gen_synth_relations(train_fraction=0.01, seed=0)
+    th = experiments.relations_theory(True, splits.vocab)
+    s = splits.train
+    interp = bind_theory(th, externs=data.spatial_predicate_externs(),
+                         data={"Train": (s.features, s.subject, s.object, s.predicate)}, seed=0)
+    return compile(th, interp, batch_size=16, seed=2)
+
+
+class TestBatchedApplications:
+    """A learned symbol applied at several nodes is called once per evaluator
+    pass, on the rows of all its applications; each node reads its own slice."""
+
+    SRC = """
+        sort Row dim 3;
+        rel R : Row mlp 4 act sigmoid;
+        func f : Row -> Row mlp 5 act tanh;
+        data Pool : Row from "mem";
+        axiom a : forall r: Pool . R(f(r)) & ~R(r);
+    """
+
+    def test_nested_application_matches_reference(self):
+        th = check_theory(parse_theory(self.SRC))
+        for seed in range(3):
+            rows = np.random.default_rng(seed).normal(size=(5, 3))
+            interp = bind_theory(th, data={"Pool": (rows,)}, seed=seed)
+            plan = compile(th, interp)
+            assert plan.shared_symbols == {"R"}
+            want = ref.root_logit(th, interp)
+            calls = interp.symbols["R"] = _Calls(interp.symbols["R"])
+            got = evaluate(plan).root.item()
+            assert calls.rows == [10], f"seed {seed}"  # R(f(r)) and R(r) on 5 rows each
+            assert got == pytest.approx(want, rel=1e-9), f"seed {seed}"
+        report = T.grad_check(lambda: fuse_loss(plan).evaluate()[0], plan.parameters)
+        assert report.passed, report
+
+    def test_digit_is_called_once_per_step(self):
+        plan = _digit_plan()
+        fused = fuse_loss(plan)
+        calls = plan.interp.symbols["digit"] = _Calls(plan.interp.symbols["digit"])
+        fused.evaluate()
+        assert calls.rows == [8 + 3 * 8]  # digit(x) on a Labeled draw, then digit(x1..x3)
+        calls.rows.clear()
+        fused.evaluate(active_axioms={"rule"})  # the rules-only phase
+        assert calls.rows == [3 * 8]
+
+    @pytest.mark.parametrize("make", [_digit_plan, _relations_plan], ids=["digit", "relations"])
+    def test_batched_equals_one_call_per_application(self, make):
+        plan = make()
+        draws = plan.draw()
+
+        def run():
+            logits = {k: v.item() for k, v in evaluate(plan, draws).per_axiom.items()}
+            for p in plan.parameters:
+                p.zero_grad()
+            with Tape():
+                loss, batch = fuse_loss(plan).evaluate(draws)
+                backward(loss)
+            parts = {k: v.item() for k, v in batch.per_axiom.items()}
+            return logits, parts, loss.item(), [p.grad.copy() for p in plan.parameters]
+
+        batched = run()
+        shared, plan.shared_symbols = plan.shared_symbols, frozenset()
+        single = run()
+        plan.shared_symbols = shared
+        for got, want in zip(batched[:3], single[:3]):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        for got, want in zip(batched[3], single[3]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 class TestRecordedLosses:
     """Fused training losses pinned bit for bit; a change here changes training."""
 
     def test_digit_rule_run(self):
-        from dasl import experiments
-
-        rng = np.random.default_rng(3)
-        images, labels = rng.random((200, 12)), np.tile(np.arange(10), 20)
-        labeled = experiments.balanced_subset(labels, 2, np.random.default_rng(3))
-        mask = np.zeros(200, dtype=bool)
-        mask[labeled] = True
-        th = experiments.mnist_theory(True, image_dim=12, hidden=8)
-        interp = bind_theory(th, data={
-            "Labeled": (images[labeled], labels[labeled]),
-            "Triples": build_triples(images[~mask], labels[~mask], 4, seed=4),
-        }, seed=3)
         config = TrainConfig(iterations=5, batch_size=8, lr=1e-2, seed=3, curriculum=True,
                              curriculum_initial=2, monitor_symbol="digit", monitor_arg="x1")
-        state = train(compile(th, interp, batch_size=8, seed=5), config)
+        state = train(_digit_plan(), config)
         assert state.loss_history == [26.00736800236372, 13.944103288178319, 26.0982341051945,
                                       25.949275104285974, 13.679732227287415]
 
     def test_relations_knowledge_run(self):
-        from dasl import data, experiments
-
-        splits = data.gen_synth_relations(train_fraction=0.01, seed=0)
-        th = experiments.relations_theory(True, splits.vocab)
-        train_split = splits.train
-        interp = bind_theory(th, externs=data.spatial_predicate_externs(), data={"Train": (
-            train_split.features, train_split.subject, train_split.object,
-            train_split.predicate)}, seed=0)
         config = TrainConfig(iterations=5, batch_size=16, lr=1e-2, seed=0)
-        state = train(compile(th, interp, batch_size=16, seed=2), config)
+        state = train(_relations_plan(), config)
         assert state.loss_history == [28.26978829609689, 37.983660016303915, 40.99442260090634,
                                       31.58591894579169, 28.626016595080817]

@@ -72,6 +72,47 @@ class TestAdam:
         with pytest.raises(NonFiniteGradient):
             adam_step([p], AdamState())
 
+    def test_non_finite_gradient_changes_nothing(self):
+        a, b = Parameter("a", np.array([1.0, 2.0])), Parameter("b", np.array([3.0]))
+        state = AdamState(lr=1e-2)
+        a.grad[...], b.grad[...] = [0.5, -0.5], [1.0]
+        adam_step([a, b], state)
+        before = (a.value.copy(), b.value.copy(), {k: v.copy() for k, v in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()}, state.step)
+        b.grad[...] = np.inf
+        with pytest.raises(NonFiniteGradient, match="'b'"):
+            adam_step([a, b], state)
+        after = (a.value, b.value, state.m, state.v, state.step)
+        for got, want in zip(after[:2], before[:2]):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(after[2:4], before[2:4]):
+            assert got.keys() == want.keys()
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k])
+        assert after[4] == before[4] == 1
+
+    def test_blocked_update_is_bit_identical_to_the_formula(self):
+        from dasl.train import _CHUNK
+
+        rng = np.random.default_rng(1)
+        shape = (3, _CHUNK // 2 + 13)  # two blocks, the second one partial
+        p = Parameter("p", rng.normal(size=shape))
+        value, m, v = p.value.copy(), np.zeros(shape), np.zeros(shape)
+        state = AdamState(lr=1e-2)
+        for step in range(1, 4):
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+            p.grad[...] = g
+            adam_step([p], state)
+            b1, b2 = state.beta1, state.beta2
+            m += (1.0 - b1) * (g - m)
+            v += (1.0 - b2) * (g * g - v)
+            m_hat = m / (1.0 - b1 ** step)
+            v_hat = v / (1.0 - b2 ** step)
+            value -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            np.testing.assert_array_equal(p.value, value)
+            np.testing.assert_array_equal(state.m["p"], m)
+            np.testing.assert_array_equal(state.v["p"], v)
+
 
 class TestCurriculum:
     def test_low_pass_values(self):
