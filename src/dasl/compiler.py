@@ -23,7 +23,12 @@ Inside a sampled quantifier, each maximal static formula over the
 quantifier's own variables is wrapped in a `fold` node.  The first
 evaluation of a fold computes its formula once over the quantifier's whole
 domain and keeps the per-row result in `Plan.folds`; every later step
-gathers those rows by the draw.  A plan's datasets and bindings are
+gathers those rows by the draw.  Where two or more such formulas are
+operands of one conjunction whose value is taken (not one the fused loss
+splits into its conjuncts), they become one `andfold` operand, placed
+first, whose table holds the conjunction's running sums over them per row
+(`logit.conj_parts`); each step gathers those sums once and `logit.conj`
+adds the other operands to them.  A plan's datasets and bindings are
 therefore fixed once it is compiled.
 
 The same tree scores a classifier: `scores` binds the variables of an axiom
@@ -108,6 +113,7 @@ class Node:
     arith     "add" or "mod"                            (lhs, rhs)
     func      the function symbol                       argument terms
     fold      (variables, sampler key, axis, axiom)     (static formula,)
+    andfold   (variables, sampler key, axis, axiom)     static conjuncts
 
     A `rel` has a symbol_outputs key only when its relation is vector-valued.
     `depth` counts the quantifiers that enclose a node, and an `index` or
@@ -123,7 +129,10 @@ class Node:
     `eq`, `arith`, `bits`, `not`, `and`, `select` or `index` whose kids are
     all static.  A `sample` is never static: its value depends on the draw.
     A `fold` gathers its formula's per-row values by the draw of the sampled
-    quantifier that binds `variables` on `axis`.
+    quantifier that binds `variables` on `axis`.  An `andfold` is only ever
+    the first operand of an `and`: it gathers, the same way, the running
+    (min, sum logsigmoid, sum exp(-l)) of its conjuncts, each taken to the
+    `and`'s class width, which is also its own.
 
     `src`, read by `explain` alone, is the source formula of an atom, select or quantifier.
     """
@@ -278,12 +287,22 @@ class _Lowering:
         `names` are the sampled quantifier's variables; the checker renames
         bound variables apart, so no inner quantifier rebinds them.  An `and`
         or `index` that the fused loss descends into (`loss`) is not folded
-        whole; its operands are, so each keeps its own loss term.
+        whole; its operands are, so each keeps its own loss term.  Any other
+        `and` with two or more such operands gets them as one `andfold`, its
+        first operand, unless an inner quantifier's fold already put one
+        there; then each is folded on its own.
         """
         kind = node.kind
-        if (node.static and node.fv and names.issuperset(node.fv)
-                and not (loss and kind in ("and", "index"))):
+        if _foldable(node, names) and not (loss and kind in ("and", "index")):
             return self.node("fold", (node,), data, node.width, static=True, depth=node.depth)
+        if kind == "and" and not loss and node.kids[0].kind != "andfold":
+            grouped = tuple(k for k in node.kids if _foldable(k, names))
+            if len(grouped) > 1:
+                group = self.node("andfold", grouped, data, node.width, static=True,
+                                  depth=node.depth)
+                node.kids = (group, *(self.fold(k, names, data, False)
+                                      for k in node.kids if not _foldable(k, names)))
+                return node
         if kind in ("and", "index", "sample"):
             node.kids = tuple(self.fold(k, names, data, loss) for k in node.kids)
         elif kind == "not":
@@ -314,12 +333,19 @@ class _Lowering:
         raise SortError("compile", "a term", type(t).__name__)
 
 
+def _foldable(node: Node, names: frozenset) -> bool:
+    """Whether a node is a static formula over some of `names` alone."""
+    return node.static and bool(node.fv) and names.issuperset(node.fv)
+
+
 class Plan:
     """Evaluation plan: checked theory + interpretation + samplers.
 
     `roots` holds each axiom's lowered tree; `vector_outputs` holds every
     key that `CompiledBatch.symbol_outputs` can carry; `folds` maps a fold
-    node's uid to its per-row values, filled on its first evaluation.
+    node's uid to its per-row values, and an andfold node's uid to its
+    per-row (min, sum logsigmoid, sum exp(-l)) on axis 1; each is filled on
+    its node's first evaluation.
     `shared_symbols` holds the learned symbols applied at more than one node,
     which each evaluator pass calls once (`_Evaluator.batch`).
     """
@@ -430,8 +456,10 @@ class _Evaluator:
     bound variable to its column values and the axis they lie on.
 
     With `fold` false, a fold node evaluates its formula on the rows bound
-    in the environment instead of gathering its table by the draw.  `axiom`
-    names the axiom being evaluated, for errors.
+    in the environment instead of gathering its table by the draw, and an
+    andfold's conjuncts are evaluated the same way, into one flat
+    conjunction with the other operands.  `axiom` names the axiom being
+    evaluated, for errors.
 
     Each pass starts with `batch`, which calls every symbol of
     `Plan.shared_symbols` once on the rows of its applications in the trees
@@ -561,17 +589,14 @@ class _Evaluator:
                 self.symbol_outputs.setdefault(out_key, out)
             return out
         if kind == "and":
+            if node.kids[0].kind == "andfold":
+                return self.grouped(node, env)
             return L.conj(*[_with_classes(self.formula(k, env), k.width, node.width)
                             for k in node.kids])
         if kind == "fold":
             if not self.fold:
                 return self.formula(node.kids[0], env)
-            _, key, axis, _ = node.data
-            table = self.plan.folds.get(node.uid)
-            if table is None:
-                table = self.plan.folds[node.uid] = self.fold_table(node)
-            rows = table[self.draws[key]]
-            return Tensor(rows.reshape(_on_axis(len(rows), axis, node.depth) + rows.shape[1:]))
+            return Tensor(self.gathered(node))
         if kind == "not":
             return T.neg(self.formula(node.kids[0], env))
         if kind in ("index", "sample"):
@@ -609,15 +634,54 @@ class _Evaluator:
                                             zip(names, self.plan.samplers[key].domain.columns)}
         return {**env, **taken}, len(rows)
 
+    def grouped(self, node: Node, env: dict) -> Tensor:
+        """An `and` whose first operand is an andfold, added in the order of a
+        flat conjunction of the andfold's conjuncts and then the others.
+
+        The other operands are evaluated first.  With `fold` false the
+        conjuncts are evaluated next, on the bound rows.
+        """
+        group, *others = node.kids
+        rest = [_with_classes(self.formula(k, env), k.width, node.width) for k in others]
+        if not self.fold:
+            return L.conj(*[_with_classes(self.formula(k, env), k.width, node.width)
+                            for k in group.kids], *rest)
+        return L.conj(*rest, parts=self.gathered(group))
+
+    def gathered(self, node: Node):
+        """A fold's table rows drawn by its sampler, with the node's leading axes.
+
+        An andfold gives its three tables' rows.  The table is computed on
+        the node's first evaluation.
+        """
+        table = self.plan.folds.get(node.uid)
+        if table is None:
+            table = self.plan.folds[node.uid] = self.fold_table(node)
+        _, key, axis, _ = node.data
+        draw = self.draws[key]
+        lead = _on_axis(len(draw), axis, node.depth)
+        rows = table[draw]
+        if node.kind == "fold":
+            return rows.reshape(lead + rows.shape[1:])
+        return tuple(rows[:, i].reshape(lead + rows.shape[2:]) for i in range(3))
+
     def fold_table(self, node: Node) -> np.ndarray:
-        """A fold's formula evaluated once over its quantifier's whole domain."""
+        """A fold's formula, or an andfold's `conj_parts`, once over its quantifier's whole domain.
+
+        One row per domain row; an andfold's row holds its three values on axis 1.
+        """
         names, key, axis, axiom = node.data
         domain = self.plan.samplers[key].domain
         n = domain.cardinality
         env = {v: (col.take(np.arange(n)), axis)
                for v, col in zip(names, domain.columns) if v in node.fv}
-        table = _Evaluator(self.plan, {}, axiom=axiom).formula(node.kids[0], env).data
-        return table.reshape((n,) + table.shape[node.depth:])
+        ev = _Evaluator(self.plan, {}, axiom=axiom)
+        if node.kind == "fold":
+            table = ev.formula(node.kids[0], env).data
+            return table.reshape((n,) + table.shape[node.depth:])
+        parts = L.conj_parts(*[_with_classes(ev.formula(k, env), k.width, node.width)
+                               for k in node.kids])
+        return np.stack([p.reshape((n,) + p.shape[node.depth:]) for p in parts], axis=1)
 
     def loss(self, node: Node, env: dict, lead: tuple = (), classes: int = 1) -> Tensor:
         """softplus(-l) summed over the root-level conjuncts below node.
@@ -779,8 +843,9 @@ def explain(plan: Plan) -> str:
         if kind in ("index", "sample"):
             how = f"exhaustive 0..{node.data[1] - 1}" if kind == "index" else "sampled"
             text = f"forall {', '.join(src.vars)} in {src.domain} [{how}]"
-        elif kind == "fold":  # data[1] is the sampler key, which ends with the domain
-            text = f"fold [computed once over {node.data[1][-1]}, gathered by the draw]"
+        elif kind in ("fold", "andfold"):  # data[1] is the sampler key, which ends with the domain
+            what = "fold" if kind == "fold" else f"fold of {len(kids)} conjuncts"
+            text = f"{what} [computed once over {node.data[1][-1]}, gathered by the draw]"
         elif kind == "and":
             text = f"and of {len(kids)}"
         elif kind == "not":

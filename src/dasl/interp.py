@@ -325,7 +325,7 @@ def _load_column(path: str, sort: SortDecl) -> np.ndarray:
     except Exception as e:  # noqa: BLE001 - surface as a typed load error
         raise DataLoadError(f"{path}: {e}") from e
     if sort.is_index:
-        return table.reshape(-1).astype(np.int64)
+        return table.reshape(-1)
     if table.shape[1] != sort.dim:
         raise DataLoadError(f"{path}: expected {sort.dim} columns, got {table.shape[1]}")
     return table
@@ -400,7 +400,7 @@ def bind_theory(
                 paths = [p if os.path.isabs(p) else os.path.join(data_dir, p) for p in paths]
             columns = [_load_column(p, theory.sort(s)) for p, s in zip(paths, d.column_sorts)]
         cols, n = [], None
-        for arr, sort_name in zip(columns, d.column_sorts):
+        for i, (arr, sort_name) in enumerate(zip(columns, d.column_sorts)):
             sort = theory.sort(sort_name)
             arr = np.asarray(arr)
             if n is None:
@@ -408,7 +408,7 @@ def bind_theory(
             elif arr.shape[0] != n:
                 raise DataLoadError(f"{d.name}: column lengths differ")
             if sort.is_index:
-                cols.append(Column(arr.astype(np.int64), sort_name))
+                cols.append(Column(_index_ids(f"{d.name}: column {i}", sort, arr), sort_name))
             else:
                 if arr.ndim != 2 or arr.shape[1] != sort.dim:
                     raise DataLoadError(f"{d.name}: column of sort {sort_name} must be n x {sort.dim}")
@@ -416,6 +416,22 @@ def bind_theory(
         domains[d.name] = Domain(d.name, n or 0, tuple(cols))
 
     return Interpretation(theory, domains, symbols, big=big, equality=equality)
+
+
+def _index_ids(where: str, sort: SortDecl, values: np.ndarray) -> np.ndarray:
+    """An index-sort column as int64 ids; raises DataLoadError at the first
+    value that is not an integer in [0, card)."""
+    card = sort.cardinality
+    if values.dtype.kind not in "biuf":
+        raise DataLoadError(f"{where} (sort {sort.name}): ids must be numbers, got {values.dtype}")
+    ok = (values >= 0) & (values < card)
+    if values.dtype.kind == "f":
+        ok &= values == np.floor(values)
+    if not ok.all():
+        at = tuple(np.argwhere(~ok)[0])
+        raise DataLoadError(f"{where} (sort {sort.name}) row {at[0]}: id {values[at].item()!r} "
+                            f"is not an integer in [0, {card})")
+    return values.astype(np.int64)
 
 
 def _result_width(theory: Theory, sort_name: str) -> int:

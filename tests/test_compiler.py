@@ -125,8 +125,8 @@ class TestLowering:
          ("index", ("not", ("and", "rel", "rel", ("not", "rel"))))),
         (lambda: _lowered("exists x: D . P(x)"),
          ("not", ("index", ("not", "rel")))),
-        (lambda: _relations_plan().roots[0][1],  # vrd(f, s, o) beside ten folded guards
-         ("sample", ("select", ("and", "rel", *["fold"] * 10)))),
+        (lambda: _relations_plan().roots[0][1],  # the ten guards as one fold, then vrd(f, s, o)
+         ("sample", ("select", ("and", "andfold", "rel")))),
     ], ids=["or", "implies", "conjunctive_implies", "exists", "relations_labels"])
     def test_lowers_to_the_core(self, root, skeleton):
         assert _skeleton(root()) == skeleton
@@ -139,7 +139,9 @@ class TestLowering:
         assert all(re.match(r" +#\d+ ", line) for line in listing)
         uids = [int(line.split()[0][1:]) for line in listing]
         assert uids[0] == root.uid and len(set(uids)) == len(uids)
-        assert sum("fold [computed once over Train" in line for line in listing) == 10
+        folds = [line for line in listing if "computed once over Train" in line]
+        assert [line.split(" ", 1)[1] for line in map(str.strip, folds)] == [
+            "fold of 10 conjuncts [computed once over Train, gathered by the draw]"]
 
 
 class TestEvaluate:
@@ -342,8 +344,8 @@ class TestScores:
 
 
 def _folds(node):
-    """The fold nodes of a lowered tree."""
-    out = [node] if node.kind == "fold" else []
+    """The fold and andfold nodes of a lowered tree."""
+    out = [node] if node.kind in ("fold", "andfold") else []
     for kid in node.kids:
         out += _folds(kid)
     return out
@@ -362,6 +364,17 @@ def _loss_and_grads(plan, draws, fold):
     return float(total.data), {p.name: p.grad.copy() for p in plan.parameters}
 
 
+def _assert_fold_is_exact(plan, steps):
+    """Fused loss and gradients with the fold tables equal those without, bit for bit."""
+    for step in range(steps):
+        draws = plan.draw()
+        got = _loss_and_grads(plan, draws, fold=True)
+        want = _loss_and_grads(plan, draws, fold=False)
+        assert got[0] == want[0], f"step {step}"
+        for name, grad in want[1].items():
+            np.testing.assert_array_equal(got[1][name], grad, err_msg=f"step {step} {name}")
+
+
 class TestFold:
     """Static guards are evaluated once per dataset and gathered by the draw."""
 
@@ -375,33 +388,24 @@ class TestFold:
         interp = bind_theory(th, externs=data.spatial_predicate_externs(), data={"Train": rows})
         return compile(th, interp, **kwargs)
 
-    def _assert_fold_is_exact(self, plan, steps):
-        for step in range(steps):
-            draws = plan.draw()
-            got = _loss_and_grads(plan, draws, fold=True)
-            want = _loss_and_grads(plan, draws, fold=False)
-            assert got[0] == want[0], f"step {step}"
-            for name, grad in want[1].items():
-                np.testing.assert_array_equal(got[1][name], grad, err_msg=f"step {step} {name}")
-
     def test_relations_guards_fold_bit_for_bit(self):
         plan = self._relations_plan(batch_size=16, seed=2)
         (_, root), = plan.roots
-        folds = _folds(root)
-        assert len(folds) == 10  # one per guard, beside the unfolded vrd(f, s, o)
-        assert all("vrd" not in compiler._symbols(f) for f in folds)
-        self._assert_fold_is_exact(plan, 20)
-        assert sorted(plan.folds) == sorted(f.uid for f in folds)
-        assert all(t.shape == (200, 12) for t in plan.folds.values())
+        (group,) = _folds(root)  # the ten guards as one, beside the unfolded vrd(f, s, o)
+        assert group.kind == "andfold" and len(group.kids) == 10
+        assert "vrd" not in compiler._symbols(group)
+        _assert_fold_is_exact(plan, 20)
+        assert list(plan.folds) == [group.uid]
+        assert plan.folds[group.uid].shape == (200, 3, 12)  # per row: min, Σ logσ, Σ e^-l
 
     def test_working_set_prefix_indexes_the_full_table(self):
         plan = self._relations_plan(batch_size=4, seed=3)
         (sampler,) = plan.samplers.values()
         sampler.set_active_size(10)
-        self._assert_fold_is_exact(plan, 5)
+        _assert_fold_is_exact(plan, 5)
         assert all(t.shape[0] == sampler.domain.cardinality for t in plan.folds.values())
         sampler.set_active_size(sampler.domain.cardinality)
-        self._assert_fold_is_exact(plan, 5)
+        _assert_fold_is_exact(plan, 5)
 
     SRC = """
         sort Row dim 3;
@@ -452,7 +456,7 @@ class TestFold:
                                 batch_size=3, shared_draw=True, seed=1)
         assert len(plan.samplers) == 1
         assert [len(_folds(root)) for _, root in plan.roots] == [1, 1, 2]
-        self._assert_fold_is_exact(plan, 6)
+        _assert_fold_is_exact(plan, 6)
         assert len(plan.folds) == 4
 
     def test_guards_beside_an_index_axis(self):
@@ -463,7 +467,7 @@ class TestFold:
                                 batch_size=3, seed=1)
         assert [[list(compiler._symbols(f)) for f in _folds(root)]
                 for _, root in plan.roots] == [[["far"]], [["far"]]]
-        self._assert_fold_is_exact(plan, 6)
+        _assert_fold_is_exact(plan, 6)
         assert len(plan.folds) == 2
 
     @pytest.mark.parametrize("axiom, symbol, result, rows", [
@@ -492,6 +496,130 @@ class TestFold:
         state = train(plan, TrainConfig(iterations=10, batch_size=3, lr=1e-2))
         assert len(state.loss_history) == 10
         assert calls == [7]
+
+
+def _forward_and_backward(plan, draws):
+    """Per-axiom logits, per-axiom losses, fused loss and gradients on `draws`."""
+    logits = {k: v.item() for k, v in evaluate(plan, draws).per_axiom.items()}
+    for p in plan.parameters:
+        p.zero_grad()
+    with Tape():
+        loss, batch = fuse_loss(plan).evaluate(draws)
+        backward(loss)
+    parts = {k: v.item() for k, v in batch.per_axiom.items()}
+    return logits, parts, loss.item(), [p.grad.copy() for p in plan.parameters]
+
+
+def _flat(node):
+    """A grouped tree rebuilt as it lowered before grouping, in place: each
+    andfold's conjuncts go back among their `and`'s operands, each in a fold
+    of its own.  Uids follow the source order, so sorting by uid restores it."""
+    if node.kind == "and" and node.kids[0].kind == "andfold":
+        group, *others = node.kids
+        folds = [compiler.Node("fold", 10_000 + k.uid, k.fv, k.width, (k,), group.data, True,
+                               k.depth) for k in group.kids]
+        node.kids = tuple(sorted((*folds, *others), key=lambda k: k.kids[0].uid
+                                 if k.kind == "fold" else k.uid))
+    for kid in node.kids:
+        _flat(kid)
+
+
+class TestGroupedFold:
+    """A value-taking conjunction's static operands are one gathered table of
+    conj's running sums, and add exactly as one flat conjunction over them."""
+
+    SRC = """
+        sort Row dim 3;
+        sort A card 4;
+        sort K card 3;
+        rel C : Row x A out 3 mlp 5 act tanh;
+        rel Q : Row mlp 4 act tanh;
+        rel g : Row extern g;
+        rel h : A extern h;
+        boolvec notlast : [1, 1, 0];
+        data Train : Row x A x K from "mem";
+        axiom labels : forall (r, a, y): Train .
+            pi[y](C(r, a) & g(r) & (notlast -> h(a)) & (g(r) -> h(a)));
+        axiom narrow : forall (r, a, y): Train . pi[y](C(r, a) & g(r) & h(a));
+        axiom rules : forall (r, a, y): Train . g(r) & h(a) & ((Q(r) & g(r) & h(a)) -> Q(r));
+    """
+    # (C's last bias, g's offset, g's slope, h's offset): which branch of
+    # conj the labels axiom's conjunction takes on its rows
+    REGIMES = {"exact": (0.0, 0.0, 1.0, -1.5), "mixed": (40.0, 15.5, 3.0, 25.0),
+               "stable": (40.0, 20.0, 1.0, 25.0)}
+
+    def _plan(self, regime, batch_size=None):
+        bias, g0, slope, h0 = self.REGIMES[regime]
+        th = check_theory(parse_theory(self.SRC))
+        rng = np.random.default_rng(7)
+        columns = (rng.normal(size=(9, 3)), rng.integers(4, size=9), rng.integers(3, size=9))
+        externs = {"g": lambda r: slope * r[..., 0] + g0,
+                   "h": lambda a: 0.5 * np.asarray(a, dtype=float) + h0}
+        interp = bind_theory(th, externs=externs, data={"Train": columns}, seed=7)
+        interp.symbols["C"].biases[-1].value[:] = bias
+        return th, interp, compile(th, interp, batch_size=batch_size, seed=1)
+
+    def test_lowering(self):
+        *_, plan = self._plan("exact")
+        roots = dict(plan.roots)
+        assert _skeleton(roots["labels"]) == ("sample", ("select", ("and", "andfold", "rel")))
+        assert _skeleton(roots["narrow"]) == ("sample", ("select", ("and", "andfold", "rel")))
+        # the loss splits the root and: one fold per conjunct, as without grouping
+        assert _skeleton(roots["rules"]) == (
+            "sample", ("and", "fold", "fold", ("not", ("and", "andfold", "rel", ("not", "rel")))))
+        group = roots["labels"].kids[0].kids[1].kids[0]
+        assert [k.width for k in group.kids] == [1, 3, 1] and group.fv == ("a", "r")
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_matches_reference_and_flat_conjunction(self, regime):
+        th, interp, plan = self._plan(regime)
+        batch = evaluate(plan)
+        assert batch.root.item() == pytest.approx(ref.root_logit(th, interp), rel=1e-9)
+        group = dict(plan.roots)["labels"].kids[0].kids[1].kids[0]
+        assert plan.folds[group.uid].shape == (9, 3, 3)  # g(r)'s one column spread to C's 3
+        lo = np.minimum(plan.folds[group.uid][:, 0], batch.symbol_outputs["C", ("r", "a")].data)
+        stable = lo > L.STABLE_MIN
+        assert {"exact": not stable.any(), "stable": stable.all(),
+                "mixed": stable.any() and not stable.all()}[regime]
+        report = T.grad_check(lambda: fuse_loss(plan).evaluate()[0], plan.parameters)
+        assert report.passed, report
+
+        *_, grouped = self._plan(regime, batch_size=4)
+        *_, flat = self._plan(regime, batch_size=4)
+        for _, root in flat.roots:
+            _flat(root)
+        assert [len(_folds(root)) for _, root in flat.roots] == [3, 2, 4]
+        for _ in range(3):
+            draws = grouped.draw()
+            got, want = (_forward_and_backward(p, draws) for p in (grouped, flat))
+            for a, b in zip(got[:3], want[:3]):
+                assert a == pytest.approx(b, rel=1e-12, abs=0)
+            for a, b in zip(got[3], want[3]):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+            _assert_fold_is_exact(grouped, 1)
+
+    def test_inner_group_keeps_outer_folds_apart(self):
+        # the inner quantifier groups p(v), q(v); the outer one then folds
+        # p(u) and q(u) one by one, so the and holds a single andfold, first
+        th = check_theory(parse_theory("""
+            sort Row dim 3;
+            rel M : Row x Row mlp 4 act tanh;
+            rel p : Row extern p;
+            rel q : Row extern q;
+            data Pool : Row from "mem";
+            data Twin : Row from "mem";
+            axiom n : forall u: Pool . exists v: Twin . M(u, v) & p(u) & q(u) & p(v) & q(v);
+        """))
+        rng = np.random.default_rng(8)
+        interp = bind_theory(th, externs={"p": lambda r: 2.0 * r[..., 0], "q": lambda r: r[..., 1]},
+                             data={"Pool": (rng.normal(size=(5, 3)),),
+                                   "Twin": (rng.normal(size=(4, 3)),)}, seed=8)
+        plan = compile(th, interp)
+        (_, root), = plan.roots
+        assert _skeleton(root) == (
+            "sample", ("not", ("sample", ("not", ("and", "andfold", "rel", "fold", "fold")))))
+        assert evaluate(plan).root.item() == pytest.approx(ref.root_logit(th, interp), rel=1e-9)
+        _assert_fold_is_exact(compile(th, interp, batch_size=3, seed=2), 4)
 
 
 class TestExistsForallDuality:
@@ -699,20 +827,9 @@ class TestBatchedApplications:
     def test_batched_equals_one_call_per_application(self, make):
         plan = make()
         draws = plan.draw()
-
-        def run():
-            logits = {k: v.item() for k, v in evaluate(plan, draws).per_axiom.items()}
-            for p in plan.parameters:
-                p.zero_grad()
-            with Tape():
-                loss, batch = fuse_loss(plan).evaluate(draws)
-                backward(loss)
-            parts = {k: v.item() for k, v in batch.per_axiom.items()}
-            return logits, parts, loss.item(), [p.grad.copy() for p in plan.parameters]
-
-        batched = run()
+        batched = _forward_and_backward(plan, draws)
         shared, plan.shared_symbols = plan.shared_symbols, frozenset()
-        single = run()
+        single = _forward_and_backward(plan, draws)
         plan.shared_symbols = shared
         for got, want in zip(batched[:3], single[:3]):
             assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -733,5 +850,5 @@ class TestRecordedLosses:
     def test_relations_knowledge_run(self):
         config = TrainConfig(iterations=5, batch_size=16, lr=1e-2, seed=0)
         state = train(_relations_plan(), config)
-        assert state.loss_history == [28.26978829609689, 37.983660016303915, 40.99442260090634,
-                                      31.58591894579169, 28.626016595080817]
+        assert state.loss_history == [28.269788296096895, 37.983660016303915, 40.99442260090635,
+                                      31.585918945791683, 28.626016595080817]

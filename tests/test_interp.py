@@ -1,10 +1,13 @@
 """Domains, symbol bindings, samplers, and triple construction."""
 
+import re
+
 import numpy as np
 import pytest
 
 from dasl.compiler import compile, explain
 from dasl.interp import (
+    DataLoadError,
     EmptyDomain,
     InsufficientClassCount,
     MissingExtern,
@@ -58,6 +61,30 @@ class TestBindTheory:
         listing = explain(compile(th2, interp))
         assert listing.count("embedding-table, 15 parameters") == 3
         assert listing.endswith("total parameters: 30")
+
+    IDS = "sort K card 3;\nrel R : K mlp 4 act tanh;\ndata Train : K from \"%s\";\n" \
+          "axiom a : forall y: Train . R(y);"
+
+    @pytest.mark.parametrize("ids, shown", [
+        ([0, 1, -1], "-1"),  # was read as id 2, the last
+        ([0, 1, 2.7], "2.7"),  # was truncated to 2
+        ([0, 1, 7], "7"),  # was an IndexError in the MLP's one-hot encoding
+    ], ids=["negative", "fractional", "past_card"])
+    def test_bad_index_id_is_a_load_error(self, ids, shown):
+        th = check_theory(parse_theory(self.IDS % "mem"))
+        match = f"Train: column 0 (sort K) row 2: id {shown} is not an integer in [0, 3)"
+        with pytest.raises(DataLoadError, match=re.escape(match)):
+            bind_theory(th, data={"Train": (np.array(ids),)})
+
+    def test_bad_index_id_in_a_file_is_a_load_error(self, tmp_path):
+        (tmp_path / "k.csv").write_text("k\n0\n2\n1.5\n")
+        th = check_theory(parse_theory(self.IDS % "k.csv"))
+        match = "Train: column 0 (sort K) row 2: id 1.5 is not an integer in [0, 3)"
+        with pytest.raises(DataLoadError, match=re.escape(match)):
+            bind_theory(th, data_dir=str(tmp_path))
+        (tmp_path / "k.csv").write_text("k\n0\n2\n1\n")
+        column = bind_theory(th, data_dir=str(tmp_path)).domains["Train"].columns[0]
+        assert column.values.dtype == np.int64 and column.values.tolist() == [0, 2, 1]
 
 
 class TestEvalSymbol:

@@ -111,6 +111,27 @@ class TestConj:
         assert got == pytest.approx(want, abs=1e-9)
 
 
+    @pytest.mark.parametrize("low", [-3.0, 14.0, 16.0], ids=["exact", "mixed", "stable"])
+    def test_resuming_from_parts_is_bit_identical(self, low):
+        # constant operands (one width-1 beside width-4 ones) summed once, then
+        # resumed with a learned operand, against one flat conjunction
+        rng = np.random.default_rng(5)
+        first = [rng.uniform(low, low + 4, size=(6, 1)), rng.uniform(low, low + 4, size=(6, 4)),
+                 rng.uniform(low, low + 4, size=(6, 4))]
+        p = Parameter("p", rng.uniform(low, low + 4, size=(6, 4)))
+        stable = np.minimum.reduce(np.broadcast_arrays(*first, p.value)) > L.STABLE_MIN
+        assert (stable.any(), stable.all()) == (low > 0, low > L.STABLE_MIN)
+        results = []
+        for resume in (True, False):
+            p.zero_grad()
+            with Tape():
+                out = conj(p, parts=L.conj_parts(*first)) if resume else conj(*first, p)
+                backward(T.reduce_sum(out))
+            results.append((out.data, p.grad.copy()))
+        (got, got_grad), (want, want_grad) = results
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_grad, want_grad)
+
 class TestDisjImplies:
     def test_three_quarters(self):
         assert disj(0.0, 0.0).item() == pytest.approx(np.log(3), abs=1e-12)
