@@ -20,15 +20,16 @@ Compilation has two steps: lower once, evaluate the tree.
 A node is static when no parameter can reach it: its value is a function of
 the dataset rows and the extern, fixed-constant and boolvec bindings alone.
 Inside a sampled quantifier, each maximal static formula over the
-quantifier's own variables is wrapped in a `fold` node.  The first
-evaluation of a fold computes its formula once over the quantifier's whole
-domain and keeps the per-row result in `Plan.folds`; every later step
-gathers those rows by the draw.  Where two or more such formulas are
-operands of one conjunction whose value is taken (not one the fused loss
-splits into its conjuncts), they become one `andfold` operand, placed
-first, whose table holds the conjunction's running sums over them per row
-(`logit.conj_parts`); each step gathers those sums once and `logit.conj`
-adds the other operands to them.  A plan's datasets and bindings are
+quantifier's own variables is held by a `fold` node; where such formulas
+are operands of one conjunction whose value is taken (not one the fused
+loss splits into its conjuncts), they all are one fold, placed first.  The
+first evaluation of a fold computes its formulas once over the
+quantifier's whole domain and keeps the running (min, sum logsigmoid, sum
+exp(-l)) of `logit.conj` over them per row in `Plan.folds`
+(`logit.conj_parts`); every later step gathers those rows by the draw.  An
+`and` whose first operand is a fold resumes from the three sums, and
+`logit.conj` adds the other operands to them; any other fold holds one
+formula and reads the min, its value.  A plan's datasets and bindings are
 therefore fixed once it is compiled.
 
 The same tree scores a classifier: `scores` binds the variables of an axiom
@@ -86,11 +87,10 @@ class RowAxisMismatch(Exception):
 
 @dataclass
 class CompiledBatch:
-    """One forward evaluation: root logit, per-axiom logits, provenance."""
+    """One forward evaluation: root logit, per-axiom logits or losses, vector symbol outputs."""
 
     root: Tensor | None  # None only for an empty axiom set
     per_axiom: dict[str, Tensor]
-    draws: dict
     symbol_outputs: dict = field(default_factory=dict)
 
 
@@ -112,8 +112,7 @@ class Node:
     int       the integer                               ()
     arith     "add" or "mod"                            (lhs, rhs)
     func      the function symbol                       argument terms
-    fold      (variables, sampler key, axis, axiom)     (static formula,)
-    andfold   (variables, sampler key, axis, axiom)     static conjuncts
+    fold      (variables, sampler key, axis, axiom)     static conjuncts
 
     A `rel` has a symbol_outputs key only when its relation is vector-valued.
     `depth` counts the quantifiers that enclose a node, and an `index` or
@@ -128,11 +127,12 @@ class Node:
     a fixed value, with static arguments and no symbol_outputs key; and an
     `eq`, `arith`, `bits`, `not`, `and`, `select` or `index` whose kids are
     all static.  A `sample` is never static: its value depends on the draw.
-    A `fold` gathers its formula's per-row values by the draw of the sampled
-    quantifier that binds `variables` on `axis`.  An `andfold` is only ever
-    the first operand of an `and`: it gathers, the same way, the running
-    (min, sum logsigmoid, sum exp(-l)) of its conjuncts, each taken to the
-    `and`'s class width, which is also its own.
+    A `fold` gathers the running (min, sum logsigmoid, sum exp(-l)) of its
+    conjuncts, each taken to its class width, by the draw of the sampled
+    quantifier that binds `variables` on `axis`.  As the first operand of an
+    `and`, it holds every static conjunct over those variables and the
+    `and` resumes from the three; anywhere else it holds one formula and
+    its value is the min.
 
     `src`, read by `explain` alone, is the source formula of an atom, select or quantifier.
     """
@@ -282,23 +282,23 @@ class _Lowering:
         return body
 
     def fold(self, node: Node, names: frozenset, data: tuple, loss: bool) -> Node:
-        """Wrap each maximal static formula over `names` in a fold node.
+        """Wrap the static formulas over `names` in fold nodes.
 
         `names` are the sampled quantifier's variables; the checker renames
-        bound variables apart, so no inner quantifier rebinds them.  An `and`
-        or `index` that the fused loss descends into (`loss`) is not folded
-        whole; its operands are, so each keeps its own loss term.  Any other
-        `and` with two or more such operands gets them as one `andfold`, its
-        first operand, unless an inner quantifier's fold already put one
-        there; then each is folded on its own.
+        bound variables apart, so no inner quantifier rebinds them.  A maximal
+        static formula over them becomes a fold of its own, except an `and`
+        or `index` that the fused loss descends into (`loss`): its operands
+        are folded, so each keeps its own loss term.  Any other `and` gets all
+        such operands as one fold, its first operand, unless an inner
+        quantifier's fold is already there; then each is folded on its own.
         """
         kind = node.kind
         if _foldable(node, names) and not (loss and kind in ("and", "index")):
             return self.node("fold", (node,), data, node.width, static=True, depth=node.depth)
-        if kind == "and" and not loss and node.kids[0].kind != "andfold":
+        if kind == "and" and not loss and node.kids[0].kind != "fold":
             grouped = tuple(k for k in node.kids if _foldable(k, names))
-            if len(grouped) > 1:
-                group = self.node("andfold", grouped, data, node.width, static=True,
+            if grouped:
+                group = self.node("fold", grouped, data, node.width, static=True,
                                   depth=node.depth)
                 node.kids = (group, *(self.fold(k, names, data, False)
                                       for k in node.kids if not _foldable(k, names)))
@@ -343,9 +343,8 @@ class Plan:
 
     `roots` holds each axiom's lowered tree; `vector_outputs` holds every
     key that `CompiledBatch.symbol_outputs` can carry; `folds` maps a fold
-    node's uid to its per-row values, and an andfold node's uid to its
-    per-row (min, sum logsigmoid, sum exp(-l)) on axis 1; each is filled on
-    its node's first evaluation.
+    node's uid to its per-row (min, sum logsigmoid, sum exp(-l)) on axis 1,
+    filled on the node's first evaluation.
     `shared_symbols` holds the learned symbols applied at more than one node,
     which each evaluator pass calls once (`_Evaluator.batch`).
     """
@@ -455,11 +454,10 @@ class _Evaluator:
     one leading axis per enclosing quantifier.  An environment maps each
     bound variable to its column values and the axis they lie on.
 
-    With `fold` false, a fold node evaluates its formula on the rows bound
-    in the environment instead of gathering its table by the draw, and an
-    andfold's conjuncts are evaluated the same way, into one flat
-    conjunction with the other operands.  `axiom` names the axiom being
-    evaluated, for errors.
+    With `fold` false, a fold's conjuncts are evaluated on the rows bound in
+    the environment instead of gathering its table by the draw; under an
+    `and`, into one flat conjunction with the other operands.  `axiom`
+    names the axiom being evaluated, for errors.
 
     Each pass starts with `batch`, which calls every symbol of
     `Plan.shared_symbols` once on the rows of its applications in the trees
@@ -589,14 +587,16 @@ class _Evaluator:
                 self.symbol_outputs.setdefault(out_key, out)
             return out
         if kind == "and":
-            if node.kids[0].kind == "andfold":
-                return self.grouped(node, env)
-            return L.conj(*[_with_classes(self.formula(k, env), k.width, node.width)
-                            for k in node.kids])
-        if kind == "fold":
-            if not self.fold:
-                return self.formula(node.kids[0], env)
-            return Tensor(self.gathered(node))
+            first = node.kids[0]
+            if first.kind != "fold":
+                return L.conj(*self.operands(node.kids, env, node.width))
+            # the other operands first; then the fold's sums, or its conjuncts ahead of them
+            rest = self.operands(node.kids[1:], env, node.width)
+            if self.fold:
+                return L.conj(*rest, parts=self.gathered(first, node.width))
+            return L.conj(*self.operands(first.kids, env, node.width), *rest)
+        if kind == "fold":  # not first in an and: one formula, whose value is the min
+            return Tensor(self.gathered(node)[0]) if self.fold else self.formula(node.kids[0], env)
         if kind == "not":
             return T.neg(self.formula(node.kids[0], env))
         if kind in ("index", "sample"):
@@ -634,53 +634,38 @@ class _Evaluator:
                                             zip(names, self.plan.samplers[key].domain.columns)}
         return {**env, **taken}, len(rows)
 
-    def grouped(self, node: Node, env: dict) -> Tensor:
-        """An `and` whose first operand is an andfold, added in the order of a
-        flat conjunction of the andfold's conjuncts and then the others.
+    def operands(self, kids: tuple, env: dict, width: int) -> list:
+        """The values of a conjunction's operands, each taken to its class `width`."""
+        return [_with_classes(self.formula(k, env), k.width, width) for k in kids]
 
-        The other operands are evaluated first.  With `fold` false the
-        conjuncts are evaluated next, on the bound rows.
-        """
-        group, *others = node.kids
-        rest = [_with_classes(self.formula(k, env), k.width, node.width) for k in others]
-        if not self.fold:
-            return L.conj(*[_with_classes(self.formula(k, env), k.width, node.width)
-                            for k in group.kids], *rest)
-        return L.conj(*rest, parts=self.gathered(group))
+    def gathered(self, node: Node, width: int = 1) -> tuple:
+        """A fold's (min, sum logsigmoid, sum exp(-l)) rows drawn by its sampler.
 
-    def gathered(self, node: Node):
-        """A fold's table rows drawn by its sampler, with the node's leading axes.
-
-        An andfold gives its three tables' rows.  The table is computed on
-        the node's first evaluation.
+        Each has the node's leading axes, and a class axis of 1 when the fold
+        has width 1 and meets a `width` class vector.  The table is computed
+        on the node's first evaluation.
         """
         table = self.plan.folds.get(node.uid)
         if table is None:
             table = self.plan.folds[node.uid] = self.fold_table(node)
         _, key, axis, _ = node.data
-        draw = self.draws[key]
-        lead = _on_axis(len(draw), axis, node.depth)
-        rows = table[draw]
-        if node.kind == "fold":
-            return rows.reshape(lead + rows.shape[1:])
-        return tuple(rows[:, i].reshape(lead + rows.shape[2:]) for i in range(3))
+        rows = table[self.draws[key]]
+        shape = (_on_axis(len(rows), axis, node.depth) + rows.shape[2:]
+                 + (1,) * (node.width == 1 and width > 1))
+        return tuple(rows[:, i].reshape(shape) for i in range(3))
 
     def fold_table(self, node: Node) -> np.ndarray:
-        """A fold's formula, or an andfold's `conj_parts`, once over its quantifier's whole domain.
+        """A fold's `conj_parts`, once over its quantifier's whole domain.
 
-        One row per domain row; an andfold's row holds its three values on axis 1.
+        One row per domain row, holding the three sums on axis 1.
         """
         names, key, axis, axiom = node.data
         domain = self.plan.samplers[key].domain
         n = domain.cardinality
         env = {v: (col.take(np.arange(n)), axis)
                for v, col in zip(names, domain.columns) if v in node.fv}
-        ev = _Evaluator(self.plan, {}, axiom=axiom)
-        if node.kind == "fold":
-            table = ev.formula(node.kids[0], env).data
-            return table.reshape((n,) + table.shape[node.depth:])
-        parts = L.conj_parts(*[_with_classes(ev.formula(k, env), k.width, node.width)
-                               for k in node.kids])
+        parts = L.conj_parts(*_Evaluator(self.plan, {}, axiom=axiom).operands(
+            node.kids, env, node.width))
         return np.stack([p.reshape((n,) + p.shape[node.depth:]) for p in parts], axis=1)
 
     def loss(self, node: Node, env: dict, lead: tuple = (), classes: int = 1) -> Tensor:
@@ -715,23 +700,31 @@ def _symbols(node: Node):
         yield from _symbols(kid)
 
 
+def _pass(plan: Plan, draws: dict | None, roots: list, loss: bool) -> CompiledBatch:
+    """Each axiom's logit, or with `loss` its fused loss, on `draws` or a new draw.
+
+    Raises NonFiniteLogit at the first axiom whose result is not finite.
+    """
+    ev = _Evaluator(plan, plan.draw() if draws is None else draws)
+    ev.batch(roots, {})
+    per_axiom: dict[str, Tensor] = {}
+    for name, node in roots:
+        ev.axiom = name
+        out = ev.loss(node, {}) if loss else ev.formula(node, {})
+        while not loss and out.data.ndim >= 1:  # vector-valued roots conjoin componentwise
+            out = L.conj_reduce(out, axis=-1)
+        if not np.isfinite(out.data):
+            raise NonFiniteLogit(f"axiom {name!r} produced a non-finite "
+                                 f"{'loss' if loss else 'logit'}")
+        per_axiom[name] = out
+    return CompiledBatch(None, per_axiom, ev.symbol_outputs)
+
+
 def evaluate(plan: Plan, draws: dict | None = None) -> CompiledBatch:
     """Forward pass; index quantifiers span their sort, datasets use draws."""
-    if draws is None:
-        draws = plan.draw()
-    ev = _Evaluator(plan, draws)
-    ev.batch(plan.roots, {})
-    per_axiom: dict[str, Tensor] = {}
-    for name, node in plan.roots:
-        ev.axiom = name
-        root = ev.formula(node, {})
-        while root.data.ndim >= 1:  # vector-valued axiom roots conjoin componentwise
-            root = L.conj_reduce(root, axis=-1)
-        if not np.isfinite(root.data):
-            raise NonFiniteLogit(f"axiom {name!r} produced a non-finite logit")
-        per_axiom[name] = root
-    root = L.conj(*per_axiom.values()) if per_axiom else None
-    return CompiledBatch(root, per_axiom, draws, ev.symbol_outputs)
+    batch = _pass(plan, draws, plan.roots, loss=False)
+    batch.root = L.conj(*batch.per_axiom.values()) if batch.per_axiom else None
+    return batch
 
 
 def _classifier(node: Node) -> Node | None:
@@ -803,22 +796,13 @@ class FusedPlan:
 
     def evaluate(self, draws: dict | None = None,
                  active_axioms: set[str] | None = None) -> tuple[Tensor, CompiledBatch]:
-        if draws is None:
-            draws = self.plan.draw()
         roots = [(name, node) for name, node in self.plan.roots
                  if active_axioms is None or name in active_axioms]
-        ev = _Evaluator(self.plan, draws)
-        ev.batch(roots, {})
+        batch = _pass(self.plan, draws, roots, loss=True)
         total = Tensor(0.0)
-        per_axiom: dict[str, Tensor] = {}
-        for name, node in roots:
-            ev.axiom = name
-            part = ev.loss(node, {})
-            if not np.isfinite(part.data):
-                raise NonFiniteLogit(f"axiom {name!r} produced a non-finite loss")
-            per_axiom[name] = part
+        for part in batch.per_axiom.values():
             total = T.add(total, part)
-        return total, CompiledBatch(None, per_axiom, draws, ev.symbol_outputs)
+        return total, batch
 
 
 def fuse_loss(plan: Plan) -> FusedPlan:
@@ -843,8 +827,8 @@ def explain(plan: Plan) -> str:
         if kind in ("index", "sample"):
             how = f"exhaustive 0..{node.data[1] - 1}" if kind == "index" else "sampled"
             text = f"forall {', '.join(src.vars)} in {src.domain} [{how}]"
-        elif kind in ("fold", "andfold"):  # data[1] is the sampler key, which ends with the domain
-            what = "fold" if kind == "fold" else f"fold of {len(kids)} conjuncts"
+        elif kind == "fold":  # data[1] is the sampler key, which ends with the domain
+            what = "fold" if len(kids) == 1 else f"fold of {len(kids)} conjuncts"
             text = f"{what} [computed once over {node.data[1][-1]}, gathered by the draw]"
         elif kind == "and":
             text = f"and of {len(kids)}"

@@ -324,8 +324,8 @@ def _load_column(path: str, sort: SortDecl) -> np.ndarray:
         table = load_csv_table(path)
     except Exception as e:  # noqa: BLE001 - surface as a typed load error
         raise DataLoadError(f"{path}: {e}") from e
-    if sort.is_index:
-        return table.reshape(-1)
+    if sort.is_index:  # one id per row; another column count is rejected in bind_theory
+        return table[:, 0] if table.shape[1] == 1 else table
     if table.shape[1] != sort.dim:
         raise DataLoadError(f"{path}: expected {sort.dim} columns, got {table.shape[1]}")
     return table
@@ -408,6 +408,9 @@ def bind_theory(
             elif arr.shape[0] != n:
                 raise DataLoadError(f"{d.name}: column lengths differ")
             if sort.is_index:
+                if arr.ndim != 1:
+                    raise DataLoadError(f"{d.name}: column {i} (sort {sort_name}) must hold one "
+                                        f"id per row, got shape {arr.shape}")
                 cols.append(Column(_index_ids(f"{d.name}: column {i}", sort, arr), sort_name))
             else:
                 if arr.ndim != 2 or arr.shape[1] != sort.dim:

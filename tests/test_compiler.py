@@ -126,7 +126,7 @@ class TestLowering:
         (lambda: _lowered("exists x: D . P(x)"),
          ("not", ("index", ("not", "rel")))),
         (lambda: _relations_plan().roots[0][1],  # the ten guards as one fold, then vrd(f, s, o)
-         ("sample", ("select", ("and", "andfold", "rel")))),
+         ("sample", ("select", ("and", "fold", "rel")))),
     ], ids=["or", "implies", "conjunctive_implies", "exists", "relations_labels"])
     def test_lowers_to_the_core(self, root, skeleton):
         assert _skeleton(root()) == skeleton
@@ -186,13 +186,17 @@ class TestEvaluate:
         grid_logit = ref.implies(ref.conj([pi_val, pi_val]), pi_val)
         assert root == pytest.approx(ref.conj([grid_logit] * 1000), abs=1e-6)
 
-    def test_non_finite_detection(self):
+    @pytest.mark.parametrize("run, what", [
+        (evaluate, "logit"),
+        (lambda plan: fuse_loss(plan).evaluate(), "loss"),
+    ], ids=["evaluate", "fused"])
+    def test_non_finite_detection(self, run, what):
         th = check_theory(parse_theory(
             "sort D card 2;\nrel P : D extern P;\naxiom a : forall x: D . P(x);"))
         interp = bind_theory(th, externs={"P": lambda i: np.array([np.nan, 1.0])[i]})
         plan = compile(th, interp)
-        with pytest.raises(NonFiniteLogit):
-            evaluate(plan)
+        with pytest.raises(NonFiniteLogit, match=f"axiom 'a' produced a non-finite {what}"):
+            run(plan)
 
 
 class TestScalarOracleEquivalence:
@@ -344,8 +348,8 @@ class TestScores:
 
 
 def _folds(node):
-    """The fold and andfold nodes of a lowered tree."""
-    out = [node] if node.kind in ("fold", "andfold") else []
+    """The fold nodes of a lowered tree."""
+    out = [node] if node.kind == "fold" else []
     for kid in node.kids:
         out += _folds(kid)
     return out
@@ -392,7 +396,7 @@ class TestFold:
         plan = self._relations_plan(batch_size=16, seed=2)
         (_, root), = plan.roots
         (group,) = _folds(root)  # the ten guards as one, beside the unfolded vrd(f, s, o)
-        assert group.kind == "andfold" and len(group.kids) == 10
+        assert group.kind == "fold" and len(group.kids) == 10
         assert "vrd" not in compiler._symbols(group)
         _assert_fold_is_exact(plan, 20)
         assert list(plan.folds) == [group.uid]
@@ -511,10 +515,11 @@ def _forward_and_backward(plan, draws):
 
 
 def _flat(node):
-    """A grouped tree rebuilt as it lowered before grouping, in place: each
-    andfold's conjuncts go back among their `and`'s operands, each in a fold
-    of its own.  Uids follow the source order, so sorting by uid restores it."""
-    if node.kind == "and" and node.kids[0].kind == "andfold":
+    """A grouped tree rebuilt as it lowered before grouping, in place: the
+    conjuncts of each `and`'s first fold go back among its operands, each in
+    a fold of its own.  Uids follow the source order, so sorting by uid
+    restores it."""
+    if node.kind == "and" and node.kids[0].kind == "fold":
         group, *others = node.kids
         folds = [compiler.Node("fold", 10_000 + k.uid, k.fv, k.width, (k,), group.data, True,
                                k.depth) for k in group.kids]
@@ -548,9 +553,9 @@ class TestGroupedFold:
     REGIMES = {"exact": (0.0, 0.0, 1.0, -1.5), "mixed": (40.0, 15.5, 3.0, 25.0),
                "stable": (40.0, 20.0, 1.0, 25.0)}
 
-    def _plan(self, regime, batch_size=None):
+    def _plan(self, regime, batch_size=None, src=None):
         bias, g0, slope, h0 = self.REGIMES[regime]
-        th = check_theory(parse_theory(self.SRC))
+        th = check_theory(parse_theory(src or self.SRC))
         rng = np.random.default_rng(7)
         columns = (rng.normal(size=(9, 3)), rng.integers(4, size=9), rng.integers(3, size=9))
         externs = {"g": lambda r: slope * r[..., 0] + g0,
@@ -562,11 +567,11 @@ class TestGroupedFold:
     def test_lowering(self):
         *_, plan = self._plan("exact")
         roots = dict(plan.roots)
-        assert _skeleton(roots["labels"]) == ("sample", ("select", ("and", "andfold", "rel")))
-        assert _skeleton(roots["narrow"]) == ("sample", ("select", ("and", "andfold", "rel")))
+        assert _skeleton(roots["labels"]) == ("sample", ("select", ("and", "fold", "rel")))
+        assert _skeleton(roots["narrow"]) == ("sample", ("select", ("and", "fold", "rel")))
         # the loss splits the root and: one fold per conjunct, as without grouping
         assert _skeleton(roots["rules"]) == (
-            "sample", ("and", "fold", "fold", ("not", ("and", "andfold", "rel", ("not", "rel")))))
+            "sample", ("and", "fold", "fold", ("not", ("and", "fold", "rel", ("not", "rel")))))
         group = roots["labels"].kids[0].kids[1].kids[0]
         assert [k.width for k in group.kids] == [1, 3, 1] and group.fv == ("a", "r")
 
@@ -598,9 +603,31 @@ class TestGroupedFold:
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
             _assert_fold_is_exact(grouped, 1)
 
+    # one static operand, second in the source, and a root conjunction the
+    # loss splits whose first operand folds alone beside a class vector
+    LONE = SRC[:SRC.index("axiom labels")] + """
+        axiom lone : forall (r, a, y): Train . pi[y](C(r, a) & g(r));
+        axiom first : forall (r, a, y): Train . g(r) & C(r, a);
+    """
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_lone_static_operand_is_a_fold_placed_first(self, regime):
+        th, interp, plan = self._plan(regime, src=self.LONE)
+        roots = dict(plan.roots)
+        assert _skeleton(roots["lone"]) == ("sample", ("select", ("and", "fold", "rel")))
+        assert _skeleton(roots["first"]) == ("sample", ("and", "fold", "rel"))
+        group = roots["lone"].kids[0].kids[1].kids[0]
+        assert [k.width for k in group.kids] == [1] and group.width == 3
+        assert evaluate(plan).root.item() == pytest.approx(ref.root_logit(th, interp), rel=1e-9)
+        assert plan.folds[group.uid].shape == (9, 3, 1)  # g(r) spreads to C's 3 when gathered
+        assert plan.folds[roots["first"].kids[0].kids[0].uid].shape == (9, 3)
+        report = T.grad_check(lambda: fuse_loss(plan).evaluate()[0], plan.parameters)
+        assert report.passed, report
+        _assert_fold_is_exact(self._plan(regime, batch_size=4, src=self.LONE)[2], 3)
+
     def test_inner_group_keeps_outer_folds_apart(self):
         # the inner quantifier groups p(v), q(v); the outer one then folds
-        # p(u) and q(u) one by one, so the and holds a single andfold, first
+        # p(u) and q(u) one by one, so the and holds a single grouped fold, first
         th = check_theory(parse_theory("""
             sort Row dim 3;
             rel M : Row x Row mlp 4 act tanh;
@@ -617,7 +644,7 @@ class TestGroupedFold:
         plan = compile(th, interp)
         (_, root), = plan.roots
         assert _skeleton(root) == (
-            "sample", ("not", ("sample", ("not", ("and", "andfold", "rel", "fold", "fold")))))
+            "sample", ("not", ("sample", ("not", ("and", "fold", "rel", "fold", "fold")))))
         assert evaluate(plan).root.item() == pytest.approx(ref.root_logit(th, interp), rel=1e-9)
         _assert_fold_is_exact(compile(th, interp, batch_size=3, seed=2), 4)
 

@@ -87,6 +87,21 @@ class TestBindTheory:
         assert column.values.dtype == np.int64 and column.values.tolist() == [0, 2, 1]
 
 
+    def test_index_column_of_two_ids_per_row_is_a_load_error(self):
+        # flattened, this 2 x 2 table would bind the 4 rows [0 1 2 0]
+        th = check_theory(parse_theory(self.IDS % "mem"))
+        match = "Train: column 0 (sort K) must hold one id per row, got shape (2, 2)"
+        with pytest.raises(DataLoadError, match=re.escape(match)):
+            bind_theory(th, data={"Train": (np.array([[0, 1], [2, 0]]),)})
+
+    def test_index_file_of_two_columns_is_a_load_error(self, tmp_path):
+        (tmp_path / "k.csv").write_text("k,j\n0,1\n2,0\n")
+        th = check_theory(parse_theory(self.IDS % "k.csv"))
+        match = "Train: column 0 (sort K) must hold one id per row, got shape (2, 2)"
+        with pytest.raises(DataLoadError, match=re.escape(match)):
+            bind_theory(th, data_dir=str(tmp_path))
+
+
 class TestEvalSymbol:
     def test_extern_modular_add(self):
         th = check_theory(parse_theory(

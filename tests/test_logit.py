@@ -114,23 +114,32 @@ class TestConj:
     @pytest.mark.parametrize("low", [-3.0, 14.0, 16.0], ids=["exact", "mixed", "stable"])
     def test_resuming_from_parts_is_bit_identical(self, low):
         # constant operands (one width-1 beside width-4 ones) summed once, then
-        # resumed with a learned operand, against one flat conjunction
+        # resumed with the rest, against one flat conjunction: parts of the
+        # first one or of all three, then one or two learned operands
         rng = np.random.default_rng(5)
-        first = [rng.uniform(low, low + 4, size=(6, 1)), rng.uniform(low, low + 4, size=(6, 4)),
-                 rng.uniform(low, low + 4, size=(6, 4))]
-        p = Parameter("p", rng.uniform(low, low + 4, size=(6, 4)))
-        stable = np.minimum.reduce(np.broadcast_arrays(*first, p.value)) > L.STABLE_MIN
-        assert (stable.any(), stable.all()) == (low > 0, low > L.STABLE_MIN)
-        results = []
-        for resume in (True, False):
-            p.zero_grad()
-            with Tape():
-                out = conj(p, parts=L.conj_parts(*first)) if resume else conj(*first, p)
-                backward(T.reduce_sum(out))
-            results.append((out.data, p.grad.copy()))
-        (got, got_grad), (want, want_grad) = results
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got_grad, want_grad)
+        consts = [rng.uniform(low, low + 4, size=(6, 1)), rng.uniform(low, low + 4, size=(6, 4)),
+                  rng.uniform(low, low + 4, size=(6, 4))]
+        params = [Parameter(f"p{i}", rng.uniform(low, low + 4, size=(6, 4))) for i in range(2)]
+        for split, learned in [(3, 1), (1, 1), (3, 2), (1, 2)]:
+            first, ps = consts[:split], params[:learned]
+            rest = [*consts[split:], *ps]
+            stable = np.minimum.reduce(np.broadcast_arrays(*consts, *(p.value for p in ps)))
+            stable = stable > L.STABLE_MIN
+            assert (stable.any(), stable.all()) == (low > 0, low > L.STABLE_MIN)
+            results = []
+            for resume in (True, False):
+                for p in ps:
+                    p.zero_grad()
+                with Tape():
+                    out = (conj(*rest, parts=L.conj_parts(*first)) if resume
+                           else conj(*first, *rest))
+                    backward(T.reduce_sum(out))
+                results.append((out.data, [p.grad.copy() for p in ps]))
+            (got, got_grads), (want, want_grads) = results
+            case = f"parts of {split}, {learned} learned"
+            np.testing.assert_array_equal(got, want, err_msg=case)
+            for got_grad, want_grad in zip(got_grads, want_grads):
+                np.testing.assert_array_equal(got_grad, want_grad, err_msg=case)
 
 class TestDisjImplies:
     def test_three_quarters(self):

@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["relations-knowledge", "oracle-agreement"])
+@pytest.mark.parametrize("workload", ["digit-triples", "relations-knowledge", "oracle-agreement"])
 def test_benchmark_checks_pass(workload):
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1",
