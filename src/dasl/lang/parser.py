@@ -9,6 +9,8 @@ checker later validates symbol kinds.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+
 from .ast import (
     And,
     ArithExpr,
@@ -37,7 +39,7 @@ from .ast import (
     Theory,
     Variable,
 )
-from .lexer import Token, tokenize
+from .lexer import Token, scan, tokenize
 
 
 class ParseError(Exception):
@@ -48,82 +50,97 @@ class ParseError(Exception):
         self.expected = expected
 
 
-def _as_formula(node: Term | Formula, tok: Token | None) -> Formula:
-    if isinstance(node, Formula):
-        return node
-    if isinstance(node, FuncApp):
-        return RelApp(node.symbol, node.args)
-    if isinstance(node, Variable):
-        # bare name in formula position: 0-ary relation or boolvec constant;
-        # the checker disambiguates
-        return RelApp(node.name, ())
-    raise ParseError(tok, "a formula (got an arithmetic term)")
-
-
-def _as_term(node: Term | Formula, tok: Token | None) -> Term:
-    if isinstance(node, Term):
-        return node
-    if isinstance(node, RelApp):
-        return FuncApp(node.symbol, node.args) if node.args else Variable(node.symbol)
-    raise ParseError(tok, "a term")
+# the largest integer literal: every count and index fits a signed 64-bit int
+INT_MAX = 2**63 - 1
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Recursive descent over parallel lists of token kinds and texts.
+
+    `kinds` ends in a None sentinel, so a lookahead at the end of input
+    needs no bounds test.  Positions are looked up only for an error:
+    `tokens()` gives the token list they come from.
+    """
+
+    def __init__(self, kinds: list[str], texts: list[str],
+                 tokens: Callable[[], Sequence[Token]]):
+        self.kinds = [*kinds, None]
+        self.texts = texts
         self.tokens = tokens
         self.pos = 0
 
     # -- token helpers
 
-    def peek(self, kind: str | None = None) -> Token | None:
-        tok = self.tokens[self.pos] if self.pos < len(self.tokens) else None
-        if kind is not None:
-            return tok if tok is not None and tok.kind == kind else None
-        return tok
+    def error(self, pos: int, expected: str) -> ParseError:
+        tokens = self.tokens()
+        return ParseError(tokens[pos] if pos < len(tokens) else None, expected)
 
-    def next(self) -> Token | None:
-        tok = self.peek()
-        if tok is not None:
+    def expect(self, kind: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.error(pos, repr(kind))
+        self.pos = pos + 1
+        return self.texts[pos]
+
+    def accept(self, kind: str) -> bool:
+        if self.kinds[self.pos] == kind:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            raise ParseError(tok, repr(kind))
-        self.pos += 1
-        return tok
+    def integer(self) -> int:
+        pos = self.pos
+        digits = self.expect("int").lstrip("0") or "0"
+        # the length test keeps int() off literals beyond its digit limit
+        if len(digits) > 19 or int(digits) > INT_MAX:
+            raise self.error(pos, f"an integer at most {INT_MAX}")
+        return int(digits)
 
-    def accept(self, kind: str) -> Token | None:
-        tok = self.peek()
-        if tok is not None and tok.kind == kind:
-            self.pos += 1
-            return tok
-        return None
+    # the position comes first, so `as_formula(self.pos, self.formula())`
+    # reads it before the node is parsed
+
+    def as_formula(self, pos: int, node: Term | Formula) -> Formula:
+        """node in formula position; an error names token pos."""
+        if isinstance(node, Formula):
+            return node
+        if isinstance(node, FuncApp):
+            return RelApp(node.symbol, node.args)
+        if isinstance(node, Variable):
+            # bare name in formula position: 0-ary relation or boolvec
+            # constant; the checker disambiguates
+            return RelApp(node.name, ())
+        raise self.error(pos, "a formula (got an arithmetic term)")
+
+    def as_term(self, pos: int, node: Term | Formula) -> Term:
+        """node in term position; an error names token pos."""
+        if isinstance(node, Term):
+            return node
+        if isinstance(node, RelApp):
+            return FuncApp(node.symbol, node.args) if node.args else Variable(node.symbol)
+        raise self.error(pos, "a term")
 
     # -- statements
 
     def theory(self) -> Theory:
         sorts, consts, funcs, rels = [], [], [], []
         boolvecs, datasets, axioms = [], [], []
-        while self.peek() is not None:
-            tok = self.peek()
-            if tok.kind == "sort":
+        while (kind := self.kinds[self.pos]) is not None:
+            if kind == "sort":
                 sorts.append(self.sort_decl())
-            elif tok.kind == "const":
+            elif kind == "const":
                 consts.append(self.const_decl())
-            elif tok.kind == "func":
+            elif kind == "func":
                 funcs.append(self.func_decl())
-            elif tok.kind == "rel":
+            elif kind == "rel":
                 rels.append(self.rel_decl())
-            elif tok.kind == "boolvec":
+            elif kind == "boolvec":
                 boolvecs.append(self.boolvec_decl())
-            elif tok.kind == "data":
+            elif kind == "data":
                 datasets.append(self.data_decl())
-            elif tok.kind == "axiom":
+            elif kind == "axiom":
                 axioms.append(self.axiom_decl())
             else:
-                raise ParseError(tok, "a declaration keyword")
+                raise self.error(self.pos, "a declaration keyword")
         return Theory(
             sorts=tuple(sorts),
             consts=tuple(consts),
@@ -136,103 +153,106 @@ class _Parser:
 
     def sort_decl(self) -> SortDecl:
         self.expect("sort")
-        name = self.expect("ident").text
+        name = self.expect("ident")
         card = dim = None
         if self.accept("card"):
-            card = int(self.expect("int").text)
+            card = self.integer()
         if self.accept("dim"):
-            dim = int(self.expect("int").text)
+            dim = self.integer()
         if card is None and dim is None:
-            raise ParseError(self.peek(), "'card' or 'dim'")
+            raise self.error(self.pos, "'card' or 'dim'")
         self.expect(";")
         return SortDecl(name, card, dim)
 
     def const_decl(self) -> ConstDecl:
         self.expect("const")
-        name = self.expect("ident").text
+        name = self.expect("ident")
         self.expect(":")
-        sort = self.expect("ident").text
-        learned = self.accept("learned") is not None
+        sort = self.expect("ident")
+        learned = self.accept("learned")
         self.expect(";")
         return ConstDecl(name, sort, learned)
 
     def _sort_list(self) -> tuple[str, ...]:
-        names = [self.expect("ident").text]
+        names = [self.expect("ident")]
         # 'x' separates sorts; it lexes as a plain identifier
-        while (tok := self.peek("ident")) is not None and tok.text == "x":
-            self.next()
-            names.append(self.expect("ident").text)
+        while self.kinds[self.pos] == "ident" and self.texts[self.pos] == "x":
+            self.pos += 1
+            names.append(self.expect("ident"))
         return tuple(names)
 
     def _binding(self):
         if self.accept("mlp"):
-            hidden = [int(self.expect("int").text)]
+            hidden = [self.integer()]
             while self.accept(","):
-                hidden.append(int(self.expect("int").text))
+                hidden.append(self.integer())
             act = "relu"
             if self.accept("act"):
-                act = self.expect("ident").text
+                act = self.expect("ident")
             return MlpSpec(tuple(hidden), act)
         if self.accept("extern"):
-            return ExternRef(self.expect("ident").text)
-        raise ParseError(self.peek(), "'mlp' or 'extern'")
+            return ExternRef(self.expect("ident"))
+        raise self.error(self.pos, "'mlp' or 'extern'")
 
     def func_decl(self) -> FuncDecl:
         self.expect("func")
-        name = self.expect("ident").text
+        name = self.expect("ident")
         self.expect(":")
         args = self._sort_list()
         self.expect("->")
-        result = self.expect("ident").text
+        result = self.expect("ident")
         binding = self._binding()
         self.expect(";")
         return FuncDecl(name, args, result, binding)
 
     def rel_decl(self) -> RelDecl:
         self.expect("rel")
-        name = self.expect("ident").text
+        name = self.expect("ident")
         self.expect(":")
         args: tuple[str, ...] = ()
-        if self.peek("ident"):
+        if self.kinds[self.pos] == "ident":
             args = self._sort_list()
         out = None
         if self.accept("out"):
-            out = int(self.expect("int").text)
+            out = self.integer()
         binding = self._binding()
         self.expect(";")
         return RelDecl(name, args, out, binding)
 
+    def bit(self) -> int:
+        pos = self.pos
+        bit = self.integer()
+        if bit not in (0, 1):
+            raise self.error(pos, "bits 0 or 1 in boolvec")
+        return bit
+
     def boolvec_decl(self) -> BoolVecDecl:
         self.expect("boolvec")
-        name = self.expect("ident").text
+        name = self.expect("ident")
         self.expect(":")
         self.expect("[")
-        bits = [int(self.expect("int").text)]
+        bits = [self.bit()]
         while self.accept(","):
-            bits.append(int(self.expect("int").text))
+            bits.append(self.bit())
         self.expect("]")
         self.expect(";")
-        for b in bits:
-            if b not in (0, 1):
-                raise ParseError(self.peek(), "bits 0 or 1 in boolvec")
         return BoolVecDecl(name, tuple(bits))
 
     def data_decl(self) -> DataDecl:
         self.expect("data")
-        name = self.expect("ident").text
+        name = self.expect("ident")
         self.expect(":")
         cols = self._sort_list()
         self.expect("from")
-        source = self.expect("string").text
+        source = self.expect("string")
         self.expect(";")
         return DataDecl(name, cols, source)
 
     def axiom_decl(self) -> AxiomDecl:
         self.expect("axiom")
-        name = self.expect("ident").text
+        name = self.expect("ident")
         self.expect(":")
-        tok = self.peek()
-        formula = _as_formula(self.formula(), tok)
+        formula = self.as_formula(self.pos, self.formula())
         self.expect(";")
         return AxiomDecl(name, formula)
 
@@ -242,139 +262,134 @@ class _Parser:
         return self.implies()
 
     def implies(self):
-        tok = self.peek()
+        pos = self.pos
         lhs = self.disjunction()
         if self.accept("->"):
-            rhs_tok = self.peek()
+            rhs_pos = self.pos
             rhs = self.implies()  # right-associative
-            return Implies(_as_formula(lhs, tok), _as_formula(rhs, rhs_tok))
+            return Implies(self.as_formula(pos, lhs), self.as_formula(rhs_pos, rhs))
         return lhs
 
     def disjunction(self):
-        tok = self.peek()
+        pos = self.pos
         first = self.conjunction()
-        if not self.peek("|"):
+        if self.kinds[self.pos] != "|":
             return first
-        items = [_as_formula(first, tok)]
+        items = [self.as_formula(pos, first)]
         while self.accept("|"):
-            t = self.peek()
-            items.append(_as_formula(self.conjunction(), t))
+            items.append(self.as_formula(self.pos, self.conjunction()))
         return Or(tuple(items))
 
     def conjunction(self):
-        tok = self.peek()
+        pos = self.pos
         first = self.unary()
-        if not self.peek("&"):
+        if self.kinds[self.pos] != "&":
             return first
-        items = [_as_formula(first, tok)]
+        items = [self.as_formula(pos, first)]
         while self.accept("&"):
-            t = self.peek()
-            items.append(_as_formula(self.unary(), t))
+            items.append(self.as_formula(self.pos, self.unary()))
         return And(tuple(items))
 
     def unary(self):
-        if self.accept("~"):
-            tok = self.peek()
-            return Not(_as_formula(self.unary(), tok))
-        if self.peek("forall") or self.peek("exists"):
+        kind = self.kinds[self.pos]
+        if kind == "~":
+            self.pos += 1
+            return Not(self.as_formula(self.pos, self.unary()))
+        if kind == "forall" or kind == "exists":
             return self.quantifier()
         return self.equality()
 
     def quantifier(self):
-        kw = self.next()
+        cls = Forall if self.kinds[self.pos] == "forall" else Exists
+        self.pos += 1
         if self.accept("("):
-            names = [self.expect("ident").text]
+            names = [self.expect("ident")]
             while self.accept(","):
-                names.append(self.expect("ident").text)
+                names.append(self.expect("ident"))
             self.expect(")")
         else:
-            names = [self.expect("ident").text]
+            names = [self.expect("ident")]
         self.expect(":")
-        domain = self.expect("ident").text
+        domain = self.expect("ident")
         self.expect(".")
-        tok = self.peek()
-        body = _as_formula(self.formula(), tok)
-        cls = Forall if kw.kind == "forall" else Exists
+        body = self.as_formula(self.pos, self.formula())
         return cls(tuple(names), domain, body)
 
     def equality(self):
-        tok = self.peek()
+        pos = self.pos
         lhs = self.arith()
         if self.accept("="):
-            rhs_tok = self.peek()
+            rhs_pos = self.pos
             rhs = self.arith()
-            return Equals(_as_term(lhs, tok), _as_term(rhs, rhs_tok))
+            return Equals(self.as_term(pos, lhs), self.as_term(rhs_pos, rhs))
         return lhs
 
     def arith(self):
-        tok = self.peek()
+        pos = self.pos
         node = self.primary()
-        while True:
-            if self.accept("+"):
-                rhs = _as_term(self.primary(), self.peek())
-                node = ArithExpr("add", (_as_term(node, tok), rhs))
-            elif self.accept("mod"):
-                rhs = _as_term(self.primary(), self.peek())
-                node = ArithExpr("mod", (_as_term(node, tok), rhs))
-            else:
-                return node
+        while (kind := self.kinds[self.pos]) == "+" or kind == "mod":
+            self.pos += 1
+            rhs = self.primary()
+            # a bad right operand is reported at the token after it
+            rhs = self.as_term(self.pos, rhs)
+            node = ArithExpr("add" if kind == "+" else "mod", (self.as_term(pos, node), rhs))
+        return node
 
     def primary(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(None, "a term or formula")
-        if self.accept("true"):
-            return BoolConst(True)
-        if self.accept("false"):
-            return BoolConst(False)
-        if tok.kind == "int":
-            self.next()
-            return IntLiteral(int(tok.text))
-        if self.accept("pi"):
-            self.expect("[")
-            itok = self.peek()
-            index = _as_term(self.formula(), itok)
-            self.expect("]")
-            self.expect("(")
-            vtok = self.peek()
-            vector = _as_formula(self.formula(), vtok)
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "ident":
+            self.pos = pos + 1
+            if self.kinds[pos + 1] != "(":
+                return Variable(self.texts[pos])
+            self.pos += 1
+            args: list[Term] = []
+            if self.kinds[self.pos] != ")":
+                args.append(self.as_term(pos + 2, self.formula()))
+                while self.accept(","):
+                    args.append(self.as_term(self.pos, self.formula()))
             self.expect(")")
-            return SoftSelect(index, vector)
-        if self.accept("("):
+            # neutral application; position decides RelApp vs FuncApp
+            return FuncApp(self.texts[pos], tuple(args))
+        if kind == "(":
+            self.pos += 1
             inner = self.formula()
             self.expect(")")
             return inner
-        if tok.kind == "ident":
-            self.next()
-            if self.accept("("):
-                args: list[Term] = []
-                if not self.peek(")"):
-                    atok = self.peek()
-                    args.append(_as_term(self.formula(), atok))
-                    while self.accept(","):
-                        atok = self.peek()
-                        args.append(_as_term(self.formula(), atok))
-                self.expect(")")
-                # neutral application; position decides RelApp vs FuncApp
-                return FuncApp(tok.text, tuple(args))
-            return Variable(tok.text)
-        raise ParseError(tok, "a term or formula")
+        if kind == "int":
+            return IntLiteral(self.integer())
+        if kind == "true" or kind == "false":
+            self.pos += 1
+            return BoolConst(kind == "true")
+        if kind == "pi":
+            self.pos += 1
+            self.expect("[")
+            index = self.as_term(self.pos, self.formula())
+            self.expect("]")
+            self.expect("(")
+            vector = self.as_formula(self.pos, self.formula())
+            self.expect(")")
+            return SoftSelect(index, vector)
+        raise self.error(pos, "a term or formula")
+
+
+def _parser(source: str) -> _Parser:
+    kinds, texts, _ = scan(source)
+    return _Parser(kinds, texts, lambda: tokenize(source))
 
 
 def parse_theory(source_or_tokens) -> Theory:
     """Parse a full theory file (string or token list) into an AST."""
-    tokens = source_or_tokens
-    if isinstance(tokens, str):
-        tokens = tokenize(tokens)
-    return _Parser(tokens).theory()
+    if isinstance(source_or_tokens, str):
+        return _parser(source_or_tokens).theory()
+    tokens = list(source_or_tokens)
+    return _Parser([t.kind for t in tokens], [t.text for t in tokens], lambda: tokens).theory()
 
 
 def parse_formula(source: str) -> Formula:
     """Parse a single formula; used by tests and the oracle generator."""
-    tokens = tokenize(source)
-    p = _Parser(tokens)
-    tok = p.peek()
-    f = _as_formula(p.formula(), tok)
-    if p.peek() is not None:
-        raise ParseError(p.peek(), "end of formula")
+    p = _parser(source)
+    f = p.as_formula(0, p.formula())
+    if p.kinds[p.pos] is not None:
+        raise p.error(p.pos, "end of formula")
     return f

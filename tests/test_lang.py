@@ -1,8 +1,16 @@
 """Lexer, parser, checker, printer, and structural-operation tests."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _lex_ref
+from dasl import experiments, gradcheck, lang
+from dasl.cli import main
 from dasl.lang import (
     And,
     ArithExpr,
@@ -54,8 +62,10 @@ class TestTokenize:
         assert (toks[1].line, toks[1].col) == (2, 2)
 
     def test_illegal_character(self):
-        with pytest.raises(LexError):
-            tokenize("P(c) $")
+        # '->' is the only token with '-', so a lone '-' is illegal
+        for source, col in (("P(c) $", 6), ("a - b", 3)):
+            with pytest.raises(LexError, match=f"^1:{col}: illegal character"):
+                tokenize(source)
 
     def test_arrow_vs_minus(self):
         assert [t.kind for t in tokenize("a -> b")] == ["ident", "->", "ident"]
@@ -109,19 +119,7 @@ class TestParse:
             parse_theory("axiom a P(c);")
 
     def test_statement_forms(self):
-        th = parse_theory("""
-            sort D card 3;
-            sort Image dim 784;
-            sort E card 5 dim 8;
-            const c : D;
-            const e : E learned;
-            func f : D x D -> E mlp 4,3 act tanh;
-            rel P : D extern p;
-            rel digit : Image out 10 mlp 512 act sigmoid;
-            boolvec mask : [1, 0, 1];
-            data Pairs : Image x D from "a.csv,b.csv";
-            axiom a : forall x: D . P(x);
-        """)
+        th = parse_theory(STATEMENT_FORMS_SRC)
         assert th.sort("D").representation == "index-range"
         assert th.sort("Image").representation == "data-table"
         assert th.sort("E").representation == "embedding-table"
@@ -130,6 +128,20 @@ class TestParse:
         assert th.boolvec("mask").bits == (1, 0, 1)
         assert th.dataset("Pairs").column_sorts == ("Image", "D")
 
+
+STATEMENT_FORMS_SRC = """
+    sort D card 3;
+    sort Image dim 784;
+    sort E card 5 dim 8;
+    const c : D;
+    const e : E learned;
+    func f : D x D -> E mlp 4,3 act tanh;
+    rel P : D extern p;
+    rel digit : Image out 10 mlp 512 act sigmoid;
+    boolvec mask : [1, 0, 1];
+    data Pairs : Image x D from "a.csv,b.csv";
+    axiom a : forall x: D . P(x);
+"""
 
 THEORY_SRC = """
 sort D card 3;
@@ -260,3 +272,142 @@ class TestRoundTrip:
     def test_arith_round_trip(self):
         f = parse_formula("pi[(y1 + y2) mod 10](digit(x3))")
         assert parse_formula(print_formula(f)) == f
+
+
+class TestLexicalRules:
+    def test_integers_are_ascii_digits(self):
+        # '²' passes str.isdigit and '٣' (Arabic-Indic three) str.isdecimal
+        for digit in ("²", "٣"):
+            with pytest.raises(LexError) as e:
+                parse_theory(f"sort S card {digit};")
+            assert (e.value.line, e.value.col) == (1, 13)
+            assert str(e.value) == f"1:13: illegal character {digit!r}"
+
+    def test_identifier_rule(self):
+        # a word starts with a letter or '_', then letters, digits or '_'
+        assert [(t.kind, t.text) for t in tokenize("x² _a1 é٣ 3x")] == [
+            ("ident", "x²"), ("ident", "_a1"), ("ident", "é٣"), ("int", "3"), ("ident", "x")]
+        for source in ("²x", "½", "Ⅷ"):
+            with pytest.raises(LexError, match=r"1:1: illegal character"):
+                tokenize(source)
+
+    def test_cli_reports_the_position_of_a_non_ascii_digit(self, tmp_path, capsys):
+        theory = tmp_path / "bad.dasl"
+        theory.write_text("sort S card ²;\n", encoding="utf-8")
+        assert main(["compile", "--theory", str(theory)]) == 2
+        assert "1:13" in capsys.readouterr().err
+
+    def test_integer_literal_above_int64_is_a_parse_error(self):
+        src = "sort S card 3;\nrel P : S extern p;\naxiom a : forall x: S . P(x + {} mod 3);"
+        check_theory(parse_theory(src.format(2**63 - 1)))
+        with pytest.raises(ParseError) as e:
+            parse_theory(src.format("99999999999999999999999"))
+        assert str(e.value).startswith("3:31 at '99999999999999999999999': expected an integer")
+        for decl in ("sort S card {};", "sort S dim {};", "rel P : out {} mlp 2;",
+                     "rel P : mlp 2, {};", "boolvec b : [{}];"):
+            with pytest.raises(ParseError, match="expected an integer at most"):
+                parse_theory(decl.format(2**63))
+        # leading zeros do not count, and no literal is too long to read
+        assert parse_theory("sort S card 0007;").sorts[0].cardinality == 7
+        with pytest.raises(ParseError, match="expected an integer at most"):
+            parse_theory(f"sort S card {'9' * 5000};")
+
+    @pytest.mark.parametrize("tail", ["\nsort S card 3;", ""])
+    def test_boolvec_bit_error_is_at_the_bit(self, tail):
+        with pytest.raises(ParseError) as e:
+            parse_theory("boolvec b : [0, 2];" + tail)
+        assert str(e.value) == "1:17 at '2': expected bits 0 or 1 in boolvec"
+
+    def test_trailing_blanks_scan_in_linear_time(self):
+        # a search that failed in trailing blanks would restart at each one
+        source = "sort S card 3;" + " \n" * 200_000
+        assert lang.lexer.scan(source) == (["sort", "ident", "card", "int", ";"],
+                                           ["sort", "S", "card", "3", ";"], [0, 5, 7, 12, 13])
+        assert len(tokenize(source)) == 5
+
+
+def _lexed(tokenize_fn, source):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize_fn(source)]
+    except LexError as e:
+        return ("LexError", e.line, e.col, str(e))
+
+
+_FRAGMENTS = [
+    "sort", "card", "axiom", "forall", "mod", "pi", "x", "abc", "_a1", "é", "naïve", "Ω",
+    "x²", "a٣", "²", "٣", "½", "0", "12", "007", "->", "(", ")", "[", "]", ":", ";", ".",
+    ",", "&", "|", "~", "=", "+", "-", "$", "\x0c", '"a b"', '""', '"#x"', '"->"', '"abc',
+    '"', "# note", "#", " ", "\t", "\r", "\n",
+]
+
+
+class TestAgainstReferenceLexer:
+    @given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS),
+                              st.text(alphabet="ab1²٣-># \"\n\t;", max_size=4)),
+                    max_size=30))
+    @settings(max_examples=1500, deadline=None)
+    def test_token_stream_or_error_matches(self, parts):
+        source = "".join(parts)
+        assert _lexed(tokenize, source) == _lexed(_lex_ref.tokenize, source)
+
+    def test_every_theory_in_the_repo_parses_alike(self, monkeypatch):
+        sources = [gradcheck._LOGIC_SRC, STATEMENT_FORMS_SRC, THEORY_SRC,
+                   THEORY_SRC + "axiom a : forall x: D . P(x) & (forall x: D . R(x, f(x)));",
+                   THEORY_SRC + "axiom a : forall (row, k): Items . "
+                                "pi[k](classify(row) & (preds -> Q(k)));",
+                   THEORY_SRC + "axiom a : forall x: D . P(x) -> Q(x) | R(x, c);"]
+        seen = []
+
+        def spy(source):
+            seen.append(source)
+            return parse_theory(source)
+
+        monkeypatch.setattr(experiments, "parse_theory", spy)
+        monkeypatch.setattr(lang, "parse_theory", spy)  # default_signature imports it late
+        for knowledge in (True, False):
+            experiments.relations_theory(knowledge)
+            experiments.mnist_theory(knowledge)
+        default_signature()
+        assert len(seen) == 5
+        for source in seen + sources:
+            assert parse_theory(source) == parse_theory(_lex_ref.tokenize(source))
+
+    def test_random_formulas_parse_alike(self):
+        rng = np.random.default_rng(5)
+        sig = default_signature(4)
+        for _ in range(200):
+            source = f"axiom a : {print_formula(random_formula(sig, depth=4, rng=rng))};"
+            assert parse_theory(source) == parse_theory(_lex_ref.tokenize(source))
+
+
+class TestErrorPositions:
+    FIXTURE = Path(__file__).with_name("relations_parse_errors.json")
+
+    @staticmethod
+    def _outcome(source):
+        try:
+            parse_theory(source)
+        except ParseError as e:
+            return str(e)
+        return None
+
+    def test_relations_theory_errors_are_pinned(self):
+        """`str(ParseError)` as recorded before the scanner rewrite.
+
+        For the knowledge relations theory, cut after each token's end
+        (mostly 'end of input') and with each token blanked out (an error
+        at some line:col).
+        """
+        pinned = json.loads(self.FIXTURE.read_text(encoding="utf-8"))
+        source = pinned["source"]
+        tokens = _lex_ref.tokenize(source)
+        line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+        spans = []
+        for t in tokens:
+            start = line_starts[t.line - 1] + t.col - 1
+            spans.append((start, start + len(t.text) + 2 * (t.kind == "string")))
+        assert len(spans) == len(pinned["cut_after_token"]) == 657
+        assert [self._outcome(source[:end]) for _, end in spans] == pinned["cut_after_token"]
+        blanked = [self._outcome(source[:start] + " " * (end - start) + source[end:])
+                   for start, end in spans]
+        assert blanked == pinned["token_blanked"]
