@@ -52,6 +52,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.ntr < 1:
             raise ValueError("ntr must be >= 1")
+        if self.knowledge and self.triples_per_class < 1:
+            raise ValueError("triples_per_class must be >= 1 with knowledge on")
         if not self.seeds:
             raise ValueError("need at least one seed")
 
@@ -173,11 +175,11 @@ def run_mnist_once(
     theory = mnist_theory(config.knowledge, image_dim=images.shape[1])
     data = {"Labeled": (images[labeled_idx], labels[labeled_idx])}
     if config.knowledge:
-        unl_rows = images[~mask]
-        unl_labels = labels[~mask]
         per_class = min(config.triples_per_class,
-                        int(np.bincount(unl_labels, minlength=10).min()))
-        data["Triples"] = build_triples(unl_rows, unl_labels, per_class, seed=seed + 1)
+                        int(np.bincount(labels[~mask], minlength=10).min()))
+        # label -1 keeps the labeled rows out of every pool without copying the images
+        unlabeled = np.where(mask, -1, np.asarray(labels, dtype=np.int64))
+        data["Triples"] = build_triples(images, unlabeled, per_class, seed=seed + 1)
     interp = bind_theory(theory, data=data, seed=seed)
     plan = compile(theory, interp, batch_size=config.batch_size, seed=seed + 2)
     tconf = TrainConfig(

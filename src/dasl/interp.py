@@ -253,6 +253,7 @@ def build_triples(rows: np.ndarray, labels: np.ndarray, per_class: int, seed: in
     never labels.  Triples are ordered round-robin over the class of the
     third element, so any prefix of k*n_classes triples is class-balanced;
     images may repeat across triples, cycling through each class pool.
+    Rows whose label is outside [0, n_classes) are never chosen.
     """
     rng = np.random.default_rng(seed)
     labels = np.asarray(labels)
@@ -262,25 +263,23 @@ def build_triples(rows: np.ndarray, labels: np.ndarray, per_class: int, seed: in
         if len(pool) < max(per_class, 1):
             raise InsufficientClassCount(c)
         pools.append(rng.permutation(pool))
-    cursors = np.zeros(n_classes, dtype=np.int64)
-
-    def take(cls: int) -> int:
-        i = pools[cls][cursors[cls] % len(pools[cls])]
-        cursors[cls] += 1
-        return int(i)
-
-    i1, i2, i3 = [], [], []
-    for _ in range(per_class):
-        for c in range(n_classes):
-            y1 = int(rng.integers(n_classes))
-            y2 = (c - y1) % n_classes
-            i1.append(take(y1))
-            i2.append(take(y2))
-            i3.append(take(c))
-    sort = "Image"
+    # one draw of k values reads the generator as k scalar draws would
+    y1 = rng.integers(n_classes, size=per_class * n_classes)
+    y3 = np.tile(np.arange(n_classes), per_class)
+    # the classes asked for, in the order a loop over triples takes them;
+    # each request takes its class pool's next image, cycling through it
+    wanted = np.stack([y1, (y3 - y1) % n_classes, y3], axis=1).ravel()
+    # a request's cursor is the number of earlier requests for its class
+    order = np.argsort(wanted, kind="stable")
+    counts = np.bincount(wanted, minlength=n_classes)
+    cursor = np.empty_like(wanted)
+    cursor[order] = np.arange(len(wanted)) - np.repeat(np.cumsum(counts) - counts, counts)
+    sizes = np.array([len(p) for p in pools])
+    start = np.cumsum(sizes) - sizes
+    ids = np.concatenate(pools)[start[wanted] + cursor % sizes[wanted]]
     rows = np.asarray(rows, dtype=np.float64)
-    cols = tuple(Column(rows, sort, np.array(ids)) for ids in (i1, i2, i3))
-    return Domain("Triples", len(i1), cols)
+    cols = tuple(Column(rows, "Image", i) for i in ids.reshape(-1, 3).T.copy())
+    return Domain("Triples", len(y3), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +352,11 @@ def bind_theory(
 
     for s in theory.sorts:
         if s.representation == "index-range":
-            domains[s.name] = Domain(s.name, s.cardinality,
-                                     (Column(np.arange(s.cardinality), s.name),))
+            ids = np.arange(s.cardinality)
+            if len(ids) != s.cardinality:  # numpy gives an empty range near 2**63
+                raise DataLoadError(f"sort {s.name}: card {s.cardinality} is more ids "
+                                    f"than numpy can hold")
+            domains[s.name] = Domain(s.name, s.cardinality, (Column(ids, s.name),))
         elif s.representation == "embedding-table":
             param = Parameter(f"sort.{s.name}",
                               glorot_uniform(rng, s.cardinality, s.dim, (s.cardinality, s.dim)))

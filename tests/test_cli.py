@@ -270,3 +270,14 @@ class TestCompileTrainEval:
         code = main(["mnist", "--seeds", "1", "--iterations", "5",
                      "--data-dir", str(toy_dir / "nowhere")])
         assert code == 2
+
+    def test_mnist_rejects_an_empty_triples_budget_before_loading(self, toy_dir, capsys,
+                                                                   monkeypatch):
+        def load_mnist(data_dir):
+            raise AssertionError("data loaded before the config was checked")
+
+        monkeypatch.setattr("dasl.experiments.load_mnist", load_mnist)
+        code = main(["mnist", "--seeds", "1", "--iterations", "5", "--triples-per-class", "0",
+                     "--data-dir", str(toy_dir)])
+        assert code == 2
+        assert "triples_per_class must be >= 1" in capsys.readouterr().err

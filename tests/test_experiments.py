@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from dasl import experiments
 from dasl import logit as L
 from dasl.compiler import compile, scores
 from dasl.data import gen_synth_relations, spatial_predicate_externs, write_idx
@@ -25,7 +26,7 @@ from dasl.experiments import (
     summarize,
     write_results,
 )
-from dasl.interp import bind_theory
+from dasl.interp import bind_theory, build_triples
 from dasl.tensor import Tensor
 from dasl.train import TrainConfig, train
 
@@ -83,6 +84,42 @@ class TestMnistHarness:
         mask = np.zeros(len(labels), dtype=bool)
         mask[idx] = True
         assert not set(idx) & set(np.flatnonzero(~mask))
+
+    def test_triples_take_the_unlabeled_rows_in_place(self, monkeypatch):
+        # run_mnist_once hides the labeled rows behind label -1 instead of
+        # copying images[~mask]; both routes must take the same rows
+        images, labels = _fixture_digits(n_per_class=20, seed=2)
+        built = {}
+
+        def in_place(rows, labels, per_class, seed):
+            built["in_place"] = build_triples(rows, labels, per_class, seed)
+            return built["in_place"]
+
+        def copied(rows, labels, per_class, seed):
+            unlabeled = labels >= 0
+            built["copied"] = build_triples(rows[unlabeled], labels[unlabeled], per_class, seed)
+            return built["copied"]
+
+        config = ExperimentConfig(ntr=2, triples_per_class=6, seeds=(1,), iterations=20,
+                                  cadence=20, lr=1e-2, batch_size=16)
+        histories = {}
+        for name, route in (("in_place", in_place), ("copied", copied)):
+            monkeypatch.setattr(experiments, "build_triples", route)
+            state = run_mnist_once(images, labels, images[:50], labels[:50], config, seed=1)
+            histories[name] = state.loss_history
+        np.testing.assert_array_equal(histories["in_place"], histories["copied"])
+        ours, theirs = built["in_place"], built["copied"]
+        assert ours.columns[0].values is images
+        assert ours.cardinality == theirs.cardinality == 60
+        every = np.arange(ours.cardinality)
+        for col, ref in zip(ours.columns, theirs.columns, strict=True):
+            np.testing.assert_array_equal(col.take(every), ref.take(every))
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_triples_budget_below_one_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="triples_per_class"):
+            ExperimentConfig(triples_per_class=budget)
+        ExperimentConfig(triples_per_class=budget, knowledge=False)  # no triples to build
 
     def test_theory_shape(self):
         th = mnist_theory(knowledge=True)

@@ -1,10 +1,14 @@
 """Domains, symbol bindings, samplers, and triple construction."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _triples_ref
 from dasl.compiler import compile, explain
 from dasl.interp import (
     DataLoadError,
@@ -37,6 +41,19 @@ class TestBindTheory:
         th = check_theory(parse_theory("sort R dim 8;\nrel above : R extern above;"))
         with pytest.raises(MissingExtern):
             bind_theory(th)
+
+    def test_index_sort_past_numpy_range_is_a_load_error(self):
+        # np.arange(2**63 - 1) is silently empty; unchecked, it binds a 0-row
+        # domain and evaluate fails later with a broadcast error naming no sort
+        th = check_theory(parse_theory("sort S card 9223372036854775807; rel P : S extern p;\n"
+                                       "axiom a : forall x: S . P(x);"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataLoadError, match="sort S: card 9223372036854775807"):
+                bind_theory(th)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_embedding_sort_parameter(self):
         th = check_theory(parse_theory("sort E card 100 dim 16;"))
@@ -205,6 +222,42 @@ class TestSamplers:
         assert batch.max() < 30
 
 
+@st.composite
+def _triples_cases(draw):
+    """Labels with missing, short and wrapping class pools and stray labels."""
+    n_classes = draw(st.integers(2, 12))
+    per_class = draw(st.integers(0, 60))
+    least = max(per_class, 1)
+    sizes = draw(st.lists(st.integers(least, 3 * least), min_size=n_classes,
+                          max_size=n_classes))
+    for c in draw(st.lists(st.integers(0, n_classes - 1), max_size=2)):
+        sizes[c] = draw(st.integers(0, least - 1))  # missing or too short
+    stray = draw(st.lists(st.sampled_from([-7, -1, n_classes, n_classes + 3]), max_size=20))
+    seed = draw(st.integers(0, 2**32 - 1))
+    labels = np.concatenate([np.repeat(np.arange(n_classes), sizes),
+                             np.array(stray, dtype=np.int64)])
+    labels = np.random.default_rng(seed).permutation(labels)
+    return labels, per_class, seed, n_classes
+
+
+def _assert_triples_match_the_loop(labels, per_class, seed, n_classes=10):
+    rows = np.arange(len(labels), dtype=np.float64)[:, None]
+    try:
+        expected = _triples_ref.build_triples(rows, labels, per_class, seed, n_classes)
+    except InsufficientClassCount as e:
+        with pytest.raises(InsufficientClassCount) as got:
+            build_triples(rows, labels, per_class, seed, n_classes)
+        assert got.value.cls == e.cls
+        return
+    dom = build_triples(rows, labels, per_class, seed, n_classes)
+    assert dom.name == expected.name and dom.cardinality == expected.cardinality
+    for col, ref in zip(dom.columns, expected.columns, strict=True):
+        assert col.sort == ref.sort and col.values is rows
+        np.testing.assert_array_equal(col.ids, ref.ids)
+        # with no triples the loop's empty id lists become float64 arrays
+        assert col.ids.dtype == ref.ids.dtype or per_class == 0
+
+
 class TestBuildTriples:
     def _data(self, per_label=30, seed=0):
         rng = np.random.default_rng(seed)
@@ -251,3 +304,27 @@ class TestBuildTriples:
         b = build_triples(rows, labels, per_class=8, seed=5)
         for ca, cb in zip(a.columns, b.columns):
             np.testing.assert_array_equal(ca.ids, cb.ids)
+
+    @pytest.mark.parametrize("n_classes", range(2, 13))
+    def test_one_draw_reads_the_generator_as_scalar_draws(self, n_classes):
+        # build_triples draws every y1 at once where the loop drew one per triple
+        scalar = np.random.default_rng(n_classes)
+        batch = np.random.default_rng(n_classes)
+        expected = [scalar.integers(n_classes) for _ in range(500)]
+        np.testing.assert_array_equal(batch.integers(n_classes, size=500), expected)
+        assert batch.integers(1 << 40) == scalar.integers(1 << 40)  # and leave it alike
+
+    @given(_triples_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_triple_loop(self, case):
+        _assert_triples_match_the_loop(*case)
+
+    def test_no_triples_is_an_empty_domain_of_int64_ids(self):
+        rows, labels = self._data()
+        dom = build_triples(rows, labels, per_class=0, seed=6)
+        assert dom.cardinality == 0
+        assert all(c.ids.dtype == np.int64 and c.ids.shape == (0,) for c in dom.columns)
+
+    def test_matches_the_per_triple_loop_at_paper_scale(self):
+        labels = np.random.default_rng(11).integers(10, size=60_000)
+        _assert_triples_match_the_loop(labels, per_class=4000, seed=12)
