@@ -573,12 +573,7 @@ class _Evaluator:
         kind = node.kind
         if kind == "select":
             index, vector = node.kids
-            idx = self.term(index, env)
-            vec = self.formula(vector, env)
-            if _shape(idx):  # one index per grounding: v spans the index's axes too
-                lead = T._check_broadcast(idx.shape, vec.data.shape[:-1])
-                idx, vec = _spread(idx, lead), _spread(vec, lead + vec.data.shape[-1:])
-            return L.softselect(vec, idx)
+            return L.softselect(self.formula(vector, env), self.term(index, env))
         if kind == "rel":
             symbol, out_key = node.data
             out = self.apply(symbol, node, env)

@@ -144,7 +144,7 @@ class MlpBinding:
         act = {"sigmoid": T.sigmoid, "relu": T.relu, "tanh": T.tanh}[self.activation]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T.add(T.matmul(h, w), b)
+            h = T.affine(h, w, b)
             if i < last:
                 h = act(h)
         if self.out_width == 1:
@@ -358,8 +358,12 @@ def bind_theory(
                                     f"than numpy can hold")
             domains[s.name] = Domain(s.name, s.cardinality, (Column(ids, s.name),))
         elif s.representation == "embedding-table":
-            param = Parameter(f"sort.{s.name}",
-                              glorot_uniform(rng, s.cardinality, s.dim, (s.cardinality, s.dim)))
+            try:
+                table = glorot_uniform(rng, s.cardinality, s.dim, (s.cardinality, s.dim))
+            except ValueError:  # numpy's "array is too big"
+                raise DataLoadError(f"sort {s.name}: card {s.cardinality} dim {s.dim} is more "
+                                    f"values than numpy can hold") from None
+            param = Parameter(f"sort.{s.name}", table)
             domains[s.name] = Domain(s.name, s.cardinality,
                                      (EmbeddingColumn(param, np.arange(s.cardinality), s.name),))
         # data-table sorts have no standalone population; rows arrive via datasets

@@ -369,8 +369,11 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid_of(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sigmoid(x) given t = exp(-|x|), which softplus already computed."""
-    return np.where(x >= 0, 1.0, t) / (1.0 + t)
+    """sigmoid(x) given t = exp(-|x|), which softplus already computed.
+
+    The numerator is 1 where x >= 0 and t elsewhere; since 0 <= t <= 1,
+    max(t, x >= 0) gives it bit for bit, several times faster than np.where."""
+    return np.maximum(t, x >= 0) / (1.0 + t)
 
 
 def _softplus_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,6 +391,19 @@ def matmul(a, b) -> Tensor:
     if da.ndim != 2 or db.ndim != 2 or da.shape[1] != db.shape[0]:
         raise ShapeMismatch(da.shape, db.shape)
     return _make(da @ db, (na, _matmul_by_transpose, db), (nb, _transpose_matmul, da))
+
+
+def affine(h, w, b) -> Tensor:
+    """h @ w + b, the bias added in place into the fresh product: one record, one array."""
+    (dh, nh), (dw, nw), (db, nb) = _ensure(h), _ensure(w), _ensure(b)
+    if dh.ndim != 2 or dw.ndim != 2 or dh.shape[1] != dw.shape[0]:
+        raise ShapeMismatch(dh.shape, dw.shape)
+    out = dh @ dw
+    if _check_broadcast(out.shape, db.shape) != out.shape:
+        raise ShapeMismatch(out.shape, db.shape)
+    out += db
+    return _make(out, (nh, _matmul_by_transpose, dw), (nw, _transpose_matmul, dh),
+                 (nb, _unbroadcast, db.shape))
 
 
 def _matmul_by_transpose(g, b):
@@ -459,10 +475,15 @@ def logsumexp(a, axis: int | None = None) -> Tensor:
     shifted = np.exp(da - m)
     total = shifted.sum(axis=axis, keepdims=True)
     out = np.log(total) + m
-    soft = shifted / total
+    # the softmax is taken in the pull, so a pass without a tape never divides
     if axis is None:
-        return _make(out.reshape(()), (na, np.multiply, soft))
-    return _make(np.squeeze(out, axis), (na, _expand_times, axis, soft))
+        return _make(out.reshape(()), (na, _pull_logsumexp, None, shifted, total))
+    return _make(np.squeeze(out, axis), (na, _pull_logsumexp, axis, shifted, total))
+
+
+def _pull_logsumexp(g, axis, shifted, total):
+    soft = shifted / total
+    return g * soft if axis is None else np.expand_dims(g, axis) * soft
 
 
 def gather(table, indices) -> Tensor:
@@ -516,44 +537,47 @@ def reshape(t, shape) -> Tensor:
     return _make(dt.reshape(shape), (nt, np.reshape, dt.shape))
 
 
-def _class_index(dt: np.ndarray, index) -> tuple:
-    """Index tuple that picks t[..., index] along the class axis."""
+def _class_flat(shape: tuple, index) -> np.ndarray:
+    """Flat positions of t[..., index] in a C-ordered t of `shape`, classes last.
+
+    The index broadcasts against t's leading axes, and the result has their
+    broadcast shape: t's rows repeat along axes the index spans and t lacks.
+    """
     idx = np.asarray(index)
-    n = dt.shape[-1]
+    lead, n = shape[:-1], shape[-1]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexOutOfRange(f"class index outside [0, {n})")
-    if idx.ndim == 0:
-        return (Ellipsis, int(idx))
-    idx_b = np.broadcast_to(idx, dt.shape[:-1]).astype(np.int64)
-    return (*np.indices(idx_b.shape, sparse=True), idx_b)
+    _check_broadcast(lead, idx.shape)
+    return np.arange(0, math.prod(lead) * n, n).reshape(lead) + idx.astype(np.int64, copy=False)
 
 
 def select_class(t, index) -> Tensor:
-    """t[..., index] with a per-row integer index (or one shared index)."""
+    """t[..., index], the index broadcast against t's leading axes; one flat take
+    forward, a scatter-add backward."""
     dt, nt = _ensure(t)
-    ix = _class_index(dt, index)
-    return _make(np.array(dt[ix]), (nt, _pull_select, dt, ix))
+    flat = _class_flat(dt.shape, index)
+    return _make(dt.reshape(-1).take(flat), (nt, _pull_select, dt.shape, flat))
 
 
-def _pull_select(g, dt, ix):
-    full = np.zeros_like(dt)
-    full[ix] = g
-    return full
+def _pull_select(g, shape, flat):
+    return np.bincount(flat.reshape(-1), np.reshape(g, -1), math.prod(shape)).reshape(shape)
 
 
 def mask_class(t, index, fill: float) -> Tensor:
-    """Replace t[..., index] by a constant; gradient is zero at the hole."""
+    """t with t[..., index] replaced by a constant, the index broadcast against t's
+    leading axes as in `select_class`; gradient is zero at the hole."""
     dt, nt = _ensure(t)
-    ix = _class_index(dt, index)
-    out = dt.copy()
-    out[ix] = fill
-    return _make(out, (nt, _pull_mask, ix))
+    lead = _check_broadcast(dt.shape[:-1], np.shape(index))
+    out = np.broadcast_to(dt, lead + dt.shape[-1:]).copy()
+    flat = _class_flat(out.shape, index)
+    out.put(flat, fill)
+    return _make(out, (nt, _pull_mask, flat, dt.shape))
 
 
-def _pull_mask(g, ix):
+def _pull_mask(g, flat, shape):
     full = g.copy()
-    full[ix] = 0.0
-    return full
+    full.put(flat, 0.0)
+    return _unbroadcast(full, shape)
 
 
 # ---------------------------------------------------------------------------

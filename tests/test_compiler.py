@@ -864,6 +864,32 @@ class TestBatchedApplications:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+class TestSoftselectGrid:
+    def test_digit_rule_never_spreads_digit_over_the_grid(self, monkeypatch):
+        # pi[(y1 + y2) mod 10](digit(x3)) once spread digit(x3) from (64, 1, 1, 10) to
+        # (64, 10, 10, 10) before its logsumexp: 64,000 entries, 640 of them distinct
+        from dasl import experiments
+
+        rng = np.random.default_rng(3)
+        images, labels = rng.random((200, 12)), np.tile(np.arange(10), 20)
+        th = experiments.mnist_theory(True, image_dim=12, hidden=8)
+        interp = bind_theory(th, data={"Labeled": (images[:20], labels[:20]),
+                                       "Triples": build_triples(images, labels, 7, seed=4)},
+                             seed=3)
+        plan = compile(th, interp, batch_size=64, seed=5)
+        sizes, logsumexp = [], T.logsumexp
+
+        def spy(a, axis=None):
+            sizes.append(np.size(getattr(a, "data", a)))
+            return logsumexp(a, axis)
+
+        monkeypatch.setattr(T, "logsumexp", spy)
+        calls = plan.interp.symbols["digit"] = _Calls(plan.interp.symbols["digit"])
+        fuse_loss(plan).evaluate(active_axioms={"rule"})
+        assert calls.rows == [3 * 64]
+        assert sizes and max(sizes) <= 64 * 10 * 10
+
+
 class TestRecordedLosses:
     """Fused training losses pinned bit for bit; a change here changes training."""
 
@@ -871,8 +897,11 @@ class TestRecordedLosses:
         config = TrainConfig(iterations=5, batch_size=8, lr=1e-2, seed=3, curriculum=True,
                              curriculum_initial=2, monitor_symbol="digit", monitor_arg="x1")
         state = train(_digit_plan(), config)
+        # step 4 was 25.949275104285974 while softselect spread digit(x) over the
+        # 10x10 grid: the gathered softselect table scatter-adds its gradient in
+        # another order, and the loss moved by one ulp
         assert state.loss_history == [26.00736800236372, 13.944103288178319, 26.0982341051945,
-                                      25.949275104285974, 13.679732227287415]
+                                      25.94927510428597, 13.679732227287415]
 
     def test_relations_knowledge_run(self):
         config = TrainConfig(iterations=5, batch_size=16, lr=1e-2, seed=0)

@@ -55,6 +55,13 @@ class TestBindTheory:
         finally:
             tracemalloc.stop()
 
+    def test_embedding_sort_past_numpy_range_is_a_load_error(self):
+        # (card, dim) past what numpy can allocate used to surface as numpy's bare
+        # "array is too big" from glorot_uniform, naming no sort
+        th = check_theory(parse_theory("sort S card 9223372036854775807 dim 3;"))
+        with pytest.raises(DataLoadError, match="sort S: card 9223372036854775807 dim 3"):
+            bind_theory(th)
+
     def test_embedding_sort_parameter(self):
         th = check_theory(parse_theory("sort E card 100 dim 16;"))
         interp = bind_theory(th)

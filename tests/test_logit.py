@@ -230,6 +230,57 @@ class TestSoftselect:
         assert report.passed
 
 
+def _spread_softselect(v, idx):
+    """softselect by masking v spread to the index's axes: one mask per index entry."""
+    lead = np.broadcast_shapes(v.shape[:-1], np.shape(idx))
+    spread = T.add(v, np.zeros(lead + v.shape[-1:]))
+    idx = np.broadcast_to(idx, lead)
+    rest = T.logsumexp(T.mask_class(spread, idx, -1e30), axis=-1)
+    return T.sub(T.select_class(spread, idx), rest)
+
+
+class TestSoftselectTable:
+    """An index that spans axes v lacks takes every class once per row of v, then
+    gathers; the values must be those of the spread-and-mask path, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["grid", "two classes", "constant index", "large",
+                                      "minus inf"])
+    def test_matches_spread_and_mask(self, case):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            n = 2 if case == "two classes" else int(rng.integers(2, 12))
+            batch, k1, k2 = (int(d) for d in rng.integers(1, 9, size=3))
+            v = rng.normal(scale=3.0, size=(batch, 1, 1, n))
+            idx = (np.arange(k1)[:, None] + np.arange(k2)[None, :]) % n
+            idx = idx[None] if case != "constant index" else np.full((1, k1, k2), n - 1)
+            if case == "large":
+                v = v * 1e4
+            if case == "minus inf":
+                v[rng.random(v.shape) < 0.4] = -np.inf
+            got = softselect(v, idx).data
+            assert got.shape == (batch, k1, k2)
+            assert np.array_equal(got, _spread_softselect(v, idx).data)
+
+    def test_index_spanning_all_of_v(self):
+        rng = np.random.default_rng(11)
+        v = rng.normal(size=7)
+        idx = rng.integers(0, 7, size=(3, 4))
+        assert np.array_equal(softselect(v, idx).data, _spread_softselect(v, idx).data)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(12)
+        p = Parameter("v", rng.uniform(-2, 2, size=(3, 1, 4)))
+        idx = rng.integers(0, 4, size=(1, 5))
+        weights = rng.uniform(-1, 1, size=(3, 5))
+        report = T.grad_check(lambda: T.reduce_sum(T.mul(softselect(p, idx), weights)), [p],
+                              h=1e-5, tol=1e-4)
+        assert report.passed, report.per_param
+
+    def test_index_out_of_range(self):
+        with pytest.raises(T.IndexOutOfRange):
+            softselect(np.zeros((2, 1, 3)), np.array([[0, 3]]))
+
+
 def density_ratio_oracle(x: float, params: EqualityParams) -> float:
     """ln of (equal-case density / unequal-case density), evaluated directly.
 

@@ -234,6 +234,89 @@ class TestPrimitiveGradients:
         assert grad_check(build, [p], h=1e-5, tol=1e-4).passed
 
 
+class TestClassIndexing:
+    """The broadcasting `select_class`, the masks, and the kernels that must stay bit for
+    bit what they replaced."""
+
+    @pytest.mark.parametrize("v_shape, idx_shape", [
+        ((6, 1, 1, 10), (1, 4, 3)),  # the digit rule: the index spans axes v lacks
+        ((5, 4), (5,)),              # one index per row
+        ((3, 1, 4), (1, 2)),         # both sides broadcast
+        ((4,), (2, 3)),              # v with no leading axes
+    ])
+    def test_broadcast_select_matches_spread_then_select(self, v_shape, idx_shape):
+        rng = np.random.default_rng(45)
+        n = v_shape[-1]
+        p = Parameter("p", rng.uniform(-3, 3, size=v_shape))
+        idx = rng.integers(0, n, size=idx_shape)
+        lead = np.broadcast_shapes(v_shape[:-1], idx_shape)
+        idx_b = np.broadcast_to(idx, lead)
+        spread = np.broadcast_to(p.value, lead + (n,))
+        got = T.select_class(p, idx).data
+        assert np.array_equal(got, np.take_along_axis(spread, idx_b[..., None], -1)[..., 0])
+
+        weights = rng.uniform(-1, 1, size=lead)
+        p.zero_grad()
+        with Tape():
+            backward(T.reduce_sum(T.mul(T.select_class(p, idx), weights)))
+        hot = weights[..., None] * (np.arange(n) == idx_b[..., None])
+        hot = hot.sum(axis=tuple(range(hot.ndim - len(v_shape))))
+        want = hot.sum(axis=tuple(i for i, s in enumerate(v_shape) if s == 1), keepdims=True)
+        np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
+        report = grad_check(lambda: T.reduce_sum(T.mul(T.select_class(p, idx), weights)), [p])
+        assert report.passed, report.per_param
+
+    def test_broadcast_mask_matches_spread_then_mask(self):
+        rng = np.random.default_rng(46)
+        p = Parameter("p", rng.uniform(-3, 3, size=(3, 1, 5)))
+        idx = rng.integers(0, 5, size=(4,))
+        spread = np.broadcast_to(p.value, (3, 4, 5)).copy()
+        np.put_along_axis(spread, np.broadcast_to(idx, (3, 4))[..., None], -1e30, -1)
+        assert np.array_equal(T.mask_class(p, idx, -1e30).data, spread)
+        report = grad_check(lambda: T.reduce_sum(T.logsumexp(T.mask_class(p, idx, -1e30), -1)),
+                            [p])
+        assert report.passed, report.per_param
+
+    def test_class_index_out_of_range(self):
+        with pytest.raises(IndexOutOfRange):
+            T.select_class(np.zeros((2, 3)), np.array([[0], [3]]))
+        with pytest.raises(IndexOutOfRange):
+            T.mask_class(np.zeros((2, 3)), -1, 0.0)
+
+    def test_sigmoid_of_matches_where_formula(self):
+        rng = np.random.default_rng(47)
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, -746.0, 746.0],
+                            rng.standard_normal(100_000) * 10.0 ** rng.uniform(-4, 3, 100_000)])
+        t = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0, t) / (1.0 + t)
+        assert np.array_equal(T._sigmoid_of(x, t).view(np.int64), want.view(np.int64))
+
+    def test_affine_is_add_of_matmul_bit_for_bit(self):
+        rng = np.random.default_rng(48)
+        values = [rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)]
+        weights = rng.normal(size=(7, 3))
+
+        def run(op):
+            params = [Parameter(name, v) for name, v in zip("hwb", values)]
+            with Tape():
+                out = op(*params)
+                backward(T.reduce_sum(T.mul(T.tanh(out), weights)))
+            return [out.data] + [p.grad for p in params]
+
+        got = run(T.affine)
+        want = run(lambda h, w, b: T.add(T.matmul(h, w), b))
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_affine_shape_errors(self):
+        with pytest.raises(ShapeMismatch):
+            T.affine(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5))
+        with pytest.raises(ShapeMismatch):  # the bias may not widen the product
+            T.affine(np.zeros((2, 3)), np.zeros((3, 5)), np.zeros((4, 2, 5)))
+        with pytest.raises(ShapeMismatch):
+            T.affine(np.zeros((2, 3)), np.zeros((3, 5)), np.zeros(4))
+
+
 class TestBroadcastBackward:
     def test_gradient_shape_matches_value_shape(self):
         a = Parameter("a", np.ones((3, 1)))
