@@ -5,7 +5,8 @@ inverse map.  Connectives are computed directly in logit space so that
 conjunctions become sums of log-probabilities and gradients do not vanish
 as conjuncts accumulate.  All functions accept floats, numpy arrays,
 Tensors, or Parameters, broadcast elementwise, and are differentiable
-through the tensor tape.
+through the tensor tape.  A conjunction, n-ary or along an axis, is one
+kernel of `dasl.tensor` and adds one tape record, however many operands.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ def conj(*logits, parts=None) -> Tensor:
     """n-ary conjunction: logit(prod sigma(l_i)), elementwise with broadcasting.
 
     Computed as S - ln(-expm1(S)) for S = sum logsigmoid(l_i); where every
-    operand exceeds STABLE_MIN this switches to -ln(sum exp(-l_i)).
+    operand exceeds STABLE_MIN this switches to -ln(sum exp(-l_i)).  One
+    kernel (`tensor.conjoin`) and one tape record, whose pull gives each
+    operand the per-conjunct gradient of that formula.
 
     `parts`, from `conj_parts(*first)`, stands for leading operands `first`
     whose sums are already taken: the sums start from them, so
@@ -78,22 +81,7 @@ def conj(*logits, parts=None) -> Tensor:
         raise EmptyConjunction("conjunction of zero formulas")
     if parts is None and len(logits) == 1:
         return logits[0] if isinstance(logits[0], Tensor) else Tensor(_data(logits[0]))
-    lo, s, acc = (None, None, None) if parts is None else parts
-    lows = ([] if lo is None else [lo]) + [_data(l) for l in logits]
-    T._check_broadcast(*[d.shape for d in lows])
-
-    def exact() -> Tensor:
-        total = _sum(s, logits, T.logsigmoid)
-        return T.sub(total, T.log(T.neg(T.expm1(T.clamp_max(total, _CLAMP)))))
-
-    def stable() -> Tensor:
-        # `total` keeps the sum alive until the negation is taken: freed after
-        # the log, it raised the minor page faults of scoring 2000 relations
-        # rows by half
-        total = _sum(acc, logits, _exp_neg)
-        return T.neg(T.log(total))
-
-    return _branch(reduce(np.minimum, lows), exact, stable)
+    return T.conjoin(logits, parts, STABLE_MIN, _CLAMP)
 
 
 def conj_parts(*logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,47 +96,18 @@ def conj_parts(*logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise EmptyConjunction("conjunction of zero formulas")
     datas = [_data(l) for l in logits]
     T._check_broadcast(*[d.shape for d in datas])
-    return (reduce(np.minimum, datas), _sum(None, datas, T.logsigmoid).data,
-            _sum(None, datas, _exp_neg).data)
-
-
-def _sum(start, logits, term) -> Tensor:
-    """`start` (or nothing, if None) plus `term(l)` for each of `logits`, left to
-    right; no term outlives its addition."""
-    total = start
-    for l in logits:
-        total = term(l) if total is None else T.add(total, term(l))
-    return total
-
-
-def _exp_neg(l) -> Tensor:
-    return T.exp(T.neg(l))
+    s, acc = T.conjoin_sums(datas)
+    return reduce(np.minimum, datas), np.asarray(s), np.asarray(acc)
 
 
 def conj_reduce(t, axis: int) -> Tensor:
-    """Conjunction along a tensor axis (the universal-quantifier reduction)."""
+    """Conjunction along a tensor axis (the universal-quantifier reduction); one
+    kernel (`tensor.conjoin_axis`) and one tape record."""
     data = _data(t)
+    T._check_axis(data, axis)
     if data.shape[axis] == 0:
         raise EmptyConjunction("conjunction over an empty axis")
-    lo = data.min(axis=axis)
-
-    def exact() -> Tensor:
-        s = T.reduce_sum(T.logsigmoid(t), axis)
-        return T.sub(s, T.log(T.neg(T.expm1(T.clamp_max(s, _CLAMP)))))
-
-    def stable() -> Tensor:
-        return T.neg(T.logsumexp(T.neg(t), axis))
-
-    return _branch(lo, exact, stable)
-
-
-def _branch(lo: np.ndarray, exact, stable) -> Tensor:
-    use_stable = lo > STABLE_MIN
-    if not use_stable.any():
-        return exact()
-    if use_stable.all():
-        return stable()
-    return T.where(use_stable, stable(), exact())
+    return T.conjoin_axis(t, axis, STABLE_MIN, _CLAMP)
 
 
 def disj(*logits) -> Tensor:

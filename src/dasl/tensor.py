@@ -183,7 +183,9 @@ def _make(data: np.ndarray, *inputs: tuple) -> Tensor:
     """Create the output tensor, recording how to pull gradients if needed.
 
     Each input is (node id, pull, *saved); pull(g, *saved) returns the
-    gradient contribution for that input given the output gradient g.
+    gradient contribution for that input given the output gradient g.  A
+    kernel with one pull for several inputs gives a tuple of node ids
+    instead, and its pull returns one contribution per id, in that order.
     Pulls are module-level functions, not per-op closures: a training step
     records thousands of ops, and closures made the garbage collector run
     several times per step.
@@ -581,6 +583,163 @@ def _pull_mask(g, flat, shape):
 
 
 # ---------------------------------------------------------------------------
+# logit-space conjunction
+#
+# logit(prod sigmoid(l_i)) is S - ln(-expm1(min(S, cap))) for
+# S = sum logsigmoid(l_i) (the exact branch) and, where every operand exceeds
+# `switch`, -ln(sum exp(-l_i)) (the stable branch).  Each kernel computes only
+# the branches some entry takes and adds one tape record.  Its pull replays
+# the backward of the chain of single ops (logsigmoid, add, clamp_max, expm1,
+# neg, log, sub; neg, exp, add, log, neg; where) in that chain's order: the
+# exact branch's operands last to first, then the stable branch's.  So values
+# and accumulated gradients equal the chain's bit for bit, also where an
+# operand appears twice or is used again later.  The forward takes shorter
+# routes to the same bits: logsigmoid(d) = min(d, -0) - log1p(exp(-|d|)) is
+# -(max(-d, 0) + log1p(t)) with the negation moved inward, which rounding
+# does not see; and since cap < 0, expm1 never reaches its _EXP_MAX cap nor
+# -expm1 the log's _LOG_FLOOR.
+
+
+def conjoin_sums(datas, s=None, acc=None, exact: bool = True, stable: bool = True,
+                 saved: list | None = None):
+    """Add logsigmoid(d) onto `s` and exp(-d) onto `acc` for each of `datas`, left
+    to right, each sum only if asked for; None starts from the first term.
+
+    With `saved`, appends per operand what the pull needs: (d, t = exp(-|d|),
+    exp(-d), the shape of the sums after it).  Without, no operand's
+    temporaries outlive its additions.
+    """
+    t = e = None
+    for d in datas:
+        if exact:
+            t = np.exp(np.copysign(d, -1.0))
+            ls = np.minimum(d, -0.0) - np.log1p(t)
+            s = ls if s is None else s + ls
+        if stable:
+            e = np.exp(np.minimum(-d, _EXP_MAX))
+            acc = e if acc is None else acc + e
+        if saved is not None:
+            saved.append((d, t, e, np.shape(s if exact else acc)))
+    return s, acc
+
+
+def conjoin(logits, parts, switch: float, cap: float) -> Tensor:
+    """The conjunction of `logits`, elementwise with broadcasting, resumed from
+    `parts` = (min, S, sum exp(-l)) of leading operands, or from nothing if None."""
+    datas, nodes = [], []
+    for l in logits:
+        d, n = _ensure(l)
+        datas.append(d)
+        nodes.append(n)
+    lo, s, acc = (None, None, None) if parts is None else parts
+    lows = datas if lo is None else [lo, *datas]
+    try:  # the running minimum broadcasts every operand, so it is the shape check
+        lo = lows[0]
+        for d in lows[1:]:
+            lo = np.minimum(lo, d)
+    except ValueError:
+        raise ShapeMismatch(*[d.shape for d in lows]) from None
+    use = lo > switch
+    stable, exact = _branches(use)
+    taped = [k for k, n in enumerate(nodes) if n is not None]
+    saved = [] if taped else None
+    s, acc = conjoin_sums(datas, s, acc, exact, stable, saved)
+    ex_saved = st_saved = None
+    if exact:
+        out, ex_saved = _exact_tail(s, cap)
+    if stable:
+        st_saved = np.maximum(acc, _LOG_FLOOR)
+        st = -np.log(st_saved)
+        out = np.where(use, st, out) if exact else st
+    if not taped:
+        return Tensor(out)
+    nids = tuple(nodes[k] for k in reversed(taped)) * (exact + stable)
+    return _make(out, (nids, _pull_conjoin, taped, saved, cap,
+                       use if exact and stable else None, ex_saved, st_saved))
+
+
+def _branches(use) -> tuple[bool, bool]:
+    """Whether some entry takes the stable branch, and whether some takes the exact."""
+    n = int(use if use.ndim == 0 else np.count_nonzero(use))  # count_nonzero is slow on 0-d
+    return n > 0, n < use.size
+
+
+def _exact_tail(s, cap):
+    """S - ln(-expm1(min(S, cap))), and what its pull needs."""
+    capped = np.minimum(s, cap)
+    p_false = -np.expm1(capped)  # 1 - prod sigmoid(l_i)
+    return s - np.log(p_false), (s, capped, p_false)
+
+
+def _pull_exact_tail(g, use, cap, s, capped, p_false):
+    """The gradient that reaches S from the exact branch's share of g: directly,
+    then through the log, neg, expm1 and clamp."""
+    g = g if use is None else g * ~use
+    return g + np.negative(-g / p_false) * np.exp(capped) * (s <= cap)
+
+
+def _pull_conjoin(g, taped, saved, cap, use, exact, stable):
+    out = []
+    if exact is not None:
+        grad = _pull_exact_tail(g, use, cap, *exact)
+        for k in range(len(saved) - 1, taped[0] - 1, -1):
+            d, t, _, _ = saved[k]
+            if k in taped:
+                out.append(_unbroadcast(grad, np.shape(d)) * _sigmoid_of(-d, t))
+            if k:
+                grad = _unbroadcast(grad, saved[k - 1][3])
+    if stable is not None:
+        g_st = g if use is None else g * use
+        grad = np.negative(g_st) / stable
+        for k in range(len(saved) - 1, taped[0] - 1, -1):
+            d, _, e, _ = saved[k]
+            if k in taped:
+                out.append(np.negative(_unbroadcast(grad, np.shape(d)) * e))
+            if k:
+                grad = _unbroadcast(grad, saved[k - 1][3])
+    return out
+
+
+def conjoin_axis(a, axis: int, switch: float, cap: float) -> Tensor:
+    """The conjunction along one axis of `a` (the universal-quantifier reduction);
+    the axis is in range and not empty, as `logit.conj_reduce` checks."""
+    da, na = _ensure(a)
+    use = da.min(axis=axis) > switch
+    stable, exact = _branches(use)
+    ex_saved = st_saved = None
+    if exact:
+        t = np.exp(np.copysign(da, -1.0))
+        out, ex_saved = _exact_tail((np.minimum(da, -0.0) - np.log1p(t)).sum(axis=axis), cap)
+        ex_saved = (da, t, ex_saved)
+    if stable:
+        x = -da
+        m = x.max(axis=axis, keepdims=True)
+        m = np.where(np.isfinite(m), m, 0.0)
+        shifted = np.exp(x - m)
+        total = shifted.sum(axis=axis, keepdims=True)
+        st = -np.squeeze(np.log(total) + m, axis)
+        out = np.where(use, st, out) if exact else st
+        st_saved = (shifted, total)
+    if na is None:
+        return Tensor(out)
+    return _make(out, ((na,) * (exact + stable), _pull_conjoin_axis, axis, cap,
+                       use if exact and stable else None, ex_saved, st_saved))
+
+
+def _pull_conjoin_axis(g, axis, cap, use, exact, stable):
+    out = []
+    if exact is not None:
+        d, t, tail = exact
+        grad = _pull_exact_tail(g, use, cap, *tail)
+        out.append(np.expand_dims(grad, axis) * _sigmoid_of(-d, t))
+    if stable is not None:
+        shifted, total = stable
+        g_st = g if use is None else g * use
+        out.append(np.negative(np.expand_dims(np.negative(g_st), axis) * (shifted / total)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # backward pass
 
 
@@ -601,6 +760,11 @@ def backward(root: Tensor) -> None:
         for item in live:
             nid = item[0]
             contrib = item[1](g, *item[2:])
+            if nid.__class__ is tuple:  # a kernel's one pull: a contribution per listed input
+                for nid, c in zip(nid, contrib):
+                    prev = grads.get(nid)
+                    grads[nid] = c if prev is None else prev + c
+                continue
             prev = grads.get(nid)
             grads[nid] = contrib if prev is None else prev + contrib
     for p, nid in tape._param_nodes.items():

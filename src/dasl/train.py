@@ -1,4 +1,4 @@
-"""Optimization: cross-entropy loss, Adam, the curriculum schedule, metrics.
+"""Optimization: Adam, the curriculum schedule, metrics.
 
 The curriculum starts with all labeled data plus a small working set of
 unlabeled triples, doubles the working set whenever a low-pass-filtered
@@ -17,11 +17,6 @@ import numpy as np
 from . import tensor as T
 from .compiler import NonFiniteLogit, Plan, classifier_axiom, fuse_loss, scores
 from .tensor import NonFiniteGradient, Parameter, Tensor, save_checkpoint
-
-
-def loss(l) -> Tensor:
-    """Cross-entropy against truth: -ln(t) = softplus(-l); zero at t = 1."""
-    return T.softplus(T.neg(l))
 
 
 # ---------------------------------------------------------------------------
