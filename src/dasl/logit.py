@@ -79,8 +79,11 @@ def conj(*logits, parts=None) -> Tensor:
     """
     if not logits:
         raise EmptyConjunction("conjunction of zero formulas")
-    if parts is None and len(logits) == 1:
-        return logits[0] if isinstance(logits[0], Tensor) else Tensor(_data(logits[0]))
+    if parts is None and len(logits) == 1:  # the operand itself; a Parameter joins the tape
+        x = logits[0]
+        if isinstance(x, T.Parameter):
+            return T.reshape(x, x.shape)
+        return x if isinstance(x, Tensor) else Tensor(_data(x))
     return T.conjoin(logits, parts, STABLE_MIN, _CLAMP)
 
 

@@ -49,6 +49,10 @@ class NonFiniteGradient(Exception):
     pass
 
 
+class DuplicateParameter(Exception):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # tape
 
@@ -147,11 +151,14 @@ class Parameter:
     """Named trainable tensor with a persistent gradient accumulator.
 
     Parameters compare and hash by identity, so they can key a dict.  The
-    value is C-contiguous, so a flat view of it writes through."""
+    value is C-contiguous, so a flat view of it writes through.  `pack`
+    rebinds value and grad to views of a shared `Store`: read them from the
+    Parameter, and never hold either array across a pack."""
 
     name: str
     value: np.ndarray
     grad: np.ndarray = field(init=False)
+    store: Store | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64, order="C")
@@ -163,6 +170,52 @@ class Parameter:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
+
+
+class Store:
+    """One float64 value buffer and one gradient buffer that `params` tile in order.
+
+    Each parameter's value and grad are C-contiguous views of its slice, so
+    one elementwise op over a buffer covers every parameter."""
+
+    __slots__ = ("params", "values", "grads", "_layout")
+
+    def __init__(self, params: tuple[Parameter, ...]):
+        named: dict[str, Parameter] = {}
+        for p in params:
+            if p.name in named:
+                what = "appears twice in" if named[p.name] is p else "names two parameters of"
+                raise DuplicateParameter(f"parameter {p.name!r} {what} the list")
+            named[p.name] = p
+        self.params, self._layout, lo = params, [], 0
+        for p in params:
+            self._layout.append((lo, lo + p.value.size, p.value.shape))
+            lo += p.value.size
+        self.values, self.grads = np.empty(lo), np.empty(lo)
+        for p, value, grad in zip(params, self.views(self.values), self.views(self.grads)):
+            value[...], grad[...] = p.value, p.grad
+            p.value, p.grad, p.store = value, grad, self
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """`flat`, laid out like the buffers, as one view per parameter, shaped like it."""
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape in self._layout]
+
+
+def pack(params) -> Store:
+    """Lay `params` out, in list order, in one value buffer and one gradient buffer.
+
+    Copies each current value and gradient in and rebinds the Parameter's
+    value and grad to views of them.  A list that already tiles one store
+    in order gets that store back, with nothing copied.  A Parameter listed
+    twice, or two that share a name, raise DuplicateParameter.
+    """
+    params = tuple(params)
+    store = params[0].store if params else None
+    if (store is not None and store.params == params
+            and all(p.value.base is store.values and p.grad.base is store.grads
+                    for p in params)):
+        return store
+    return Store(params)
 
 
 def _ensure(x) -> tuple[np.ndarray, int | None]:
@@ -244,22 +297,29 @@ def _check_broadcast(*shapes):
 # elementwise kernels
 
 
+def _broadcasting(op, *datas) -> np.ndarray:
+    """op(*datas), numpy's error for shapes that do not broadcast raised as ShapeMismatch."""
+    try:
+        return op(*datas)
+    except ValueError:
+        raise ShapeMismatch(*[d.shape for d in datas]) from None
+
+
 def add(a, b) -> Tensor:
     (da, na), (db, nb) = _ensure(a), _ensure(b)
-    _check_broadcast(da.shape, db.shape)
-    return _make(da + db, (na, _unbroadcast, da.shape), (nb, _unbroadcast, db.shape))
+    return _make(_broadcasting(np.add, da, db), (na, _unbroadcast, da.shape),
+                 (nb, _unbroadcast, db.shape))
 
 
 def sub(a, b) -> Tensor:
     (da, na), (db, nb) = _ensure(a), _ensure(b)
-    _check_broadcast(da.shape, db.shape)
-    return _make(da - db, (na, _unbroadcast, da.shape), (nb, _unbroadcast_neg, db.shape))
+    return _make(_broadcasting(np.subtract, da, db), (na, _unbroadcast, da.shape),
+                 (nb, _unbroadcast_neg, db.shape))
 
 
 def mul(a, b) -> Tensor:
     (da, na), (db, nb) = _ensure(a), _ensure(b)
-    _check_broadcast(da.shape, db.shape)
-    return _make(da * db, (na, _unbroadcast_times, db, da.shape),
+    return _make(_broadcasting(np.multiply, da, db), (na, _unbroadcast_times, db, da.shape),
                  (nb, _unbroadcast_times, da, db.shape))
 
 
@@ -360,8 +420,7 @@ def where(cond, a, b) -> Tensor:
     """Select a where cond else b; cond is a constant boolean array."""
     cond = np.asarray(cond, dtype=bool)
     (da, na), (db, nb) = _ensure(a), _ensure(b)
-    _check_broadcast(cond.shape, da.shape, db.shape)
-    return _make(np.where(cond, da, db), (na, _unbroadcast_times, cond, da.shape),
+    return _make(_broadcasting(np.where, cond, da, db), (na, _unbroadcast_times, cond, da.shape),
                  (nb, _unbroadcast_times, ~cond, db.shape))
 
 

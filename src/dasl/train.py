@@ -25,6 +25,12 @@ from .tensor import NonFiniteGradient, Parameter, Tensor, save_checkpoint
 
 @dataclass
 class AdamState:
+    """Adam's settings, step count and moments.
+
+    m and v keep each parameter's moments by name, as views of two flat
+    buffers laid out like the parameters' store (`tensor.pack`), which
+    `flat` holds as (store, m, v)."""
+
     lr: float = 5e-5
     beta1: float = 0.9
     beta2: float = 0.999
@@ -32,6 +38,7 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    flat: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 _CHUNK = 1 << 14  # values per Adam block: a block's operands and scratch stay in L2
@@ -40,45 +47,58 @@ _CHUNK = 1 << 14  # values per Adam block: a block's operands and scratch stay i
 def adam_step(params: list[Parameter], state: AdamState) -> AdamState:
     """One bias-corrected Adam update from the accumulated gradients.
 
-    All or nothing: every gradient is checked before any value, moment or
-    the step count changes.  Each parameter is updated in place, block by
-    block, through two scratch buffers, with the operations of
+    Runs once over the parameters' store, which the first call for a list
+    packs (`tensor.pack`).  All or nothing: every gradient is checked before
+    any value, moment or the step count changes.  The store is updated in
+    place, block by block, through two scratch buffers, with the operations of
 
         m += (1 - b1) * (g - m);  v += (1 - b2) * (g * g - v)
         value -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
 
-    in this order, so the result is bit-identical to that formula.
+    in this order.  Each is elementwise, so the result is bit-identical to
+    that formula applied parameter by parameter, wherever the blocks fall.
     """
-    for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise NonFiniteGradient(f"parameter {p.name!r} has a non-finite gradient")
+    store = T.pack(params)
+    if not np.isfinite(store.grads).all():
+        bad = next(p for p in store.params if not np.isfinite(p.grad).all())
+        raise NonFiniteGradient(f"parameter {bad.name!r} has a non-finite gradient")
+    if state.flat is None or state.flat[0] is not store:
+        state.flat = store, _lay_out(state.m, store), _lay_out(state.v, store)
     state.step += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
-    scratch = np.empty(_CHUNK), np.empty(_CHUNK)
-    for p in params:
-        for moments in (state.m, state.v):
-            if p.name not in moments:
-                moments[p.name] = np.zeros_like(p.value)
-        flat = [a.reshape(-1) for a in (p.value, p.grad, state.m[p.name], state.v[p.name])]
-        for lo in range(0, flat[0].size, _CHUNK):
-            value, g, m, v = (a[lo:lo + _CHUNK] for a in flat)
-            t, u = (s[:value.size] for s in scratch)
-            np.subtract(g, m, out=t)
-            t *= 1.0 - b1
-            m += t
-            np.multiply(g, g, out=t)
-            t -= v
-            t *= 1.0 - b2
-            v += t
-            np.divide(v, c2, out=t)
-            np.sqrt(t, out=t)
-            t += eps
-            np.divide(m, c1, out=u)
-            u *= lr
-            u /= t
-            value -= u
+    flat = store.values, store.grads, state.flat[1], state.flat[2]
+    n = store.values.size
+    scratch = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
+    for lo in range(0, n, _CHUNK):
+        value, g, m, v = (a[lo:lo + _CHUNK] for a in flat)
+        t, u = (s[:value.size] for s in scratch)
+        np.subtract(g, m, out=t)
+        t *= 1.0 - b1
+        m += t
+        np.multiply(g, g, out=t)
+        t -= v
+        t *= 1.0 - b2
+        v += t
+        np.divide(v, c2, out=t)
+        np.sqrt(t, out=t)
+        t += eps
+        np.divide(m, c1, out=u)
+        u *= lr
+        u /= t
+        value -= u
     return state
+
+
+def _lay_out(moments: dict[str, np.ndarray], store: T.Store) -> np.ndarray:
+    """Flat moments laid out like `store`: what `moments` keeps under each parameter's
+    name, zeros for a name it lacks; each name is rebound to its view."""
+    flat = np.zeros(store.values.size)
+    for p, view in zip(store.params, store.views(flat)):
+        if p.name in moments:
+            view[...] = moments[p.name]
+        moments[p.name] = view
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +260,13 @@ def train(plan: Plan, config: TrainConfig, test_set=None) -> TrainState:
     if config.iterations > 0:
         acc = test_accuracy()
         _record(state, 0, probe_loss(), acc, config)
+        grads = T.pack(params).grads
 
     for it in range(1, config.iterations + 1):
         active = _active(state, config, plan)
         try:
             with T.Tape():
-                for p in params:
-                    p.zero_grad()
+                grads.fill(0.0)
                 value, batch = fused.evaluate(active_axioms=active)
                 if value.node is not None:  # constant loss: nothing to learn
                     T.backward(value)

@@ -29,8 +29,11 @@ def _data(x) -> np.ndarray:
 def conj(*logits, parts=None) -> Tensor:
     if not logits:
         raise EmptyConjunction("conjunction of zero formulas")
-    if parts is None and len(logits) == 1:
-        return logits[0] if isinstance(logits[0], Tensor) else Tensor(_data(logits[0]))
+    if parts is None and len(logits) == 1:  # the operand itself, a Parameter times 1 on the tape
+        x = logits[0]
+        if isinstance(x, T.Parameter):
+            return T.mul(x, 1.0)
+        return x if isinstance(x, Tensor) else Tensor(_data(x))
     lo, s, acc = (None, None, None) if parts is None else parts
     lows = ([] if lo is None else [lo]) + [_data(l) for l in logits]
     T._check_broadcast(*[d.shape for d in lows])

@@ -61,7 +61,7 @@ def run(conj_fn, parts_fn, vals, taped, order, split, reuse):
         for i in sorted(params) if reuse else ():
             later = np.random.default_rng(i).uniform(-2.0, 2.0, size=params[i].shape)
             root = T.add(root, T.reduce_sum(T.mul(params[i], later)))
-        if root.node is not None:  # a lone operand comes back off the tape
+        if root.node is not None:  # a lone constant operand gives a constant root
             backward(root)
     return out.data, [params[i].grad for i in sorted(params)]
 
@@ -130,6 +130,18 @@ class TestConjKernel:
                     values(rng, (3, 2), regime, False)]
             compare(vals, [True, True, True], [0, 1, 2, 0], reuse=True)
             compare(vals, [False, True, True], [0, 1, 2], split=1)
+
+    def test_lone_parameter_is_on_the_tape(self):
+        # conj(p) is p itself, bit for bit, and recorded: the root's gradient reaches p
+        vals = np.concatenate([SPECIALS, np.random.default_rng(5).uniform(-40.0, 45.0, 8)])
+        p = Parameter("p", vals.reshape(4, 4))
+        with np.errstate(all="ignore"), Tape():
+            out = conj(p)
+            backward(T.reduce_sum(out))
+        assert_same_bits(out.data, vals.reshape(4, 4), "value")
+        assert_same_bits(p.grad, np.ones((4, 4)), "gradient")
+        compare([vals.reshape(4, 4)], [True], [0])
+        compare([vals.reshape(4, 4)], [True], [0], reuse=True)
 
     def test_exactly_at_stable_min(self):
         # the switch is strict: an operand at STABLE_MIN keeps its entry exact
@@ -220,7 +232,7 @@ class TestOneRecord:
             build()
             return len(tape._records)
 
-    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_conj(self, n):
         params = [Parameter(f"p{i}", np.array([-3.0, 16.0 + i, 30.0])) for i in range(n)]
         assert self.records(lambda: conj(*params)) == 1
