@@ -673,16 +673,21 @@ class _Evaluator:
         kind = node.kind
         classes = max(classes, node.width)
         if kind == "and":
-            total = Tensor(0.0)
-            for item in node.kids:
-                total = T.add(total, self.loss(item, env, lead, classes))
-            return total
+            return _sum(self.loss(item, env, lead, classes) for item in node.kids)
         if kind in ("index", "sample"):
             inner, n = self.bind(node, env)
             return self.loss(node.kids[0], inner, lead + (n,), classes)
         value = _with_classes(self.formula(node, env), node.width, classes)
-        shape = lead + ((classes,) if classes > 1 else ())
-        return T.reduce_sum(T.softplus(T.neg(_spread(value, shape))))
+        return T.softplus_neg_sum(value, lead + ((classes,) if classes > 1 else ()))
+
+
+def _sum(terms) -> Tensor:
+    """The terms added left to right from the first, or 0.0 for none.  A loss
+    term is never -0.0 (softplus is not), so this equals starting from 0.0."""
+    total = None
+    for term in terms:
+        total = term if total is None else T.add(total, term)
+    return Tensor(0.0) if total is None else total
 
 
 def _symbols(node: Node):
@@ -794,10 +799,7 @@ class FusedPlan:
         roots = [(name, node) for name, node in self.plan.roots
                  if active_axioms is None or name in active_axioms]
         batch = _pass(self.plan, draws, roots, loss=True)
-        total = Tensor(0.0)
-        for part in batch.per_axiom.values():
-            total = T.add(total, part)
-        return total, batch
+        return _sum(batch.per_axiom.values()), batch
 
 
 def fuse_loss(plan: Plan) -> FusedPlan:

@@ -34,6 +34,10 @@ class WidthMismatch(Exception):
     pass
 
 
+class IdOutOfRange(Exception):
+    """An MLP argument of an index sort holds an id outside [0, card)."""
+
+
 class EmptyDomain(Exception):
     pass
 
@@ -121,14 +125,19 @@ class MlpBinding:
     def parameters(self) -> list[Parameter]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
-    def _encode(self, arg, width: int, card: int | None):
-        if card is not None:  # index-range argument: one-hot rows
+    def _check(self, k: int, arg):
+        """Argument k as a 1-D id array in [0, card) (index sort) or a (rows, width)
+        array or Tensor."""
+        width, card = self.arg_widths[k], self.arg_cards[k]
+        if card is not None:
             ids = np.asarray(arg, dtype=np.int64)
             if ids.ndim != 1:
                 raise WidthMismatch(f"{self.name}: expected a 1-D id array, got {ids.shape}")
-            hot = np.zeros((ids.size, card))
-            hot[np.arange(ids.size), ids] = 1.0
-            return hot
+            if ids.size and ids.view(np.uint64).max() >= card:  # a negative id wraps past card
+                bad = ids[(ids < 0) | (ids >= card)][0]
+                raise IdOutOfRange(f"{self.name}: argument {k} has id {bad}, outside "
+                                   f"[0, {card})")
+            return ids
         if not isinstance(arg, Tensor):
             arg = np.asarray(arg, dtype=np.float64)
         shape = arg.shape
@@ -136,11 +145,30 @@ class MlpBinding:
             raise WidthMismatch(f"{self.name}: expected rows of width {width}, got {shape}")
         return arg
 
+    def _input(self, args: list):
+        """The first layer's input: a lone argument as it is (an index argument
+        one-hot), or every argument in its column block of one (rows, in_width)
+        buffer, an index argument as a one-hot."""
+        checked = [self._check(k, arg) for k, arg in enumerate(args)]
+        rows = checked[0].shape[0]
+        if len(checked) == 1 and self.arg_cards[0] is None:
+            return checked[0]
+        buf, dense, lo = np.zeros((rows, self.in_width)), [], 0
+        for k, (arg, width, card) in enumerate(zip(checked, self.arg_widths, self.arg_cards)):
+            if arg.shape[0] != rows:
+                raise WidthMismatch(f"{self.name}: argument {k} has {arg.shape[0]} rows, "
+                                    f"argument 0 has {rows}")
+            if card is not None:
+                buf[np.arange(rows), lo + arg] = 1.0
+            else:
+                dense.append((arg, lo))
+            lo += width
+        return T.write_columns(buf, dense) if dense else buf
+
     def __call__(self, args: list) -> Tensor:
         if len(args) != len(self.arg_widths):
             raise WidthMismatch(f"{self.name}: expected {len(self.arg_widths)} args")
-        encoded = [self._encode(*a) for a in zip(args, self.arg_widths, self.arg_cards)]
-        h = encoded[0] if len(encoded) == 1 else T.concat(encoded, axis=-1)
+        h = self._input(args)
         act = {"sigmoid": T.sigmoid, "relu": T.relu, "tanh": T.tanh}[self.activation]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):

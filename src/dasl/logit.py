@@ -131,22 +131,20 @@ def softselect(v, index) -> Tensor:
     v has classes along the last axis; index is one integer or an integer
     array that broadcasts against v's leading axes, and the result has their
     broadcast shape.  Where the index has at most one entry per row of v,
-    only the selected class is masked.  Where it spans axes v lacks, every
-    class's value is taken once per row of v, with the same -1e30 hole, and
-    gathered by the index: bit for bit what masking v spread to the index's
-    axes gives, at n entries per row of v rather than n per index entry.
+    only the selected class is masked (`tensor.softselect_rows`).  Where it
+    spans axes v lacks, every class's value is taken once per row of v, with
+    the same -1e30 hole, and gathered by the index (`tensor.softselect_table`):
+    bit for bit what masking v spread to the index's axes gives, at n entries
+    per row of v rather than n per index entry.  Either way one kernel and
+    one tape record.
     """
     data = _data(v)
     if data.ndim < 1 or data.shape[-1] < 2:
         raise DegenerateVector(f"softselect needs >= 2 classes, got shape {data.shape}")
-    lead, n = data.shape[:-1], data.shape[-1]
+    lead = data.shape[:-1]
     if T._check_broadcast(lead, np.shape(index)) == lead:
-        sel = T.select_class(v, index)
-        rest = T.logsumexp(T.mask_class(v, index, _MASK_FILL), axis=-1)
-        return T.sub(sel, rest)
-    rows = T.reshape(v, lead + (1, n))
-    rest = T.logsumexp(T.mask_class(rows, np.arange(n), _MASK_FILL), axis=-1)
-    return T.select_class(T.sub(v, rest), index)
+        return T.softselect_rows(v, index, _MASK_FILL)
+    return T.softselect_table(v, index, _MASK_FILL)
 
 
 @dataclass(frozen=True)

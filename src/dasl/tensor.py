@@ -387,6 +387,24 @@ def _times_sigmoid(g, x, t):
     return g * _sigmoid_of(x, t)
 
 
+def softplus_neg_sum(a, shape: tuple = ()) -> Tensor:
+    """sum(softplus(-a)) over `a` broadcast to `shape`: the chain add onto zeros
+    of `shape`, neg, softplus, reduce_sum, as one kernel and one record.
+
+    The add is left out: it only turns -0.0 into 0.0, and softplus and its
+    sigmoid agree on the two.
+    """
+    da, na = _ensure(a)
+    full = _check_broadcast(da.shape, shape)
+    x = np.negative(da if full == da.shape else np.broadcast_to(da, full))
+    sp, t = _softplus_parts(x)
+    return _make(sp.sum(), (na, _pull_softplus_neg_sum, x, t, da.shape))
+
+
+def _pull_softplus_neg_sum(g, x, t, shape):
+    return _unbroadcast(np.negative(g * _sigmoid_of(x, t)), shape)
+
+
 def relu(a) -> Tensor:
     da, na = _ensure(a)
     return _make(np.maximum(da, 0.0), (na, _pull_relu, da))
@@ -531,15 +549,21 @@ def logsumexp(a, axis: int | None = None) -> Tensor:
     """Max-shifted log-sum-exp; exact under uniform shifts."""
     da, na = _ensure(a)
     _check_axis(da, axis)
-    m = da.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    shifted = np.exp(da - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    out = np.log(total) + m
+    out, shifted, total = _logsumexp_parts(da, axis)
     # the softmax is taken in the pull, so a pass without a tape never divides
     if axis is None:
         return _make(out.reshape(()), (na, _pull_logsumexp, None, shifted, total))
     return _make(np.squeeze(out, axis), (na, _pull_logsumexp, axis, shifted, total))
+
+
+def _logsumexp_parts(da, axis):
+    """The log-sum-exp of `da` along `axis`, kept as an axis of 1, and the
+    (shifted, total) its pull needs."""
+    m = da.max(axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    shifted = np.exp(da - m)
+    total = shifted.sum(axis=axis, keepdims=True)
+    return np.log(total) + m, shifted, total
 
 
 def _pull_logsumexp(g, axis, shifted, total):
@@ -571,6 +595,19 @@ def concat(parts: list, axis: int = -1) -> Tensor:
     offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
     return _make(out, *[(n, _pull_slice, axis, offsets[i], offsets[i + 1])
                         for i, (_, n) in enumerate(pairs)])
+
+
+def write_columns(out: np.ndarray, parts) -> Tensor:
+    """`out`, a (rows, width) buffer, with each (x, lo) of `parts` written into its
+    columns from lo on; the gradient reaches each x through its columns, as
+    `concat`'s does.  One record, none when no x is on the tape."""
+    inputs = []
+    for x, lo in parts:
+        d, n = _ensure(x)
+        hi = lo + d.shape[1]
+        out[:, lo:hi] = d
+        inputs.append((n, _pull_slice, -1, lo, hi))
+    return _make(out, *inputs)
 
 
 def _pull_slice(g, axis, lo, hi):
@@ -639,6 +676,69 @@ def _pull_mask(g, flat, shape):
     full = g.copy()
     full.put(flat, 0.0)
     return _unbroadcast(full, shape)
+
+
+# ---------------------------------------------------------------------------
+# softselect: v[..., i] - logsumexp of v's other classes
+#
+# Each kernel runs the numpy ops of a chain of single ops (named in its
+# docstring; tests/_softselect_ref.py keeps it), in that chain's order, and
+# adds one tape record, `(nv, nv)` like `conjoin`'s.  Its pull returns v's two
+# contributions in the order that chain's backward adds them, so values and
+# accumulated gradients equal the chain's bit for bit, also where v is used
+# again later.
+
+
+def softselect_rows(v, index, fill: float) -> Tensor:
+    """v[..., index] minus the logsumexp of v with that class set to `fill`,
+    where the index broadcasts to v's leading axes (at most one entry per row).
+
+    The chain: select_class, mask_class, logsumexp, sub.
+    """
+    dv, nv = _ensure(v)
+    flat = _class_flat(dv.shape, index)
+    masked = dv.copy()
+    masked.put(flat, fill)
+    rest, shifted, total = _logsumexp_parts(masked, -1)
+    out = dv.reshape(-1).take(flat) - np.squeeze(rest, -1)
+    if nv is None:
+        return Tensor(out)
+    return _make(out, ((nv, nv), _pull_softselect_rows, dv.shape, flat, shifted, total))
+
+
+def _pull_softselect_rows(g, shape, flat, shifted, total):
+    masked = np.expand_dims(-g, -1) * (shifted / total)  # sub's negation, then logsumexp's pull
+    masked.put(flat, 0.0)  # no gradient at the hole
+    return masked, _pull_select(g, shape, flat)
+
+
+def softselect_table(v, index, fill: float) -> Tensor:
+    """softselect where the index spans axes v lacks: v's logsumexp without each
+    class is taken once per row of v (the class set to `fill`), subtracted
+    from v, and the result gathered by the index, whose broadcast shape the
+    output has.
+
+    The chain: reshape to (..., 1, n), mask_class by arange(n), logsumexp,
+    sub from v, select_class.
+    """
+    dv, nv = _ensure(v)
+    flat = _class_flat(dv.shape, index)
+    n = dv.shape[-1]
+    masked = np.broadcast_to(dv.reshape(dv.shape[:-1] + (1, n)), dv.shape + (n,)).copy()
+    masked.reshape(-1, n * n)[:, :: n + 1] = fill  # row i of each n x n block loses class i
+    rest, shifted, total = _logsumexp_parts(masked, -1)
+    out = (dv - np.squeeze(rest, -1)).reshape(-1).take(flat)
+    if nv is None:
+        return Tensor(out)
+    return _make(out, ((nv, nv), _pull_softselect_table, dv.shape, flat, shifted, total))
+
+
+def _pull_softselect_table(g, shape, flat, shifted, total):
+    sel = _pull_select(g, shape, flat)  # what sub passes on to v as it is
+    masked = np.expand_dims(-sel, -1) * (shifted / total)
+    n = shape[-1]
+    masked.reshape(-1, n * n)[:, :: n + 1] = 0.0
+    return sel, masked.sum(axis=-2)  # unbroadcast from the (..., 1, n) reshape
 
 
 # ---------------------------------------------------------------------------
@@ -771,12 +871,8 @@ def conjoin_axis(a, axis: int, switch: float, cap: float) -> Tensor:
         out, ex_saved = _exact_tail((np.minimum(da, -0.0) - np.log1p(t)).sum(axis=axis), cap)
         ex_saved = (da, t, ex_saved)
     if stable:
-        x = -da
-        m = x.max(axis=axis, keepdims=True)
-        m = np.where(np.isfinite(m), m, 0.0)
-        shifted = np.exp(x - m)
-        total = shifted.sum(axis=axis, keepdims=True)
-        st = -np.squeeze(np.log(total) + m, axis)
+        lse, shifted, total = _logsumexp_parts(-da, axis)
+        st = -np.squeeze(lse, axis)
         out = np.where(use, st, out) if exact else st
         st_saved = (shifted, total)
     if na is None:

@@ -252,9 +252,8 @@ def train(plan: Plan, config: TrainConfig, test_set=None) -> TrainState:
         logits, labels = scores(plan, axiom, test_set)
         return float(np.mean(np.argmax(logits, axis=-1) == labels))
 
-    def probe_loss() -> float:
-        with T.Tape():
-            value, _ = fused.evaluate(active_axioms=_active(state, config, plan))
+    def probe_loss() -> float:  # never differentiated, so no tape
+        value, _ = fused.evaluate(active_axioms=_active(state, config, plan))
         return float(value.data)
 
     if config.iterations > 0:

@@ -87,17 +87,6 @@ class TestCompile:
         assert "0 axioms" in explain(compile(th, interp))
 
 
-def _relations_plan():
-    from dasl import data, experiments
-
-    splits = data.gen_synth_relations(train_fraction=0.01, seed=0)
-    th = experiments.relations_theory(True, splits.vocab, hidden=8)
-    rows = (splits.train.features, splits.train.subject, splits.train.object,
-            splits.train.predicate)
-    interp = bind_theory(th, externs=data.spatial_predicate_externs(), data={"Train": rows})
-    return compile(th, interp, batch_size=16)
-
-
 def _lowered(axiom):
     th = check_theory(parse_theory(
         "sort D card 3;\nrel P : D extern P;\nrel Q : D extern Q;\nrel R : D extern R;\n"
@@ -867,7 +856,8 @@ class TestBatchedApplications:
 class TestSoftselectGrid:
     def test_digit_rule_never_spreads_digit_over_the_grid(self, monkeypatch):
         # pi[(y1 + y2) mod 10](digit(x3)) once spread digit(x3) from (64, 1, 1, 10) to
-        # (64, 10, 10, 10) before its logsumexp: 64,000 entries, 640 of them distinct
+        # (64, 10, 10, 10) before its logsumexp: 64,000 entries, 640 of them distinct.
+        # The table kernel must get digit(x) unspread, for every softselect of the rule
         from dasl import experiments
 
         rng = np.random.default_rng(3)
@@ -877,13 +867,13 @@ class TestSoftselectGrid:
                                        "Triples": build_triples(images, labels, 7, seed=4)},
                              seed=3)
         plan = compile(th, interp, batch_size=64, seed=5)
-        sizes, logsumexp = [], T.logsumexp
+        sizes, table = [], T.softselect_table
 
-        def spy(a, axis=None):
-            sizes.append(np.size(getattr(a, "data", a)))
-            return logsumexp(a, axis)
+        def spy(v, index, fill):
+            sizes.append(np.size(getattr(v, "data", v)))
+            return table(v, index, fill)
 
-        monkeypatch.setattr(T, "logsumexp", spy)
+        monkeypatch.setattr(T, "softselect_table", spy)
         calls = plan.interp.symbols["digit"] = _Calls(plan.interp.symbols["digit"])
         fuse_loss(plan).evaluate(active_axioms={"rule"})
         assert calls.rows == [3 * 64]
@@ -908,3 +898,34 @@ class TestRecordedLosses:
         state = train(_relations_plan(), config)
         assert state.loss_history == [28.269788296096895, 37.983660016303915, 40.99442260090635,
                                       31.585918945791683, 28.626016595080817]
+
+
+class TestStepRecords:
+    """Tape records of one training step, the step-0 probe included (it opens no tape).
+
+    Relations: three for the vrd MLP (its input buffer holds no Tensor), one
+    conjunction with the guards' fold, one softselect, one loss term.  Digit:
+    three for the one batched call of digit, a slice per application and a
+    reshape per rule application, four softselects, the implication's
+    conjunction and two negations, a loss term per axiom and their sum.
+    """
+
+    def records(self, monkeypatch, plan, config) -> int:
+        count, record = [0], Tape.record
+
+        def spy(tape, out, inputs):
+            count[0] += 1
+            record(tape, out, inputs)
+
+        monkeypatch.setattr(Tape, "record", spy)
+        train(plan, config)
+        return count[0]
+
+    def test_relations_knowledge_step(self, monkeypatch):
+        config = TrainConfig(iterations=1, batch_size=16, lr=1e-2, seed=0)
+        assert self.records(monkeypatch, _relations_plan(), config) == 6
+
+    def test_digit_step(self, monkeypatch):
+        config = TrainConfig(iterations=1, batch_size=8, lr=1e-2, seed=3, curriculum=True,
+                             curriculum_initial=2, monitor_symbol="digit", monitor_arg="x1")
+        assert self.records(monkeypatch, _digit_plan(), config) == 20

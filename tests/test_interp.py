@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _triples_ref
-from dasl.compiler import compile, explain
+from dasl.compiler import compile, evaluate, explain
 from dasl.interp import (
     DataLoadError,
     EmptyDomain,
+    IdOutOfRange,
     InsufficientClassCount,
     MissingExtern,
     Sampler,
@@ -170,6 +171,17 @@ class TestEvalSymbol:
         interp = bind_theory(th, seed=0)
         out = interp.symbols["pick"]([np.array([0, 1, 2, 3])])
         assert out.data.shape == (4, 3)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_an_id_outside_the_sort_is_a_typed_error(self, bad):
+        # -1 once became the one-hot of class 2 without a word, and 3 a bare IndexError
+        th = check_theory(parse_theory(
+            "sort D card 3;\nsort C card 3;\nfunc g : D -> C extern g;\n"
+            "rel R : D x C mlp 4;\naxiom a : forall x: D . R(x, g(x));"))
+        ids = np.array([0, 1, bad])
+        interp = bind_theory(th, externs={"g": lambda x: ids[x]})
+        with pytest.raises(IdOutOfRange, match=rf"^R: argument 1 has id {bad}, outside \[0, 3\)$"):
+            evaluate(compile(th, interp))
 
 
 def _domain(n, dim=2):
