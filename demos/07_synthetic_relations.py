@@ -21,7 +21,6 @@ from dasl.experiments import (
 )
 
 config = ExperimentConfig(
-    task="synth-relations",
     seeds=(0, 1, 2, 3, 4),          # the acceptance run uses nine
     iterations=1500,
     cadence=1500,

@@ -3,8 +3,9 @@ synth-rel, and gradcheck subcommands.
 
 Exit codes: 0 success, 1 failed check, 2 usage error or diagnostics.
 Config files are flat `key = value` text with `#` comments; command-line
-flags override file values.  All randomness sits behind --seed; the
-default data directory comes from $DASL_DATA_DIR.
+flags override file values, and TrainConfig's defaults fill the rest.
+Randomness sits behind --seed, or --seeds N (seeds 0..N-1) for the
+experiments; the default data directory comes from $DASL_DATA_DIR.
 """
 
 from __future__ import annotations
@@ -27,15 +28,21 @@ from .experiments import (
 from .gradcheck import run_gradcheck
 from .interp import bind_theory
 from .lang import CheckError, LexError, ParseError, check_theory, parse_theory
-from .logit import BIG, EqualityParams
+from .logit import BIG, DEFAULT_EQUALITY, EqualityParams
 from .oracle import agreement_suite
 from .tensor import load_checkpoint
 from .train import TrainConfig, train
 
 
-TRAIN_CONFIG_KEYS = ("iterations", "batch_size", "lr", "cadence", "curriculum", "eval_symbol",
-                     "labeled_axioms", "curriculum_domain", "monitor_symbol", "monitor_arg",
-                     "rules_only_after")
+# every training setting a config file may set, with the cast of its text;
+# an unset key keeps TrainConfig's default
+_TRAIN_CONFIG_CASTS = {
+    "iterations": int, "batch_size": int, "lr": float, "cadence": int, "curriculum": bool,
+    "eval_symbol": str, "labeled_axioms": lambda raw: tuple(raw.split(",")),
+    "curriculum_domain": str, "monitor_symbol": str, "monitor_arg": str,
+    "rules_only_after": int,
+}
+TRAIN_CONFIG_KEYS = tuple(_TRAIN_CONFIG_CASTS)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -73,14 +80,22 @@ def _bind(args, theory, data=None):
     )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data-dir", default=os.environ.get("DASL_DATA_DIR"))
-    p.add_argument("--big", type=float, default=BIG,
-                   help="logit assigned to crisp truth")
-    p.add_argument("--eq-eps", type=float, default=0.1)
-    p.add_argument("--eq-mu", type=float, default=1.0)
-    p.add_argument("--eq-sigma", type=float, default=0.5)
+# what _bind reads; compile, train and eval take all of them
+_BIND_OPTIONS = ("seed", "data_dir", "big", "eq_eps", "eq_mu", "eq_sigma")
+
+
+def _add_options(p: argparse.ArgumentParser, *dests: str) -> None:
+    """Add the shared options named by dest, each with its one default."""
+    specs = {
+        "seed": dict(type=int, default=0),
+        "data_dir": dict(default=os.environ.get("DASL_DATA_DIR")),
+        "big": dict(type=float, default=BIG, help="logit assigned to crisp truth"),
+        "eq_eps": dict(type=float, default=DEFAULT_EQUALITY.eps),
+        "eq_mu": dict(type=float, default=DEFAULT_EQUALITY.mu),
+        "eq_sigma": dict(type=float, default=DEFAULT_EQUALITY.sigma),
+    }
+    for dest in dests:
+        p.add_argument("--" + dest.replace("_", "-"), **specs[dest])
 
 
 def _diagnostic(e: Exception) -> bool:
@@ -108,34 +123,20 @@ _KINDS = {bool: "one of " + "/".join(_BOOLEANS), int: "an integer", float: "a nu
 
 
 def _train_config_from(args, overrides: dict[str, str]) -> TrainConfig:
-    def get(key, cast, default):
+    """TrainConfig from the flags, then the config file, then its own defaults."""
+    settings = {}
+    for key, cast in _TRAIN_CONFIG_CASTS.items():
         cli = getattr(args, key, None)
         if cli is not None:
-            return cli
-        if key in overrides:
+            settings[key] = cli
+        elif key in overrides:
             raw = overrides[key]
             try:
-                return _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
+                settings[key] = _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
             except (KeyError, ValueError):
                 raise ValueError(f"{args.config}: config key {key!r} needs "
                                  f"{_KINDS[cast]}, got {raw!r}") from None
-        return default
-
-    return TrainConfig(
-        iterations=get("iterations", int, 1000),
-        batch_size=get("batch_size", int, 64),
-        lr=get("lr", float, 5e-5),
-        seed=args.seed,
-        cadence=get("cadence", int, 500),
-        out_dir=args.out,
-        curriculum=get("curriculum", bool, False),
-        curriculum_domain=overrides.get("curriculum_domain", "Triples"),
-        monitor_symbol=overrides.get("monitor_symbol", "digit"),
-        monitor_arg=overrides.get("monitor_arg", "x1"),
-        labeled_axioms=tuple(overrides.get("labeled_axioms", "labels").split(",")),
-        eval_symbol=overrides.get("eval_symbol"),
-        rules_only_after=get("rules_only_after", int, None),
-    )
+    return TrainConfig(seed=args.seed, out_dir=args.out, **settings)
 
 
 def _cmd_train(args) -> int:
@@ -187,13 +188,12 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_mnist(args) -> int:
     config = ExperimentConfig(
-        task="mnist-triples",
         ntr=args.ntr,
         triples_per_class=args.triples_per_class,
         knowledge=args.knowledge == "on",
         seeds=tuple(range(args.seeds)),
         iterations=args.iterations,
-        batch_size=args.batch_size or 64,
+        batch_size=args.batch_size,
         lr=args.lr,
         cadence=args.cadence,
         data_dir=args.data_dir,
@@ -208,10 +208,9 @@ def _cmd_mnist(args) -> int:
 
 def _cmd_synth_rel(args) -> int:
     config = ExperimentConfig(
-        task="synth-relations",
         seeds=tuple(range(args.seeds)),
         iterations=args.iterations,
-        batch_size=args.batch_size or 64,
+        batch_size=args.batch_size,
         lr=args.lr,
         cadence=args.cadence,
         out_dir=args.out,
@@ -247,16 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="compile a theory and print its plan")
+    def add(name, **kwargs):
+        # no prefix matching, so `mnist --seed 5` cannot mean `--seeds 5`
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p = add("compile", help="compile a theory and print its plan")
     p.add_argument("--theory", required=True)
     p.add_argument("--explain", action="store_true")
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--shared-draw", action="store_true",
                    help="axioms over the same dataset share one draw per step")
-    _add_common(p)
+    _add_options(p, *_BIND_OPTIONS)
     p.set_defaults(fn=_cmd_compile)
 
-    p = sub.add_parser(
+    p = add(
         "train", help="train a theory against its data",
         epilog="config file keys (flat `key = value`, overridden by flags): "
                + ", ".join(TRAIN_CONFIG_KEYS))
@@ -270,54 +273,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curriculum", action="store_const", const=True, default=None)
     p.add_argument("--rules-only-after", type=int, default=None)
     p.add_argument("--shared-draw", action="store_true")
-    _add_common(p)
+    _add_options(p, *_BIND_OPTIONS)
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpointed classifier on a dataset")
+    p = add("eval", help="score a checkpointed classifier on a dataset")
     p.add_argument("--theory", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="dataset name in the theory")
     p.add_argument("--symbol", required=True, help="classifier relation name")
-    _add_common(p)
+    _add_options(p, *_BIND_OPTIONS)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("oracle-check",
-                       help="randomized agreement between the classical oracle "
-                            "and compiled crisp evaluation")
+    p = add("oracle-check", help="randomized agreement between the classical oracle "
+                                 "and compiled crisp evaluation")
     p.add_argument("--signature", required=True)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--trials", type=int, default=200)
-    _add_common(p)
+    _add_options(p, "seed", "big")
     p.set_defaults(fn=_cmd_oracle_check)
 
-    p = sub.add_parser("mnist", help="digit-triples experiment")
-    p.add_argument("--ntr", type=int, default=2)
+    # the experiments' defaults are ExperimentConfig's, bar the seed counts
+    # and synth-rel's shorter run
+    p = add("mnist", help="digit-triples experiment")
+    p.add_argument("--ntr", type=int, default=ExperimentConfig.ntr)
     p.add_argument("--knowledge", choices=("on", "off"), default="on")
     p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--iterations", type=int, default=30000)
-    p.add_argument("--triples-per-class", type=int, default=4000)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=5e-5)
-    p.add_argument("--cadence", type=int, default=500)
+    p.add_argument("--iterations", type=int, default=ExperimentConfig.iterations)
+    p.add_argument("--triples-per-class", type=int, default=ExperimentConfig.triples_per_class)
+    p.add_argument("--batch-size", type=int, default=ExperimentConfig.batch_size)
+    p.add_argument("--lr", type=float, default=ExperimentConfig.lr)
+    p.add_argument("--cadence", type=int, default=ExperimentConfig.cadence)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_options(p, "data_dir")
     p.set_defaults(fn=_cmd_mnist)
 
-    p = sub.add_parser("synth-rel", help="synthetic relationship experiment")
-    p.add_argument("--regime", type=float, default=0.01,
+    p = add("synth-rel", help="synthetic relationship experiment")
+    p.add_argument("--regime", type=float, default=ExperimentConfig.train_fraction,
                    help="training-data fraction of the generated pool")
     p.add_argument("--seeds", type=int, default=9)
     p.add_argument("--iterations", type=int, default=1500)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=5e-5)
-    p.add_argument("--cadence", type=int, default=500)
+    p.add_argument("--batch-size", type=int, default=ExperimentConfig.batch_size)
+    p.add_argument("--lr", type=float, default=ExperimentConfig.lr)
+    p.add_argument("--cadence", type=int, default=ExperimentConfig.cadence)
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(fn=_cmd_synth_rel)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
+    p = add("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--trials", type=int, default=20)
-    _add_common(p)
+    _add_options(p, "seed")
     p.set_defaults(fn=_cmd_gradcheck)
 
     return parser

@@ -36,7 +36,6 @@ class DataMissing(Exception):
 
 @dataclass
 class ExperimentConfig:
-    task: str = "mnist-triples"  # or "synth-relations"
     ntr: int = 2
     triples_per_class: int = 4000
     knowledge: bool = True
@@ -56,6 +55,12 @@ class ExperimentConfig:
             raise ValueError("triples_per_class must be >= 1 with knowledge on")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        self.train_config(seed=0)  # TrainConfig checks the training settings
+
+    def train_config(self, seed: int, out_dir: str | None = None, **settings) -> TrainConfig:
+        """The TrainConfig of one seeded run; other TrainConfig fields keep their defaults."""
+        return TrainConfig(iterations=self.iterations, batch_size=self.batch_size, lr=self.lr,
+                           seed=seed, cadence=self.cadence, out_dir=out_dir, **settings)
 
 
 @dataclass
@@ -182,20 +187,7 @@ def run_mnist_once(
         data["Triples"] = build_triples(images, unlabeled, per_class, seed=seed + 1)
     interp = bind_theory(theory, data=data, seed=seed)
     plan = compile(theory, interp, batch_size=config.batch_size, seed=seed + 2)
-    tconf = TrainConfig(
-        iterations=config.iterations,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        seed=seed,
-        cadence=config.cadence,
-        out_dir=out_dir,
-        curriculum=config.knowledge,
-        curriculum_domain="Triples",
-        monitor_symbol="digit",
-        monitor_arg="x1",
-        labeled_axioms=("labels",),
-        eval_symbol="digit",
-    )
+    tconf = config.train_config(seed, out_dir, curriculum=config.knowledge, eval_symbol="digit")
     return train(plan, tconf, test_set=(test_images, test_labels))
 
 
@@ -312,17 +304,7 @@ def run_relations_once(splits: RelationSplits, config: ExperimentConfig, seed: i
                       splits.train.object, splits.train.predicate)}
     interp = bind_theory(theory, externs=spatial_predicate_externs(), data=data, seed=seed)
     plan = compile(theory, interp, batch_size=config.batch_size, seed=seed + 2)
-    tconf = TrainConfig(
-        iterations=config.iterations,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        seed=seed,
-        cadence=config.cadence,
-        out_dir=out_dir,
-        curriculum=False,
-        eval_symbol=None,
-    )
-    state = train(plan, tconf)
+    state = train(plan, config.train_config(seed, out_dir))
     metrics = {}
     n_pred = len(splits.vocab.predicates)
     for split_name, split in (("standard", splits.test_standard),

@@ -416,43 +416,57 @@ def bind_theory(
                                          lambda r=r: r.out or 1, externs, rng)
 
     for d in theory.datasets:
-        if isinstance(data.get(d.name), Domain):
-            dom = data[d.name]
-            if len(dom.columns) != len(d.column_sorts):
-                raise DataLoadError(f"{d.name}: expected {len(d.column_sorts)} columns")
-            domains[d.name] = Domain(d.name, dom.cardinality, dom.columns)
-            continue
-        if d.name in data:
-            columns = data[d.name]
-            if len(columns) != len(d.column_sorts):
-                raise DataLoadError(f"{d.name}: expected {len(d.column_sorts)} columns")
-        else:
+        given = data.get(d.name)
+        if given is None:
             paths = [p.strip() for p in d.source.split(",")]
             if len(paths) != len(d.column_sorts):
                 raise DataLoadError(f"{d.name}: {len(d.column_sorts)} sorts but {len(paths)} files")
             if data_dir is not None:
                 paths = [p if os.path.isabs(p) else os.path.join(data_dir, p) for p in paths]
-            columns = [_load_column(p, theory.sort(s)) for p, s in zip(paths, d.column_sorts)]
-        cols, n = [], None
-        for i, (arr, sort_name) in enumerate(zip(columns, d.column_sorts)):
-            sort = theory.sort(sort_name)
-            arr = np.asarray(arr)
+            given = [_load_column(p, theory.sort(s)) for p, s in zip(paths, d.column_sorts)]
+        if isinstance(given, Domain):
+            columns, n = given.columns, given.cardinality
+        else:  # one array per column; _checked_column gives each its sort
+            columns, n = [Column(np.asarray(arr), "") for arr in given], None
+        if len(columns) != len(d.column_sorts):
+            raise DataLoadError(f"{d.name}: expected {len(d.column_sorts)} columns")
+        cols = []
+        for i, (col, sort_name) in enumerate(zip(columns, d.column_sorts)):
+            col, rows = _checked_column(f"{d.name}: column {i}", theory.sort(sort_name), col)
             if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
+                n = rows
+            elif rows != n:
                 raise DataLoadError(f"{d.name}: column lengths differ")
-            if sort.is_index:
-                if arr.ndim != 1:
-                    raise DataLoadError(f"{d.name}: column {i} (sort {sort_name}) must hold one "
-                                        f"id per row, got shape {arr.shape}")
-                cols.append(Column(_index_ids(f"{d.name}: column {i}", sort, arr), sort_name))
-            else:
-                if arr.ndim != 2 or arr.shape[1] != sort.dim:
-                    raise DataLoadError(f"{d.name}: column of sort {sort_name} must be n x {sort.dim}")
-                cols.append(Column(np.asarray(arr, dtype=np.float64), sort_name))
+            cols.append(col)
         domains[d.name] = Domain(d.name, n or 0, tuple(cols))
 
     return Interpretation(theory, domains, symbols, big=big, equality=equality)
+
+
+def _checked_column(where: str, sort: SortDecl, col) -> tuple[object, int]:
+    """A dataset column checked against its sort, and its row count.
+
+    Index ids must be integers in [0, card), feature rows `dim` wide.  A
+    column's `ids` must index its table; the table behind them (the triples'
+    image rows) is checked in place, not copied."""
+    table = col.param.value if isinstance(col, EmbeddingColumn) else col.values
+    ids = col.ids
+    if ids is not None and (ids.ndim != 1 or ids.dtype.kind not in "iu"
+                            or ids.size and (ids.min() < 0 or ids.max() >= len(table))):
+        raise DataLoadError(f"{where}: row ids must be integers in [0, {len(table)})")
+    rows = len(table) if ids is None else len(ids)
+    if sort.is_index:
+        values = table if ids is None else table[ids]
+        if values.ndim != 1:
+            raise DataLoadError(f"{where} (sort {sort.name}) must hold one id per row, "
+                                f"got shape {values.shape}")
+        return Column(_index_ids(where, sort, values), sort.name), rows
+    if table.ndim != 2 or table.shape[1] != sort.dim:
+        raise DataLoadError(f"{where} (sort {sort.name}) must be n x {sort.dim}, "
+                            f"got shape {table.shape}")
+    if isinstance(col, EmbeddingColumn):
+        return col, rows
+    return Column(np.asarray(table, dtype=np.float64), sort.name, ids), rows
 
 
 def _index_ids(where: str, sort: SortDecl, values: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ from .ast import (
     Theory,
     Variable,
     children,
-    free_variables,
 )
 
 
@@ -115,6 +114,8 @@ class _Checker:
                 self._require_sort(r.name, a)
             if r.out is not None and r.out < 2:
                 raise SortError(r.name, "out >= 2", str(r.out))
+            if isinstance(r.binding, MlpSpec) and not r.arg_sorts:
+                raise SortError(r.name, "at least one argument to an mlp", "none")
         for b in self.theory.boolvecs:
             if not b.bits:
                 raise SortError(b.name, "at least one bit", "empty")
@@ -318,8 +319,6 @@ def check_theory(theory: Theory) -> Theory:
         # seed the fresh-name pool so renaming never collides with user names
         _all_names(ax.formula, ck.used_names)
         formula, _ = ck.formula(ax.formula, {})
-        if free_variables(formula):
-            raise SortError(ax.name, "a closed formula", f"free {sorted(free_variables(formula))}")
         axioms.append(AxiomDecl(ax.name, formula))
     return Theory(
         sorts=theory.sorts,

@@ -167,7 +167,6 @@ class TrainState:
     parameters: list[Parameter]
     adam: AdamState
     curriculum: CurriculumState | None
-    seed: int
     loss_history: list[float] = field(default_factory=list)
     metrics: list[dict] = field(default_factory=list)
     best_accuracy: float = -1.0
@@ -244,7 +243,7 @@ def train(plan: Plan, config: TrainConfig, test_set=None) -> TrainState:
             max_size=max_per_class,
         )
         triples_sampler.set_active_size(curriculum.working_set * config.curriculum_classes)
-    state = TrainState(params, adam, curriculum, config.seed)
+    state = TrainState(params, adam, curriculum)
 
     def test_accuracy() -> float | None:
         if axiom is None:

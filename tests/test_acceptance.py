@@ -244,7 +244,7 @@ class TestCriterion8KnowledgeBenefit:
     def test_zero_shot_gap_and_mask_suppression(self, tmp_path):
         t0 = time.time()
         config = ExperimentConfig(
-            task="synth-relations", seeds=tuple(range(9)), iterations=1500,
+            seeds=tuple(range(9)), iterations=1500,
             batch_size=64, lr=5e-5, cadence=1500, train_fraction=0.01,
             out_dir=str(tmp_path / "rel"))
         rows = run_relations_experiment(config)
@@ -337,8 +337,8 @@ class TestCriterion10Determinism:
 
         rows = []
         for tag in ("r1", "r2"):
-            cfg = ExperimentConfig(task="synth-relations", seeds=(0,), iterations=40,
-                                   cadence=40, out_dir=str(tmp_path / tag))
+            cfg = ExperimentConfig(seeds=(0,), iterations=40, cadence=40,
+                                   out_dir=str(tmp_path / tag))
             run_relations_experiment(cfg)
             rows.append((tmp_path / tag / "results.csv").read_bytes())
         assert rows[0] == rows[1]

@@ -1,12 +1,14 @@
 """CLI contract: subcommands, exit codes, config files."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dasl.cli import _load_theory, _train_config_from, main, parse_config_file
+from dasl.cli import _load_theory, _train_config_from, build_parser, main, parse_config_file
 from dasl.data import load_csv_table, write_csv_table
+from dasl.experiments import ResultRow
 from dasl.interp import bind_theory
 from dasl.tensor import load_checkpoint
 from dasl.train import evaluate_classifier
@@ -281,3 +283,112 @@ class TestCompileTrainEval:
                      "--data-dir", str(toy_dir)])
         assert code == 2
         assert "triples_per_class must be >= 1" in capsys.readouterr().err
+
+
+# each subcommand's options, by dest, as `--help` lists them
+OPTIONS = {
+    "compile": {"theory", "explain", "batch_size", "shared_draw", "seed", "data_dir", "big",
+                "eq_eps", "eq_mu", "eq_sigma"},
+    "train": {"theory", "config", "out", "iterations", "batch_size", "lr", "cadence",
+              "curriculum", "rules_only_after", "shared_draw", "seed", "data_dir", "big",
+              "eq_eps", "eq_mu", "eq_sigma"},
+    "eval": {"theory", "checkpoint", "data", "symbol", "seed", "data_dir", "big", "eq_eps",
+             "eq_mu", "eq_sigma"},
+    "oracle-check": {"signature", "depth", "trials", "seed", "big"},
+    "mnist": {"ntr", "knowledge", "seeds", "iterations", "triples_per_class", "batch_size",
+              "lr", "cadence", "out", "data_dir"},
+    "synth-rel": {"regime", "seeds", "iterations", "batch_size", "lr", "cadence", "out"},
+    "gradcheck": {"trials", "seed"},
+}
+
+
+class _Reads:
+    """A parsed namespace that records which attributes its reader asks for."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(_values=values, read=set())
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        try:
+            return self._values[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_lists_the_subcommands_options(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out)) - {"help"}
+        assert listed == {dest.replace("_", "-") for dest in OPTIONS[command]}
+
+    def test_sixty_options_in_all(self):
+        assert sum(len(dests) for dests in OPTIONS.values()) == 60
+
+    def test_every_option_is_read(self, toy_dir, monkeypatch):
+        # the experiments are stubbed; every other handler runs on the toy theory
+        rows = [ResultRow("t", 0, 2, 0, know, split, "accuracy", 0.5)
+                for know in (False, True) for split in ("test", "standard", "zero-shot")]
+        monkeypatch.setattr("dasl.cli.run_mnist_experiment", lambda config: rows)
+        monkeypatch.setattr("dasl.cli.run_relations_experiment", lambda config: rows)
+        ckpt = TestCompileTrainEval._train(toy_dir)
+        theory, data = ["--theory", str(toy_dir / "toy.dasl")], ["--data-dir", str(toy_dir)]
+        argvs = {
+            "compile": theory + data,
+            "train": theory + data + ["--iterations", "2", "--batch-size", "4"],
+            "eval": theory + data + ["--checkpoint", str(ckpt), "--data", "Train",
+                                     "--symbol", "classify"],
+            "oracle-check": ["--signature", str(toy_dir / "sig.dasl"), "--depth", "2",
+                             "--trials", "2"],
+            "mnist": data,
+            "synth-rel": [],
+            "gradcheck": ["--trials", "1"],
+        }
+        parser = build_parser()
+        for command, argv in argvs.items():
+            args = vars(parser.parse_args([command, *argv]))
+            reads = _Reads(args)
+            assert args["fn"](reads) == 0, command
+            assert set(args) - {"command", "fn"} - reads.read == set(), command
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle-check", "--signature", "sig.dasl", "--data-dir", "."],
+        ["oracle-check", "--signature", "sig.dasl", "--eq-eps", "0.2"],
+        ["mnist", "--seed", "5"],
+        ["mnist", "--big", "30"],
+        ["synth-rel", "--big", "30"],
+        ["synth-rel", "--seed", "1"],
+        ["synth-rel", "--data-dir", "."],
+        ["gradcheck", "--big", "30"],
+        ["gradcheck", "--eq-sigma", "0.7"],
+    ])
+    def test_an_option_the_subcommand_would_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mnist", "--batch-size", "0"], "batch size must be >= 1"),  # trained at 64
+        (["mnist", "--cadence", "0"], "cadence must be >= 1"),
+        (["synth-rel", "--batch-size", "0"], "batch size must be >= 1"),
+    ], ids=["mnist-batch-size", "mnist-cadence", "synth-rel-batch-size"])
+    def test_a_zero_setting_exits_2_before_any_data(self, toy_dir, capsys, monkeypatch,
+                                                    argv, message):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data made before the config was checked")
+
+        monkeypatch.setattr("dasl.experiments.load_mnist", no_data)
+        monkeypatch.setattr("dasl.experiments.gen_synth_relations", no_data)
+        assert main([*argv, "--seeds", "1", "--iterations", "5"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_compile_rejects_an_mlp_relation_without_arguments(self, tmp_path, capsys):
+        theory = tmp_path / "nullary.dasl"
+        theory.write_text("rel r : mlp 4;\naxiom a : r;\n")
+        assert main(["compile", "--theory", str(theory)]) == 2
+        assert "r: expected at least one argument to an mlp, found none" in \
+            capsys.readouterr().err

@@ -197,10 +197,14 @@ class TestScalarOracleEquivalence:
             rel Q : Row mlp 4 act tanh;
             rel S : K extern S;
             func g : K -> K extern g;
+            func h : Row -> Row mlp 3;
             data Pool : Row x K from "mem";
             axiom a1 : forall (r, k): Pool . pi[k](C(r)) & Q(r);
             axiom a2 : forall (r, k): Pool . forall j: K . S(j) -> pi[g(j)](C(r)) | Q(r);
             axiom a3 : forall (r, k): Pool . exists j: K . k = j & Q(r);
+            axiom a4 : forall (r, k): Pool . (Q(r) | false) & true;
+            axiom a5 : forall (r, k): Pool . forall (r2, k2): Pool . r = r2 -> Q(r2);
+            axiom a6 : forall (r, k): Pool . h(r) = r | ~Q(r);
         """))
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(6, 4))

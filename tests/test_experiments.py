@@ -305,7 +305,7 @@ class TestRelationsHarness:
 
     def test_short_paired_run(self):
         splits = gen_synth_relations(n_train_pool=600, n_test=150, seed=8)
-        cfg = ExperimentConfig(task="synth-relations", iterations=120, cadence=60, seeds=(0,))
+        cfg = ExperimentConfig(iterations=120, cadence=60, seeds=(0,))
         _, with_k = run_relations_once(splits, cfg, seed=0, knowledge=True)
         _, without = run_relations_once(splits, cfg, seed=0, knowledge=False)
         assert set(with_k) == set(without)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 import _triples_ref
 from dasl.compiler import compile, evaluate, explain
 from dasl.interp import (
+    Column,
     DataLoadError,
+    Domain,
     EmptyDomain,
     IdOutOfRange,
     InsufficientClassCount,
@@ -111,6 +113,42 @@ class TestBindTheory:
         column = bind_theory(th, data_dir=str(tmp_path)).domains["Train"].columns[0]
         assert column.values.dtype == np.int64 and column.values.tolist() == [0, 2, 1]
 
+
+    BITS = "sort K card 3;\nboolvec b : [1, 1, 0];\ndata D : K from \"mem\";\n" \
+           "axiom a : forall k: D . b(k);"
+
+    @pytest.mark.parametrize("column, match", [
+        # -1 read the last bit (root -20.0); 5 was a bare IndexError
+        (Column(np.array([0, -1]), "K"), "D: column 0 (sort K) row 1: id -1 is not an integer"),
+        (Column(np.array([0, 5]), "K"), "D: column 0 (sort K) row 1: id 5 is not an integer"),
+        (Column(np.array([2, 0, 7]), "K", np.array([1, 2])),
+         "D: column 0 (sort K) row 1: id 7 is not an integer"),
+        (Column(np.array([0, 1, 2]), "K", np.array([0, 3])),
+         "D: column 0: row ids must be integers in [0, 3)"),
+        (Column(np.array([0, 1, 2]), "K", np.array([0, -1])),
+         "D: column 0: row ids must be integers in [0, 3)"),
+        (Column(np.zeros((2, 3)), "K"), "D: column 0 (sort K) must hold one id per row"),
+    ], ids=["negative", "past_card", "through_ids", "ids_past_table", "negative_ids", "rows"])
+    def test_a_bad_domain_is_a_load_error_as_its_arrays_are(self, column, match):
+        th = check_theory(parse_theory(self.BITS))
+        with pytest.raises(DataLoadError, match=re.escape(match)):
+            bind_theory(th, data={"D": Domain("D", 2, (column,))})
+
+    def test_a_domain_column_is_checked_against_its_declared_sort(self):
+        th = check_theory(parse_theory(
+            "sort Row dim 3;\nsort K card 3;\ndata D : Row x K from \"mem\";"))
+        rows = np.arange(12.0).reshape(4, 3)
+        ids = np.array([3, 1])
+        good = Domain("D", 2, (Column(rows, "Row", ids), Column(np.array([1, 2]), "K")))
+        column = bind_theory(th, data={"D": good}).domains["D"].columns[0]
+        assert column.values is rows  # the shared table is not copied
+        np.testing.assert_array_equal(column.take(np.arange(2)), rows[ids])
+        narrow = Domain("D", 2, (Column(rows[:, :2], "Row", ids), good.columns[1]))
+        with pytest.raises(DataLoadError, match=re.escape("D: column 0 (sort Row) must be n x 3")):
+            bind_theory(th, data={"D": narrow})
+        short = Domain("D", 3, good.columns)
+        with pytest.raises(DataLoadError, match="D: column lengths differ"):
+            bind_theory(th, data={"D": short})
 
     def test_index_column_of_two_ids_per_row_is_a_load_error(self):
         # flattened, this 2 x 2 table would bind the 4 rows [0 1 2 0]

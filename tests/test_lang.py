@@ -187,6 +187,12 @@ class TestCheck:
         with pytest.raises(UnboundSymbol):
             check_theory(parse_theory("sort D card 2;\nrel P : D extern p;\naxiom a : P(x);"))
 
+    def test_mlp_relation_without_arguments(self):
+        # an MLP has no input to read; evaluation failed with a bare IndexError
+        with pytest.raises(SortError, match="^r: expected at least one argument to an mlp"):
+            check_theory(parse_theory("rel r : mlp 4;\naxiom a : r;"))
+        check_theory(parse_theory("rel r : extern r;\naxiom a : r;"))
+
     def test_variable_annotated_with_sort(self):
         th = _checked("axiom a : forall x: D . P(x);")
         body = th.axioms[0].formula.body
@@ -272,6 +278,11 @@ class TestRoundTrip:
     def test_arith_round_trip(self):
         f = parse_formula("pi[(y1 + y2) mod 10](digit(x3))")
         assert parse_formula(print_formula(f)) == f
+
+    def test_truth_constants_round_trip(self):
+        for text in ("true", "false", "(P(x) | false) & true", "~true -> false"):
+            f = parse_formula(text)
+            assert parse_formula(print_formula(f)) == f
 
 
 class TestLexicalRules:

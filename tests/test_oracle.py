@@ -55,6 +55,14 @@ class TestTarskiEval:
         assert tarski_eval(model, parse_formula("P(c)")) is True
         assert tarski_eval(model, parse_formula("P(f(c))")) is False
 
+    def test_truth_constants(self):
+        model = _model_p([True, False])
+        assert tarski_eval(model, parse_formula("true")) is True
+        assert tarski_eval(model, parse_formula("false")) is False
+        assert tarski_eval(model, parse_formula("forall x: D . P(x) | true")) is True
+        assert tarski_eval(model, parse_formula("exists x: D . P(x) & false")) is False
+        assert tarski_eval(model, parse_formula("exists x: D . (P(x) | false) & true")) is True
+
     def test_arithmetic(self):
         model = CrispModel({"D": 10}, {}, {}, {"P": np.zeros(10, dtype=bool)})
         f = parse_formula("forall x: D . x = x + 0 mod 10")
