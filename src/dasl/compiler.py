@@ -32,6 +32,13 @@ exp(-l)) of `logit.conj` over them per row in `Plan.folds`
 formula and reads the min, its value.  A plan's datasets and bindings are
 therefore fixed once it is compiled.
 
+A static `not`/`and` formula whose class width comes from one boolvec bit
+pattern, all its other operands being one wide (a rule mask `h -> c`), takes
+only two values per row: those at bits 0 and 1.  It is lowered over the
+two-column boolvec `[0, 1]` under a `columns` node, which gathers the pair by
+the bits, so each class entry is the same ops on the same inputs as at full
+width, at 2 entries per row instead of one per class.
+
 The same tree scores a classifier: `scores` binds the variables of an axiom
 `forall (x…, y): D . pi[y](V)` to given rows and returns V's class logits and
 the labels, so test-time scoring applies exactly the knowledge that training
@@ -100,6 +107,7 @@ class Node:
     kind      data                                      kids
     bool      the crisp logit, +big or -big             ()
     boolvec   the bits                                  ()
+    columns   (boolvec name, its bits as an array)      (two-column formula,)
     bits      the bits as an array                      (index term,)
     rel       (symbol, symbol_outputs key or None)      argument terms
     eq        None                                      (lhs, rhs)
@@ -122,11 +130,12 @@ class Node:
     class axis when `width` exceeds 1, or for a term its feature axis.
 
     `static` is true when no parameter can reach the node: `bool`,
-    `boolvec` and `int`; a `var` whose column is not an embedding table; a
-    `const` bound to a fixed value; a `rel` or `func` bound to an extern or
-    a fixed value, with static arguments and no symbol_outputs key; and an
-    `eq`, `arith`, `bits`, `not`, `and`, `select` or `index` whose kids are
-    all static.  A `sample` is never static: its value depends on the draw.
+    `boolvec`, `int` and `columns`; a `var` whose column is not an embedding
+    table; a `const` bound to a fixed value; a `rel` or `func` bound to an
+    extern or a fixed value, with static arguments and no symbol_outputs
+    key; and an `eq`, `arith`, `bits`, `not`, `and`, `select` or `index`
+    whose kids are all static.  A `sample` is never static: its value
+    depends on the draw.
     A `fold` gathers the running (min, sum logsigmoid, sum exp(-l)) of its
     conjuncts, each taken to its class width, by the draw of the sampled
     quantifier that binds `variables` on `axis`.  As the first operand of an
@@ -134,13 +143,22 @@ class Node:
     `and` resumes from the three; anywhere else it holds one formula and
     its value is the min.
 
+    `mask` is the boolvec leaf that gives a static `not` or `and` its class
+    width, when all its operands carry that leaf's bit pattern or have width
+    1 (a boolvec of two or more bits is its own mask).  Such a formula's
+    class columns are each a copy of one of its two values at bits 0 and 1,
+    so a maximal one is lowered over the two-column boolvec `[0, 1]` (each
+    node of it 2 wide) and a `columns` node above it gathers that pair by
+    the bits.  Only a `columns` node's subtree holds two-column nodes, and
+    no node's mask outlives the lowering of its quantifier body or axiom.
+
     `src`, read by `explain` alone, is the source formula of an atom, select or quantifier.
     """
 
-    __slots__ = ("kind", "uid", "fv", "width", "kids", "data", "static", "depth", "src")
+    __slots__ = ("kind", "uid", "fv", "width", "kids", "data", "static", "depth", "src", "mask")
 
     def __init__(self, kind: str, uid: int, fv: tuple[str, ...], width: int,
-                 kids: tuple, data, static: bool, depth: int, src=None):
+                 kids: tuple, data, static: bool, depth: int, src=None, mask=None):
         self.kind = kind
         self.uid = uid
         self.fv = fv
@@ -150,6 +168,7 @@ class Node:
         self.static = static
         self.depth = depth
         self.src = src
+        self.mask = mask
 
 
 # kinds that are static exactly when all their kids are
@@ -187,9 +206,44 @@ class _Lowering:
                 fv = tuple(sorted({v for k in kids for v in k.fv}))
             if static is None:
                 static = kind in _STATIC_IF_KIDS and False not in [k.static for k in kids]
+        mask = None
+        for k in kids:
+            if k.mask is not None:  # carry the operands' mask on, or end their formulas here
+                if static and kind in ("not", "and"):
+                    mask = _mask(kids)
+                if mask is None:
+                    kids = tuple(j if j.mask is None else self.columns(j) for j in kids)
+                break
         self.uids += 1
         return Node(kind, self.uids, fv, width, kids, data, static,
-                    self.depth if depth is None else depth, src)
+                    self.depth if depth is None else depth, src, mask)
+
+    def columns(self, node: Node) -> Node:
+        """A maximal mask formula lowered over `[0, 1]`, under a `columns` node.
+
+        A bare boolvec stays as it is.
+        """
+        leaf = node.mask
+        if node is leaf:
+            node.mask = None
+            return node
+        data = (leaf.src.name, np.asarray(leaf.data))
+        _two_columns(node)
+        return self.node("columns", (node,), data, len(data[1]), static=True, depth=node.depth)
+
+    def seal(self, node: Node) -> Node:
+        """A quantifier body or axiom with its mask formulas ended.
+
+        A mask `and` here may be one the fused loss splits into its
+        conjuncts, so each of its operands is ended on its own.
+        """
+        if node.mask is None:
+            return node
+        if node.kind == "and":
+            node.mask = None
+            node.kids = tuple(self.seal(k) for k in node.kids)
+            return node
+        return self.columns(node)
 
     def negate(self, node: Node) -> Node:
         return self.node("not", (node,), width=node.width)
@@ -204,7 +258,7 @@ class _Lowering:
 
     def lower_axiom(self, name: str, formula) -> Node:
         self.axiom = name
-        root = self.formula(formula)
+        root = self.seal(self.formula(formula))
         if root.fv:
             raise UnboundSymbol(root.fv[0])
         return root
@@ -250,7 +304,9 @@ class _Lowering:
             bits = self.boolvecs.get(f.name)
             if bits is None:
                 raise UnboundSymbol(f.name)
-            return self.node("boolvec", data=bits, width=len(bits), static=True, src=f)
+            node = self.node("boolvec", data=bits, width=len(bits), static=True, src=f)
+            node.mask = node if len(bits) > 1 else None
+            return node
         raise SortError("compile", "a formula", type(f).__name__)
 
     def quantifier(self, f: Forall | Exists) -> Node:
@@ -278,6 +334,7 @@ class _Lowering:
         body = self.formula(f.body)
         if isinstance(f, Exists):
             body = self.negate(body)
+        body = self.seal(body)
         self.scope, self.depth = outer, self.depth - 1
         return body
 
@@ -305,7 +362,7 @@ class _Lowering:
                 return node
         if kind in ("and", "index", "sample"):
             node.kids = tuple(self.fold(k, names, data, loss) for k in node.kids)
-        elif kind == "not":
+        elif kind in ("not", "columns"):
             node.kids = (self.fold(node.kids[0], names, data, False),)
         elif kind == "select":
             node.kids = (node.kids[0], self.fold(node.kids[1], names, data, False))
@@ -331,6 +388,31 @@ class _Lowering:
             args = tuple(self.term(a) for a in t.args)
             return self.node("func", args, t.symbol, static=self.fixed(t.symbol, args))
         raise SortError("compile", "a term", type(t).__name__)
+
+
+def _mask(kids: tuple) -> Node | None:
+    """The mask that all of a static `not`'s or `and`'s operands share, or None."""
+    mask = None
+    for k in kids:
+        if k.mask is None:
+            if k.width != 1:
+                return None
+        elif mask is None:
+            mask = k.mask
+        elif k.mask.data != mask.data:
+            return None
+    return mask
+
+
+def _two_columns(node: Node) -> None:
+    """Lower a mask formula over the two-column boolvec `[0, 1]`, in place."""
+    if node.mask is None:
+        return
+    node.mask, node.width = None, 2
+    if node.kind == "boolvec":
+        node.data = (0, 1)
+    for kid in node.kids:
+        _two_columns(kid)
 
 
 def _foldable(node: Node, names: frozenset) -> bool:
@@ -594,6 +676,8 @@ class _Evaluator:
             return Tensor(self.gathered(node)[0]) if self.fold else self.formula(node.kids[0], env)
         if kind == "not":
             return T.neg(self.formula(node.kids[0], env))
+        if kind == "columns":  # static, so off the tape
+            return Tensor(np.take(self.formula(node.kids[0], env).data, node.data[1], axis=-1))
         if kind in ("index", "sample"):
             inner, n = self.bind(node, env)
             value = self.formula(node.kids[0], inner)
@@ -827,6 +911,9 @@ def explain(plan: Plan) -> str:
         elif kind == "fold":  # data[1] is the sampler key, which ends with the domain
             what = "fold" if len(kids) == 1 else f"fold of {len(kids)} conjuncts"
             text = f"{what} [computed once over {node.data[1][-1]}, gathered by the draw]"
+        elif kind == "columns":
+            text = (f"columns of {node.data[0]} [2 evaluated, "
+                    f"gathered by its {len(node.data[1])} bits]")
         elif kind == "and":
             text = f"and of {len(kids)}"
         elif kind == "not":

@@ -316,6 +316,12 @@ def _encode_split(pairs: list[BoxPair], n_pred: int, rng: np.random.Generator) -
     return RelationSplit(pairs, np.hstack([spatial, context]), subj, obj, pred)
 
 
+def check_train_fraction(fraction: float) -> None:
+    """Raise ValueError unless `fraction` is a share of the train pool: 0 < fraction <= 1."""
+    if not 0 < fraction <= 1:
+        raise ValueError(f"train fraction must be in (0, 1], got {fraction}")
+
+
 def gen_synth_relations(
     vocab: RelationVocab | None = None,
     n_train_pool: int = 20000,
@@ -330,6 +336,7 @@ def gen_synth_relations(
     is held out entirely from the train pool and forms the zero-shot test
     split; the train set is a `train_fraction` subsample of the pool.
     """
+    check_train_fraction(train_fraction)
     vocab = vocab or default_relation_vocab()
     n_obj = len(vocab.object_classes)
     n_pred = len(vocab.predicates)

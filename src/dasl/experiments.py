@@ -20,6 +20,7 @@ from .data import (
     RelationSplit,
     RelationSplits,
     RelationVocab,
+    check_train_fraction,
     default_relation_vocab,
     gen_synth_relations,
     load_idx,
@@ -55,6 +56,7 @@ class ExperimentConfig:
             raise ValueError("triples_per_class must be >= 1 with knowledge on")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        check_train_fraction(self.train_fraction)
         self.train_config(seed=0)  # TrainConfig checks the training settings
 
     def train_config(self, seed: int, out_dir: str | None = None, **settings) -> TrainConfig:

@@ -116,6 +116,8 @@ class _Checker:
                 raise SortError(r.name, "out >= 2", str(r.out))
             if isinstance(r.binding, MlpSpec) and not r.arg_sorts:
                 raise SortError(r.name, "at least one argument to an mlp", "none")
+            if isinstance(r.binding, MlpSpec) and any(h < 1 for h in r.binding.hidden):
+                raise SortError(r.name, "hidden sizes >= 1", str(r.binding.hidden))
         for b in self.theory.boolvecs:
             if not b.bits:
                 raise SortError(b.name, "at least one bit", "empty")

@@ -160,6 +160,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
 
 
 @dataclass

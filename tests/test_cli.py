@@ -375,7 +375,11 @@ class TestOptions:
         (["mnist", "--batch-size", "0"], "batch size must be >= 1"),  # trained at 64
         (["mnist", "--cadence", "0"], "cadence must be >= 1"),
         (["synth-rel", "--batch-size", "0"], "batch size must be >= 1"),
-    ], ids=["mnist-batch-size", "mnist-cadence", "synth-rel-batch-size"])
+        (["mnist", "--lr", "0"], "learning rate must be finite and > 0"),
+        (["synth-rel", "--regime", "0"], "train fraction must be in (0, 1]"),  # one pair
+        (["synth-rel", "--regime", "5"], "train fraction must be in (0, 1]"),  # the whole pool
+    ], ids=["mnist-batch-size", "mnist-cadence", "synth-rel-batch-size", "mnist-lr",
+            "synth-rel-regime-0", "synth-rel-regime-5"])
     def test_a_zero_setting_exits_2_before_any_data(self, toy_dir, capsys, monkeypatch,
                                                     argv, message):
         def no_data(*args, **kwargs):
@@ -385,6 +389,25 @@ class TestOptions:
         monkeypatch.setattr("dasl.experiments.gen_synth_relations", no_data)
         assert main([*argv, "--seeds", "1", "--iterations", "5"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["-1", "nan"])
+    def test_train_with_a_bad_learning_rate_exits_2_before_any_data(self, toy_dir, capsys,
+                                                                     monkeypatch, lr):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data loaded before the config was checked")
+
+        monkeypatch.setattr("dasl.cli._bind", no_data)
+        argv = ["train", "--theory", str(toy_dir / "toy.dasl"), "--data-dir", str(toy_dir),
+                "--iterations", "3", "--lr", lr]
+        assert main(argv) == 2
+        assert "learning rate must be finite and > 0" in capsys.readouterr().err
+
+    def test_compile_rejects_an_mlp_relation_with_an_empty_hidden_layer(self, tmp_path,
+                                                                          capsys):
+        theory = tmp_path / "constant.dasl"
+        theory.write_text("sort X dim 2;\nrel r : X mlp 0;\n")
+        assert main(["compile", "--theory", str(theory)]) == 2
+        assert "r: expected hidden sizes >= 1, found (0,)" in capsys.readouterr().err
 
     def test_compile_rejects_an_mlp_relation_without_arguments(self, tmp_path, capsys):
         theory = tmp_path / "nullary.dasl"

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _scalar_ref as ref
 from dasl import logit as L
@@ -131,6 +133,9 @@ class TestLowering:
         folds = [line for line in listing if "computed once over Train" in line]
         assert [line.split(" ", 1)[1] for line in map(str.strip, folds)] == [
             "fold of 10 conjuncts [computed once over Train, gathered by the draw]"]
+        guards = [line.strip().split(" ", 1)[1] for line in listing if " columns " in line]
+        assert len(guards) == 10 and guards[0] == (
+            "columns of h_riding [2 evaluated, gathered by its 12 bits]")
 
 
 class TestEvaluate:
@@ -249,6 +254,7 @@ class TestNestedSampling:
         rel R : Row x Row mlp 4 act sigmoid;
         rel N : Row x K mlp 4 act sigmoid;
         rel V : Row out 3 mlp 4 act tanh;
+        rel P : Row extern P;
         data Pool : Row from "mem";
         axiom %s;
     """
@@ -267,12 +273,16 @@ class TestNestedSampling:
         "mod_index_in_data": "mi : forall r: Pool . forall j: K . forall k: K . "
                              "pi[(j + k) mod 3](V(r)) | ~pi[j](V(r)) & ~pi[k](V(r))",
         "one_hot_index_in_data": "oh : forall r: Pool . forall k: K . N(r, k) | Q(r)",
+        # a static guard over bv, evaluated on its two truth columns
+        "mask_guard": "mg : forall r: Pool . Q(r) & (bv -> P(r))",
+        "mask_guard_in_data": "mgd : forall r: Pool . forall q: Pool . R(r, q) | (bv -> P(q))",
     }
 
     def _plan(self, axiom, seed):
         th = check_theory(parse_theory(self.SRC % axiom))
         rows = np.random.default_rng(seed).normal(size=(5, 3))
-        interp = bind_theory(th, data={"Pool": (rows,)}, seed=seed)
+        interp = bind_theory(th, externs={"P": lambda r: 3.0 * np.tanh(r[..., 0] - r[..., 1])},
+                             data={"Pool": (rows,)}, seed=seed)
         return th, interp, compile(th, interp)
 
     @pytest.mark.parametrize("nesting", sorted(AXIOMS))
@@ -338,6 +348,72 @@ class TestScores:
                                        "Pool": (rows,)})
         with pytest.raises(ValueError, match="3 variables"):
             scores(compile(th, interp), "labels", (rows,))
+
+
+def _guard(text, ref):
+    return pytest.param(text, ref, id=text)
+
+
+class TestColumns:
+    """A static guard over a boolvec is evaluated on its two truth columns and
+    gathered by the bits: every entry equals the same connectives taken at
+    full class width, bit for bit."""
+
+    # V(r) over the boolvecs h and g of n bits and the extern logits c1(r), c2(r);
+    # the reference builds V's lowering at full width (h, g of shape (n,), c of (rows, 1))
+    GUARDS = [
+        _guard("h -> c1(r)", lambda h, g, c1, c2: L.neg(L.conj(h, L.neg(c1)))),
+        _guard("h & c1(r)", lambda h, g, c1, c2: L.conj(h, c1)),
+        _guard("~(h | c1(r))", lambda h, g, c1, c2: L.neg(L.neg(L.conj(L.neg(h), L.neg(c1))))),
+        _guard("h -> c1(r) & ~c2(r)",
+               lambda h, g, c1, c2: L.neg(L.conj(h, L.neg(L.conj(c1, L.neg(c2)))))),
+        _guard("~~(h -> ~~c1(r))", lambda h, g, c1, c2: L.neg(L.neg(L.neg(L.conj(
+            h, L.neg(L.neg(L.neg(c1)))))))),
+        _guard("~(~h & c1(r)) & (h -> c2(r))", lambda h, g, c1, c2: L.conj(
+            L.neg(L.conj(L.neg(h), c1)), L.neg(L.conj(h, L.neg(c2))))),
+        _guard("(h -> c1(r)) & (g -> c2(r))", lambda h, g, c1, c2: L.conj(
+            L.neg(L.conj(h, L.neg(c1))), L.neg(L.conj(g, L.neg(c2))))),
+    ]
+
+    @staticmethod
+    def _bits(n):
+        return st.one_of(st.just([0] * n), st.just([1] * n),
+                         st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("text, ref", GUARDS)
+    def test_matches_full_width_connectives(self, text, ref, data):
+        n = data.draw(st.integers(3, 12), label="n")
+        h, g = data.draw(self._bits(n), label="h"), data.draw(self._bits(n), label="g")
+        rows = data.draw(st.integers(1, 5), label="rows")
+        logits = data.draw(st.lists(st.floats(-30, 30), min_size=2 * rows, max_size=2 * rows),
+                           label="logits")
+        c = np.asarray(logits).reshape(2, rows)
+        th = check_theory(parse_theory(f"""
+            sort Row dim 1;
+            sort K card {n};
+            boolvec h : {h};
+            boolvec g : {g};
+            rel c1 : Row extern c1;
+            rel c2 : Row extern c2;
+            data D : Row x K from "mem";
+            axiom labels : forall (r, y): D . pi[y]({text});
+            axiom whole : forall (r, y): D . {text};
+        """))
+        columns = (np.arange(rows, dtype=float)[:, None], np.arange(rows) % n)
+        externs = {f"c{i + 1}": (lambda x, i=i: c[i][x[..., 0].astype(int)]) for i in range(2)}
+        plan = compile(th, bind_theory(th, externs=externs, data={"D": columns}))
+        want = ref(L.bool_vector(h), L.bool_vector(g), *(T.Tensor(c[i][:, None])
+                                                         for i in range(2)))
+        got, _ = scores(plan, "labels", columns)
+        np.testing.assert_array_equal(got, want.data)
+        draws = {key: np.arange(rows) for key in plan.samplers}
+        per_axiom = evaluate(plan, draws).per_axiom
+        np.testing.assert_array_equal(
+            per_axiom["whole"].data, L.conj_reduce(L.conj_reduce(want, 0), -1).data)
+        np.testing.assert_array_equal(per_axiom["labels"].data, L.conj_reduce(
+            L.softselect(want, columns[1]), 0).data)
 
 
 def _folds(node):
@@ -882,6 +958,34 @@ class TestSoftselectGrid:
         fuse_loss(plan).evaluate(active_axioms={"rule"})
         assert calls.rows == [3 * 64]
         assert sizes and max(sizes) <= 64 * 10 * 10
+
+
+class TestMaskGather:
+    def test_guards_conjoin_on_two_columns(self, monkeypatch):
+        # each guard h_p -> ... once conjoined (2000, 1) rows with h_p's 12 classes;
+        # on its two truth columns it conjoins 2000 x 2 entries, and only the
+        # final conjunction of vrd(f, s, o) with the ten guards spans the classes
+        from dasl import data, experiments
+
+        splits = data.gen_synth_relations(train_fraction=0.01, seed=0)
+        th = experiments.relations_theory(True, splits.vocab, hidden=8)
+        s = splits.train
+        interp = bind_theory(th, externs=data.spatial_predicate_externs(),
+                             data={"Train": (s.features, s.subject, s.object, s.predicate)})
+        split = splits.test_standard
+        rows, classes = len(split.predicate), len(splits.vocab.predicates)
+        sizes, conjoin = [], T.conjoin
+
+        def spy(logits, parts, switch, cap):
+            out = conjoin(logits, parts, switch, cap)
+            sizes.append(out.data.size)
+            return out
+
+        monkeypatch.setattr(T, "conjoin", spy)
+        got = experiments.masked_scores(interp, splits.vocab, split, True)
+        assert (rows, classes) == got.shape == (2000, 12)
+        assert sizes.count(rows * classes) == 1
+        assert max(size for size in sizes if size != rows * classes) <= rows * 2
 
 
 class TestRecordedLosses:

@@ -153,6 +153,14 @@ class TestSynthRelations:
         splits = gen_synth_relations(n_train_pool=1000, n_test=100,
                                      train_fraction=0.01, seed=3)
         assert len(splits.train.pairs) == int(np.ceil(0.01 * 1000))
+        whole = gen_synth_relations(n_train_pool=100, n_test=10, train_fraction=1.0, seed=3)
+        assert len(whole.train.pairs) == 100
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, 5.0, float("nan")])
+    def test_train_fraction_outside_the_pool_is_rejected(self, fraction):
+        # 0 trained on one pair and 5 silently meant the whole pool
+        with pytest.raises(ValueError, match=r"train fraction must be in \(0, 1\]"):
+            gen_synth_relations(n_train_pool=100, n_test=10, train_fraction=fraction)
 
     def test_feature_layout(self):
         splits = gen_synth_relations(n_train_pool=300, n_test=50, seed=4)

@@ -121,6 +121,14 @@ class TestMnistHarness:
             ExperimentConfig(triples_per_class=budget)
         ExperimentConfig(triples_per_class=budget, knowledge=False)  # no triples to build
 
+    @pytest.mark.parametrize("setting, message", [
+        (dict(lr=0.0), "learning rate"), (dict(lr=float("nan")), "learning rate"),
+        (dict(train_fraction=0.0), "train fraction"), (dict(train_fraction=5.0), "train fraction"),
+    ], ids=["lr-0", "lr-nan", "fraction-0", "fraction-5"])
+    def test_bad_run_setting_is_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**setting)
+
     def test_theory_shape(self):
         th = mnist_theory(knowledge=True)
         assert {a.name for a in th.axioms} == {"labels", "rule"}

@@ -193,6 +193,13 @@ class TestCheck:
             check_theory(parse_theory("rel r : mlp 4;\naxiom a : r;"))
         check_theory(parse_theory("rel r : extern r;\naxiom a : r;"))
 
+    @pytest.mark.parametrize("hidden", ["0", "4, 0"])
+    def test_mlp_relation_with_an_empty_hidden_layer(self, hidden):
+        # a zero-width layer made the relation a learned constant
+        with pytest.raises(SortError, match=r"^r: expected hidden sizes >= 1"):
+            check_theory(parse_theory(f"sort X dim 2;\nrel r : X mlp {hidden};"))
+        check_theory(parse_theory("sort X dim 2;\nrel r : X mlp 1;"))
+
     def test_variable_annotated_with_sort(self):
         th = _checked("axiom a : forall x: D . P(x);")
         body = th.axioms[0].formula.body

@@ -218,6 +218,12 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="cadence must be >= 1"):
             TrainConfig(iterations=4, batch_size=8, cadence=cadence)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        # -1 ran gradient ascent; nan was caught only as a non-finite loss
+        with pytest.raises(ValueError, match="learning rate must be finite and > 0"):
+            TrainConfig(iterations=4, batch_size=8, lr=lr)
+
     def test_loss_decreases_on_learnable_task(self):
         th, interp, rows, ys = _toy_setup(n=60)
         plan = compile(th, interp, batch_size=16, seed=3)
