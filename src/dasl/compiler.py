@@ -35,9 +35,14 @@ therefore fixed once it is compiled.
 A static `not`/`and` formula whose class width comes from one boolvec bit
 pattern, all its other operands being one wide (a rule mask `h -> c`), takes
 only two values per row: those at bits 0 and 1.  It is lowered over the
-two-column boolvec `[0, 1]` under a `columns` node, which gathers the pair by
-the bits, so each class entry is the same ops on the same inputs as at full
-width, at 2 entries per row instead of one per class.
+two-column boolvec `[0, 1]` under a `columns` node, so each class entry is the
+same ops on the same inputs as at full width, at 2 entries per row instead of
+one per class.  As an operand of an `and` (or of a fold's conjunction), a
+`columns` node reaches the conjunction narrow, as its pair and the bits
+(`tensor.Columns`): the kernel takes logsigmoid and exp(-l) on the pair and
+gathers each by the bits where it adds them, so the sums see the numbers the
+gathered operand would give, in the same order.  Anywhere else the node
+gathers its pair by the bits itself.
 
 The same tree scores a classifier: `scores` binds the variables of an axiom
 `forall (x…, y): D . pi[y](V)` to given rows and returns V's class logits and
@@ -90,6 +95,10 @@ class NonFiniteLogit(Exception):
 
 class RowAxisMismatch(Exception):
     """A symbol applied to arguments returned no leading axis of one result per row."""
+
+
+class ZeroDivisor(Exception):
+    """A `mod` term's divisor evaluated to 0 at some grounding."""
 
 
 @dataclass
@@ -148,11 +157,15 @@ class Node:
     1 (a boolvec of two or more bits is its own mask).  Such a formula's
     class columns are each a copy of one of its two values at bits 0 and 1,
     so a maximal one is lowered over the two-column boolvec `[0, 1]` (each
-    node of it 2 wide) and a `columns` node above it gathers that pair by
-    the bits.  Only a `columns` node's subtree holds two-column nodes, and
-    no node's mask outlives the lowering of its quantifier body or axiom.
+    node of it 2 wide) and a `columns` node above it stands for that pair
+    gathered by the bits.  A conjunction takes a `columns` operand narrow,
+    as the pair and the bits (`tensor.Columns`), and gathers what it adds;
+    elsewhere the node gathers the pair.  Only a `columns` node's subtree
+    holds two-column nodes, and no node's mask outlives the lowering of its
+    quantifier body or axiom.
 
-    `src`, read by `explain` alone, is the source formula of an atom, select or quantifier.
+    `src` is the source formula of an atom, select or quantifier, which
+    `explain` prints, or the source term of an `arith`, which errors name.
     """
 
     __slots__ = ("kind", "uid", "fv", "width", "kids", "data", "static", "depth", "src", "mask")
@@ -375,7 +388,7 @@ class _Lowering:
         if isinstance(t, IntLiteral):
             return self.node("int", data=t.value, static=True)
         if isinstance(t, ArithExpr):
-            return self.node("arith", tuple(self.term(a) for a in t.args), t.op)
+            return self.node("arith", tuple(self.term(a) for a in t.args), t.op, src=t)
         if isinstance(t, Constant):
             if t.name not in self.symbols:
                 raise UnboundSymbol(t.name)
@@ -445,7 +458,7 @@ class Plan:
             s for s, n in Counter(lowering.applied).items()
             if n > 1 and getattr(interp.symbols[s], "parameters", None))
         self.folds: dict[int, np.ndarray] = {}
-        seeds = np.random.SeedSequence(seed).spawn(len(lowering.sites))
+        seeds = np.random.SeedSequence(seed).spawn(len(lowering.sites)) if lowering.sites else ()
         self.samplers: dict[tuple, Sampler] = {
             key: Sampler(domain, batch_size=batch_size, rng=np.random.default_rng(ss))
             for (key, domain), ss in zip(lowering.sites.items(), seeds)
@@ -568,7 +581,12 @@ class _Evaluator:
             return node.data
         if kind == "arith":
             a, b = (self.term(k, env) for k in node.kids)
-            return (a + b) if node.data == "add" else (a % b)
+            if node.data == "add":
+                return a + b
+            if not np.all(b):
+                raise ZeroDivisor(f"axiom {self.axiom!r}: the divisor of "
+                                  f"{print_term(node.src)} is 0 at some grounding")
+            return a % b
         if kind == "const":
             return self.symbols[node.data]([])
         return self.apply(node.data, node, env)  # func
@@ -677,7 +695,7 @@ class _Evaluator:
         if kind == "not":
             return T.neg(self.formula(node.kids[0], env))
         if kind == "columns":  # static, so off the tape
-            return Tensor(np.take(self.formula(node.kids[0], env).data, node.data[1], axis=-1))
+            return Tensor(self.formula(node.kids[0], env).data[..., node.data[1]])
         if kind in ("index", "sample"):
             inner, n = self.bind(node, env)
             value = self.formula(node.kids[0], inner)
@@ -714,8 +732,13 @@ class _Evaluator:
         return {**env, **taken}, len(rows)
 
     def operands(self, kids: tuple, env: dict, width: int) -> list:
-        """The values of a conjunction's operands, each taken to its class `width`."""
-        return [_with_classes(self.formula(k, env), k.width, width) for k in kids]
+        """The values of a conjunction's operands, each taken to its class `width`.
+
+        A `columns` operand stays narrow: its two columns and its bits, as a
+        `tensor.Columns`, which the conjunction gathers where it adds them.
+        """
+        return [T.Columns(self.formula(k.kids[0], env).data, k.data[1]) if k.kind == "columns"
+                else _with_classes(self.formula(k, env), k.width, width) for k in kids]
 
     def gathered(self, node: Node, width: int = 1) -> tuple:
         """A fold's (min, sum logsigmoid, sum exp(-l)) rows drawn by its sampler.

@@ -374,7 +374,11 @@ def bind_theory(
     """
     externs = externs or {}
     data = data or {}
-    rng = np.random.default_rng(seed)
+    # built only when some parameter draws its initial values from it
+    learned = (any(s.representation == "embedding-table" for s in theory.sorts)
+               or any(c.learned for c in theory.consts)
+               or any(isinstance(d.binding, MlpSpec) for d in (*theory.funcs, *theory.rels)))
+    rng = np.random.default_rng(seed) if learned else None
     domains: dict[str, Domain] = {}
     symbols: dict[str, object] = {}
 

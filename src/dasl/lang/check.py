@@ -33,6 +33,7 @@ from .ast import (
     Variable,
     children,
 )
+from .printer import print_term
 
 
 class CheckError(Exception):
@@ -173,8 +174,21 @@ class _Checker:
             named = {s for s in sorts if s is not None}
             if len(named) > 1:
                 raise SortError("arithmetic", "one index sort", str(sorted(named)))
+            if t.op == "mod":
+                self._divisor(t, args[1], sorts[1])
             return ArithExpr(t.op, tuple(args)), (named.pop() if named else None)
         raise TypeError(f"not a term: {t!r}")
+
+    def _divisor(self, t: ArithExpr, divisor: Term, sort: str | None) -> None:
+        """Reject a `mod` whose divisor is 0 somewhere: a literal below 1, or a
+        bare variable, whose index range starts at 0."""
+        if isinstance(divisor, IntLiteral) and divisor.value <= 0:
+            found = str(divisor.value)
+        elif isinstance(divisor, Variable):
+            found = f"variable {print_term(t.args[1])} of {sort}, which ranges from 0"
+        else:
+            return
+        raise SortError(print_term(t), "a divisor that is never 0", found)
 
     def _is_index(self, sort: str) -> bool:
         s = self.theory.sort(sort)

@@ -12,7 +12,6 @@ kernel of `dasl.tensor` and adds one tape record, however many operands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -76,6 +75,10 @@ def conj(*logits, parts=None) -> Tensor:
     whose sums are already taken: the sums start from them, so
     `conj(*logits, parts=conj_parts(*first))` adds in the order
     `conj(*first, *logits)` does and equals it bit for bit.
+
+    An operand may be a `tensor.Columns`, a static operand kept at two
+    columns: its logsigmoid and exp(-l) are taken there and gathered by its
+    bits where they are added, and its values where the running min meets them.
     """
     if not logits:
         raise EmptyConjunction("conjunction of zero formulas")
@@ -83,6 +86,8 @@ def conj(*logits, parts=None) -> Tensor:
         x = logits[0]
         if isinstance(x, T.Parameter):
             return T.reshape(x, x.shape)
+        if isinstance(x, T.Columns):
+            return Tensor(x.wide())
         return x if isinstance(x, Tensor) else Tensor(_data(x))
     return T.conjoin(logits, parts, STABLE_MIN, _CLAMP)
 
@@ -92,15 +97,15 @@ def conj_parts(*logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     For constant operands whose conjunction with others is taken many times:
     `conj(*rest, parts=conj_parts(*logits))` resumes from these sums.  The
-    three arrays have the operands' broadcast shape.  Nothing is recorded
-    on a tape.
+    three arrays have the operands' broadcast shape.  An operand may be a
+    `tensor.Columns`, as in `conj`.  Nothing is recorded on a tape.
     """
     if not logits:
         raise EmptyConjunction("conjunction of zero formulas")
-    datas = [_data(l) for l in logits]
-    T._check_broadcast(*[d.shape for d in datas])
+    datas = [l if isinstance(l, T.Columns) else _data(l) for l in logits]
+    lo = T.running_min(datas)
     s, acc = T.conjoin_sums(datas)
-    return reduce(np.minimum, datas), np.asarray(s), np.asarray(acc)
+    return np.asarray(lo), np.asarray(s), np.asarray(acc)
 
 
 def conj_reduce(t, axis: int) -> Tensor:

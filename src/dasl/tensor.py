@@ -735,24 +735,88 @@ def _pull_softselect_table(g, shape, flat, shifted, total):
 # -expm1 the log's _LOG_FLOOR.
 
 
+class Columns:
+    """A static conjunction operand kept narrow: its entries are `values[..., bits]`.
+
+    `values` holds the operand's two truth columns (its value where a boolvec
+    bit is 0 and where it is 1) and `bits` that boolvec's bits, so the
+    operand's shape is `values.shape[:-1] + bits.shape`.  The conjunction
+    kernels take logsigmoid and exp(-l) on the two columns and gather each by
+    the bits just before it is added, so every sum adds the numbers the
+    gathered operand gives, in the same order.  Never on a tape.
+    """
+
+    __slots__ = ("values", "bits")
+
+    def __init__(self, values: np.ndarray, bits: np.ndarray):
+        self.values = values
+        self.bits = bits
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape[:-1] + self.bits.shape
+
+    def wide(self) -> np.ndarray:
+        """The operand gathered to its classes."""
+        return self.values[..., self.bits]
+
+
+def _gathered(x: np.ndarray, bits) -> np.ndarray:
+    return x if bits is None else x[..., bits]
+
+
+def _into(op, total, x, own: bool, x_free: bool):
+    """op(total, x), and whether the result may be written over.
+
+    A running sum or min that is an array made here (`own`), of the result's
+    shape, takes the result in place: a conjunction over 2000 x 12 entries
+    then reuses one array instead of making one per operand.  A None total
+    starts as x, which may be written over when `x_free`.
+    """
+    if total is None:
+        return x, x_free
+    if own and total.ndim and x.shape == total.shape:  # numpy gives 0-d results as scalars
+        return op(total, x, out=total), True
+    return op(total, x), True
+
+
+def running_min(datas, lo=None) -> np.ndarray:
+    """The elementwise minimum of `lo` (if given) and `datas`, left to right, a
+    `Columns` gathered first.  It broadcasts every operand, so it is the shape
+    check: a mismatch raises ShapeMismatch."""
+    first, own = ([] if lo is None else [lo]), False
+    try:
+        for d in datas:
+            wide = isinstance(d, Columns)
+            lo, own = _into(np.minimum, lo, d.wide() if wide else d, own, wide)
+    except ValueError:
+        raise ShapeMismatch(*[d.shape for d in (*first, *datas)]) from None
+    return lo
+
+
 def conjoin_sums(datas, s=None, acc=None, exact: bool = True, stable: bool = True,
                  saved: list | None = None):
     """Add logsigmoid(d) onto `s` and exp(-d) onto `acc` for each of `datas`, left
-    to right, each sum only if asked for; None starts from the first term.
+    to right, each sum only if asked for; None starts from the first term.  A
+    `Columns` has both taken on its two columns and gathered by its bits.
 
     With `saved`, appends per operand what the pull needs: (d, t = exp(-|d|),
     exp(-d), the shape of the sums after it).  Without, no operand's
     temporaries outlive its additions.
     """
     t = e = None
+    own_s = own_acc = False  # whether the sum is an array made here and kept nowhere else
     for d in datas:
+        bits = None
+        if isinstance(d, Columns):
+            d, bits = d.values, d.bits
         if exact:
             t = np.exp(np.copysign(d, -1.0))
-            ls = np.minimum(d, -0.0) - np.log1p(t)
-            s = ls if s is None else s + ls
+            ls = _gathered(np.minimum(d, -0.0) - np.log1p(t), bits)
+            s, own_s = _into(np.add, s, ls, own_s, True)
         if stable:
-            e = np.exp(np.minimum(-d, _EXP_MAX))
-            acc = e if acc is None else acc + e
+            e = _gathered(np.exp(np.minimum(-d, _EXP_MAX)), bits)
+            acc, own_acc = _into(np.add, acc, e, own_acc, saved is None)
         if saved is not None:
             saved.append((d, t, e, np.shape(s if exact else acc)))
     return s, acc
@@ -760,21 +824,15 @@ def conjoin_sums(datas, s=None, acc=None, exact: bool = True, stable: bool = Tru
 
 def conjoin(logits, parts, switch: float, cap: float) -> Tensor:
     """The conjunction of `logits`, elementwise with broadcasting, resumed from
-    `parts` = (min, S, sum exp(-l)) of leading operands, or from nothing if None."""
+    `parts` = (min, S, sum exp(-l)) of leading operands, or from nothing if None.
+    An operand may be a `Columns`."""
     datas, nodes = [], []
     for l in logits:
-        d, n = _ensure(l)
+        d, n = (l, None) if isinstance(l, Columns) else _ensure(l)
         datas.append(d)
         nodes.append(n)
     lo, s, acc = (None, None, None) if parts is None else parts
-    lows = datas if lo is None else [lo, *datas]
-    try:  # the running minimum broadcasts every operand, so it is the shape check
-        lo = lows[0]
-        for d in lows[1:]:
-            lo = np.minimum(lo, d)
-    except ValueError:
-        raise ShapeMismatch(*[d.shape for d in lows]) from None
-    use = lo > switch
+    use = running_min(datas, lo) > switch
     stable, exact = _branches(use)
     taped = [k for k, n in enumerate(nodes) if n is not None]
     saved = [] if taped else None

@@ -416,6 +416,126 @@ class TestColumns:
             L.softselect(want, columns[1]), 0).data)
 
 
+class TestNarrowOperand:
+    """A guard reaches the conjunction at two columns (`tensor.Columns`) beside a
+    taped operand: the fused loss and every gradient equal those of the same
+    connectives at full width, bit for bit."""
+
+    # the body of pi[k](...) over L's (n, n) and M's (n, 1) logits on k, the guard
+    # and ~h, both as compiled and as the reference builds it at full width
+    BODIES = [
+        pytest.param("L(k) & (h -> c(k))",
+                     lambda l, m, h, c: L.conj(l, L.neg(L.conj(h, L.neg(c)))), id="taped first"),
+        pytest.param("(h -> c(k)) & L(k)",
+                     lambda l, m, h, c: L.conj(L.neg(L.conj(h, L.neg(c))), l), id="narrow first"),
+        pytest.param("~h & L(k) & (h -> c(k))",  # a narrow (n,) operand before the (n, n) sums
+                     lambda l, m, h, c: L.conj(L.neg(h), l, L.neg(L.conj(h, L.neg(c)))),
+                     id="narrow without rows"),
+        # the pull unbroadcasts from L's (n, n) past the guard to M's (n, 1)
+        pytest.param("M(k) & (h -> c(k)) & L(k)",
+                     lambda l, m, h, c: L.conj(m, L.neg(L.conj(h, L.neg(c))), l),
+                     id="between taped"),
+    ]
+
+    @staticmethod
+    def _plan(body, bits, seed):
+        n = len(bits)
+        th = check_theory(parse_theory(f"""
+            sort K card {n};
+            boolvec h : {list(bits)};
+            rel L : K out {n} mlp 4;
+            rel M : K mlp 3;
+            rel c : K extern c;
+            axiom a : forall k: K . pi[k]({body});
+        """))
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-30, 30, size=n)
+        plan = compile(th, bind_theory(th, externs={"c": lambda k: c[k]}, seed=seed))
+        symbols = plan.interp.symbols
+        symbols["L"].biases[-1].value[...] = rng.uniform(-25, 25, size=n)  # some past STABLE_MIN
+        symbols["M"].biases[-1].value[...] = rng.uniform(-25, 25)
+        return plan, symbols, c
+
+    @staticmethod
+    def _grads(plan, build):
+        for p in plan.parameters:
+            p.zero_grad()
+        with Tape():
+            loss = build()
+            backward(loss)
+        return loss.item(), [p.grad.copy() for p in plan.parameters]
+
+    @pytest.mark.parametrize("body, ref", BODIES)
+    @pytest.mark.parametrize("bits", [(0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 0, 1, 0), (0, 1, 1)])
+    def test_loss_and_gradients_equal_the_full_width_route(self, body, ref, bits):
+        for seed in range(3):
+            plan, symbols, c = self._plan(body, bits, seed)
+            n, k = len(bits), np.arange(len(bits))
+            fused = fuse_loss(plan)
+
+            def full_width():
+                value = ref(symbols["L"]([k]), T.reshape(symbols["M"]([k]), (n, 1)),
+                            L.bool_vector(bits), T.Tensor(c[:, None]))
+                return T.softplus_neg_sum(L.softselect(value, k), (n,))
+
+            got, want = self._grads(plan, lambda: fused.evaluate()[0]), self._grads(plan, full_width)
+            assert got[0] == want[0], f"seed {seed}"
+            for p, g, w in zip(plan.parameters, got[1], want[1]):
+                np.testing.assert_array_equal(g, w, err_msg=f"seed {seed} {p.name}")
+
+    @pytest.mark.parametrize("body, ref", BODIES)
+    def test_gradients_match_finite_differences(self, body, ref):
+        plan, _, _ = self._plan(body, (1, 0, 1, 1, 0), 4)
+        fused = fuse_loss(plan)
+        report = T.grad_check(lambda: fused.evaluate()[0], plan.parameters, tol=1e-4)
+        assert report.passed, report
+
+    def test_the_guard_is_narrow_and_the_mlp_taped(self, monkeypatch):
+        plan, _, _ = self._plan("L(k) & (h -> c(k))", (1, 0, 1, 1, 0), 0)
+        calls, conjoin = [], T.conjoin
+
+        def spy(logits, parts, switch, cap):
+            calls.append(logits)
+            return conjoin(logits, parts, switch, cap)
+
+        monkeypatch.setattr(T, "conjoin", spy)
+        with Tape():
+            fuse_loss(plan).evaluate()
+        outer = [ops for ops in calls if any(isinstance(x, T.Columns) for x in ops)]
+        assert len(outer) == 1
+        taped, guard = outer[0]
+        assert taped.node is not None and taped.data.shape == (5, 5)
+        assert guard.values.shape == (5, 2) and guard.shape == (5, 5)
+
+
+class TestZeroDivisor:
+    SRC = """
+        sort K card 3;
+        func f : K -> K extern f;
+        rel Q : K x K extern q;
+        axiom fine : forall j: K . Q(j, j);
+        axiom a : forall j: K . Q(j, (j + 1) mod f(j));
+    """
+
+    def _plan(self, f):
+        th = check_theory(parse_theory(self.SRC))
+        q = lambda a, b: np.where(a == b, BIG, -BIG)  # noqa: E731
+        return compile(th, bind_theory(th, externs={"f": f, "q": q}))
+
+    def test_a_divisor_of_0_is_a_typed_error_naming_the_axiom(self):
+        # numpy's remainder by 0 warned and gave 0, so Q read index 0 silently
+        plan = self._plan(lambda j: 2 - j)
+        match = "axiom 'a': the divisor of j + 1 mod f(j) is 0 at some grounding"
+        with pytest.raises(compiler.ZeroDivisor, match=re.escape(match)):
+            evaluate(plan)
+        with pytest.raises(compiler.ZeroDivisor, match=re.escape(match)):
+            fuse_loss(plan).evaluate()
+
+    def test_nonzero_divisors_evaluate(self):
+        got = evaluate(self._plan(lambda j: j + 1)).per_axiom["a"].item()
+        assert got == L.conj(BIG, -BIG, -BIG).item()  # (j + 1) mod (j + 1) is 0, j only at 0
+
+
 def _folds(node):
     """The fold nodes of a lowered tree."""
     out = [node] if node.kind == "fold" else []
@@ -961,10 +1081,8 @@ class TestSoftselectGrid:
 
 
 class TestMaskGather:
-    def test_guards_conjoin_on_two_columns(self, monkeypatch):
-        # each guard h_p -> ... once conjoined (2000, 1) rows with h_p's 12 classes;
-        # on its two truth columns it conjoins 2000 x 2 entries, and only the
-        # final conjunction of vrd(f, s, o) with the ten guards spans the classes
+    @staticmethod
+    def _relations():
         from dasl import data, experiments
 
         splits = data.gen_synth_relations(train_fraction=0.01, seed=0)
@@ -972,6 +1090,15 @@ class TestMaskGather:
         s = splits.train
         interp = bind_theory(th, externs=data.spatial_predicate_externs(),
                              data={"Train": (s.features, s.subject, s.object, s.predicate)})
+        return splits, interp
+
+    def test_guards_conjoin_on_two_columns(self, monkeypatch):
+        # each guard h_p -> ... once conjoined (2000, 1) rows with h_p's 12 classes;
+        # on its two truth columns it conjoins 2000 x 2 entries, and only the
+        # final conjunction of vrd(f, s, o) with the ten guards spans the classes
+        from dasl import experiments
+
+        splits, interp = self._relations()
         split = splits.test_standard
         rows, classes = len(split.predicate), len(splits.vocab.predicates)
         sizes, conjoin = [], T.conjoin
@@ -986,6 +1113,38 @@ class TestMaskGather:
         assert (rows, classes) == got.shape == (2000, 12)
         assert sizes.count(rows * classes) == 1
         assert max(size for size in sizes if size != rows * classes) <= rows * 2
+
+    def test_guards_reach_the_final_conjunction_at_two_columns(self, monkeypatch):
+        # the final conjunction takes each of the ten guards as its two columns
+        # and bits; no guard is gathered to (2000, 12) on the way
+        from dasl import experiments
+
+        splits, interp = self._relations()
+        split = splits.test_standard
+        rows, classes = len(split.predicate), len(splits.vocab.predicates)
+        calls, kinds, conjoin, formula = [], [], T.conjoin, compiler._Evaluator.formula
+
+        def spy(logits, parts, switch, cap):
+            calls.append(logits)
+            return conjoin(logits, parts, switch, cap)
+
+        def spy_formula(ev, node, env):
+            kinds.append(node.kind)
+            return formula(ev, node, env)
+
+        monkeypatch.setattr(T, "conjoin", spy)
+        monkeypatch.setattr(compiler._Evaluator, "formula", spy_formula)
+        experiments.masked_scores(interp, splits.vocab, split, True)
+        (outer,) = [ops for ops in calls if any(isinstance(x, T.Columns) for x in ops)]
+        *guards, vrd = outer
+        assert len(guards) == 10 and all(isinstance(g, T.Columns) for g in guards)
+        for g in guards:
+            assert g.values.shape == (rows, 2) and g.bits.shape == (classes,)
+        assert isinstance(vrd, T.Tensor) and vrd.data.shape == (rows, classes)
+        assert "columns" not in kinds  # the only route that gathers a guard on its own
+        wide = [x for ops in calls for x in ops
+                if not isinstance(x, T.Columns) and np.size(getattr(x, "data", x)) >= rows * classes]
+        assert len(wide) == 1 and wide[0] is vrd
 
 
 class TestRecordedLosses:

@@ -173,6 +173,30 @@ class TestConjKernel:
 
 
 @st.composite
+def narrow_conjunctions(draw):
+    """A conjunction over (rows, n) class logits in which some constant operands
+    come as a `tensor.Columns` (two columns and n bits); the same operands
+    gathered to full width stand beside them."""
+    rows, n, k = draw(st.integers(1, 4)), draw(st.integers(2, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    regime, specials = draw(st.sampled_from(sorted(REGIMES))), draw(st.booleans())
+    bits = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    narrow, wide, kinds = [], [], []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["columns", "columns without rows", "classes", "rows"]))
+        shape = {"columns": (rows, 2), "columns without rows": (2,),
+                 "classes": (rows, n), "rows": (rows, 1)}[kind]
+        v = values(rng, shape, regime, specials)
+        wide.append(v[..., bits] if kind.startswith("columns") else v)
+        narrow.append(T.Columns(v, bits) if kind.startswith("columns") else v)
+        kinds.append(kind)
+    split = draw(st.integers(0, k - 1))
+    taped = [i >= split and not kinds[i].startswith("columns") and draw(st.booleans())
+             for i in range(k)]
+    return narrow, wide, taped, split
+
+
+@st.composite
 def reductions(draw):
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -191,6 +215,33 @@ def run_reduce(fn, vals, axis, reuse):
             root = T.add(root, T.reduce_sum(T.mul(p, later)))
         backward(root)
     return out.data, p.grad
+
+
+class TestColumnsOperand:
+    """A `tensor.Columns` operand gives the value, the parts and every gradient
+    that the same operand gathered to its classes gives, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(narrow_conjunctions())
+    def test_matches_the_gathered_operand(self, case):
+        narrow, wide, taped, split = case
+        order = list(range(len(narrow)))
+        got = run(conj, conj_parts, narrow, taped, order, split, False)
+        want = run(conj, conj_parts, wide, taped, order, split, False)
+        assert_same_bits(got[0], want[0], "value")
+        for i, (g, w) in enumerate(zip(got[1], want[1])):
+            assert_same_bits(g, w, f"gradient of parameter {i}")
+        with np.errstate(all="ignore"):
+            for g, w, what in zip(conj_parts(*narrow), conj_parts(*wide), ("min", "S", "acc")):
+                assert_same_bits(g, w, what)
+
+    def test_a_mismatched_operand_is_a_shape_error(self):
+        columns = T.Columns(np.zeros((3, 2)), np.array([0, 1, 1, 0]))
+        assert columns.shape == (3, 4)
+        with pytest.raises(T.ShapeMismatch):
+            conj(columns, np.zeros((3, 5)))
+        with pytest.raises(T.ShapeMismatch):
+            conj_parts(np.zeros(5), columns)
 
 
 class TestConjReduceKernel:

@@ -22,6 +22,7 @@ from dasl.interp import (
     WidthMismatch,
     bind_theory,
     build_triples,
+    glorot_uniform,
 )
 from dasl.lang import check_theory, parse_theory
 
@@ -163,6 +164,42 @@ class TestBindTheory:
         match = "Train: column 0 (sort K) must hold one id per row, got shape (2, 2)"
         with pytest.raises(DataLoadError, match=re.escape(match)):
             bind_theory(th, data_dir=str(tmp_path))
+
+
+class TestGenerators:
+    """A random generator is built only where something draws from it."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        made, real = [], getattr(np.random, name)
+
+        def spy(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, spy)
+        return made
+
+    def test_extern_only_theory_builds_none(self, monkeypatch):
+        th = check_theory(parse_theory("sort D card 3;\nrel P : D extern p;\n"
+                                       "axiom a : forall x: D . P(x);"))
+        rngs = self._spy(monkeypatch, "default_rng")
+        seqs = self._spy(monkeypatch, "SeedSequence")
+        plan = compile(th, bind_theory(th, externs={"p": lambda x: x - 1.0}, seed=5), seed=5)
+        assert evaluate(plan).root.item() < 0
+        assert rngs == [] and seqs == []
+
+    def test_learned_symbols_draw_from_one_seeded_generator(self, monkeypatch):
+        th = check_theory(parse_theory("sort R dim 2;\nrel r : R mlp 3;\n"
+                                       "data D : R from \"mem\";\naxiom a : forall x: D . r(x);"))
+        rngs = self._spy(monkeypatch, "default_rng")
+        seqs = self._spy(monkeypatch, "SeedSequence")
+        interp = bind_theory(th, data={"D": (np.zeros((4, 2)),)}, seed=7)
+        assert rngs == [(7,)]
+        want = glorot_uniform(np.random.default_rng(7), 2, 3, (2, 3))
+        assert interp.symbols["r"].weights[0].value.tobytes() == want.tobytes()
+        compile(th, interp, seed=7)
+        assert seqs == [(7,)]  # one sampled quantifier
 
 
 class TestEvalSymbol:

@@ -251,6 +251,25 @@ class TestCheck:
         with pytest.raises(SortError):
             _checked("axiom a : forall x: D . pi[0](P(x));")
 
+    MOD = ("sort K card 3;\nrel Q : K x K extern q;\ndata D : K from \"mem\";\n"
+           "axiom a : forall (y): D . forall j: K . forall k: K . Q(j, {});")
+
+    @pytest.mark.parametrize("term, printed, found", [
+        ("(j + k) mod 0", "j + k mod 0", "0"),
+        ("j mod 00", "j mod 0", "0"),
+        ("(j + k) mod k", "j + k mod k", "variable k of K, which ranges from 0"),
+        ("j mod y", "j mod y", "variable y of K, which ranges from 0"),
+    ])
+    def test_mod_by_a_divisor_that_can_be_0(self, term, printed, found):
+        # numpy's remainder by 0 warns and gives 0, so the term read index 0 silently
+        with pytest.raises(SortError) as e:
+            check_theory(parse_theory(self.MOD.format(term)))
+        assert str(e.value) == f"{printed}: expected a divisor that is never 0, found {found}"
+
+    @pytest.mark.parametrize("term", ["(j + k) mod 3", "j mod (k + 1)", "k mod 1"])
+    def test_mod_by_a_divisor_that_may_be_nonzero(self, term):
+        check_theory(parse_theory(self.MOD.format(term)))
+
 
 class TestFreeVariables:
     def test_atom(self):
