@@ -107,8 +107,7 @@ def _diagnostic(e: Exception) -> bool:
 def _cmd_compile(args) -> int:
     theory = _load_theory(args.theory)
     interp = _bind(args, theory)
-    plan = compile(theory, interp, batch_size=args.batch_size,
-                   shared_draw=args.shared_draw, seed=args.seed)
+    plan = compile(theory, interp, batch_size=args.batch_size, seed=args.seed)
     if args.explain:
         print(explain(plan))
     else:
@@ -144,8 +143,7 @@ def _cmd_train(args) -> int:
     config = _train_config_from(args, overrides)
     theory = _load_theory(args.theory)
     interp = _bind(args, theory)
-    plan = compile(theory, interp, batch_size=config.batch_size,
-                   shared_draw=args.shared_draw, seed=args.seed)
+    plan = compile(theory, interp, batch_size=config.batch_size, seed=args.seed)
     state = train(plan, config)
     final = state.loss_history[-1] if state.loss_history else float("nan")
     print(f"trained {config.iterations} iterations; final loss {final:.6f}")
@@ -254,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True)
     p.add_argument("--explain", action="store_true")
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--shared-draw", action="store_true",
-                   help="axioms over the same dataset share one draw per step")
     _add_options(p, *_BIND_OPTIONS)
     p.set_defaults(fn=_cmd_compile)
 
@@ -272,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cadence", type=int, default=None)
     p.add_argument("--curriculum", action="store_const", const=True, default=None)
     p.add_argument("--rules-only-after", type=int, default=None)
-    p.add_argument("--shared-draw", action="store_true")
     _add_options(p, *_BIND_OPTIONS)
     p.set_defaults(fn=_cmd_train)
 

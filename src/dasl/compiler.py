@@ -32,17 +32,30 @@ exp(-l)) of `logit.conj` over them per row in `Plan.folds`
 formula and reads the min, its value.  A plan's datasets and bindings are
 therefore fixed once it is compiled.
 
-A static `not`/`and` formula whose class width comes from one boolvec bit
-pattern, all its other operands being one wide (a rule mask `h -> c`), takes
-only two values per row: those at bits 0 and 1.  It is lowered over the
-two-column boolvec `[0, 1]` under a `columns` node, so each class entry is the
-same ops on the same inputs as at full width, at 2 entries per row instead of
-one per class.  As an operand of an `and` (or of a fold's conjunction), a
-`columns` node reaches the conjunction narrow, as its pair and the bits
-(`tensor.Columns`): the kernel takes logsigmoid and exp(-l) on the pair and
-gathers each by the bits where it adds them, so the sums see the numbers the
-gathered operand would give, in the same order.  Anywhere else the node
-gathers its pair by the bits itself.
+A formula of class width n > 1 (an `out n` relation, a boolvec, or a
+connective over one) has one truth value per class, and reads class by class:
+
+- `~`, `&`, `|` and `->` act on each class, a width-1 operand standing for
+  every class;
+- a quantifier reduces its body on each class: `forall x . V` is the vector
+  of ∧_x V_c(x), and `exists x . V`, lowered as `~forall x . ~V`, that of
+  ∨_x V_c(x);
+- `pi[t](V)` is the softmax probability of class t, as a logit, width 1;
+- an axiom (so its loss) is the conjunction of its classes: an axiom
+  `exists x . V` means ∧_c ∨_x V_c(x).
+
+A static formula over one boolvec bit pattern whose other operands are one
+wide (a rule mask `h -> c`) takes two values per row, those at bits 0 and 1,
+and the evaluator keeps it as a `tensor.Columns` of those two columns and the
+bits: a boolvec of two or more bits is its columns -big and +big, `not`
+negates both, and a static `and` whose `Columns` operands share one bits
+array (a plan keeps one per bit pattern) conjoins on the two columns.  So
+each class entry is the same ops on the same inputs as at full width, at 2
+entries per row.  Any other conjunction, and a fold's table, takes a
+`Columns` operand narrow: the kernel gathers its logsigmoid and exp(-l) by
+the bits where it adds them, in the same order.  Only a softselect's vector,
+a quantifier's body, a loss term, an axiom's root and the logits of `scores`
+are gathered to every class.
 
 The same tree scores a classifier: `scores` binds the variables of an axiom
 `forall (x…, y): D . pi[y](V)` to given rows and returns V's class logits and
@@ -115,9 +128,8 @@ class Node:
 
     kind      data                                      kids
     bool      the crisp logit, +big or -big             ()
-    boolvec   the bits                                  ()
-    columns   (boolvec name, its bits as an array)      (two-column formula,)
-    bits      the bits as an array                      (index term,)
+    boolvec   the bits, one array per pattern per plan  ()
+    bits      the bits, one array per pattern per plan  (index term,)
     rel       (symbol, symbol_outputs key or None)      argument terms
     eq        None                                      (lhs, rhs)
     not, and  None                                      operands
@@ -139,7 +151,7 @@ class Node:
     class axis when `width` exceeds 1, or for a term its feature axis.
 
     `static` is true when no parameter can reach the node: `bool`,
-    `boolvec`, `int` and `columns`; a `var` whose column is not an embedding
+    `boolvec` and `int`; a `var` whose column is not an embedding
     table; a `const` bound to a fixed value; a `rel` or `func` bound to an
     extern or a fixed value, with static arguments and no symbol_outputs
     key; and an `eq`, `arith`, `bits`, `not`, `and`, `select` or `index`
@@ -152,26 +164,14 @@ class Node:
     `and` resumes from the three; anywhere else it holds one formula and
     its value is the min.
 
-    `mask` is the boolvec leaf that gives a static `not` or `and` its class
-    width, when all its operands carry that leaf's bit pattern or have width
-    1 (a boolvec of two or more bits is its own mask).  Such a formula's
-    class columns are each a copy of one of its two values at bits 0 and 1,
-    so a maximal one is lowered over the two-column boolvec `[0, 1]` (each
-    node of it 2 wide) and a `columns` node above it stands for that pair
-    gathered by the bits.  A conjunction takes a `columns` operand narrow,
-    as the pair and the bits (`tensor.Columns`), and gathers what it adds;
-    elsewhere the node gathers the pair.  Only a `columns` node's subtree
-    holds two-column nodes, and no node's mask outlives the lowering of its
-    quantifier body or axiom.
-
     `src` is the source formula of an atom, select or quantifier, which
     `explain` prints, or the source term of an `arith`, which errors name.
     """
 
-    __slots__ = ("kind", "uid", "fv", "width", "kids", "data", "static", "depth", "src", "mask")
+    __slots__ = ("kind", "uid", "fv", "width", "kids", "data", "static", "depth", "src")
 
     def __init__(self, kind: str, uid: int, fv: tuple[str, ...], width: int,
-                 kids: tuple, data, static: bool, depth: int, src=None, mask=None):
+                 kids: tuple, data, static: bool, depth: int, src=None):
         self.kind = kind
         self.uid = uid
         self.fv = fv
@@ -181,7 +181,6 @@ class Node:
         self.static = static
         self.depth = depth
         self.src = src
-        self.mask = mask
 
 
 # kinds that are static exactly when all their kids are
@@ -195,7 +194,9 @@ class _Lowering:
         self.plan = plan
         self.theory = plan.theory
         self.symbols = plan.interp.symbols
-        self.boolvecs = {b.name: b.bits for b in plan.theory.boolvecs}
+        patterns: dict[tuple, np.ndarray] = {}  # one array per bit pattern
+        self.boolvecs = {b.name: patterns.setdefault(b.bits, np.asarray(b.bits))
+                         for b in plan.theory.boolvecs}
         self.outs = {r.name: r.out for r in plan.theory.rels}
         self.sites: dict[tuple, object] = {}  # sampler key -> domain, in pre-order
         self.vector_outputs: set[tuple] = set()
@@ -219,44 +220,9 @@ class _Lowering:
                 fv = tuple(sorted({v for k in kids for v in k.fv}))
             if static is None:
                 static = kind in _STATIC_IF_KIDS and False not in [k.static for k in kids]
-        mask = None
-        for k in kids:
-            if k.mask is not None:  # carry the operands' mask on, or end their formulas here
-                if static and kind in ("not", "and"):
-                    mask = _mask(kids)
-                if mask is None:
-                    kids = tuple(j if j.mask is None else self.columns(j) for j in kids)
-                break
         self.uids += 1
         return Node(kind, self.uids, fv, width, kids, data, static,
-                    self.depth if depth is None else depth, src, mask)
-
-    def columns(self, node: Node) -> Node:
-        """A maximal mask formula lowered over `[0, 1]`, under a `columns` node.
-
-        A bare boolvec stays as it is.
-        """
-        leaf = node.mask
-        if node is leaf:
-            node.mask = None
-            return node
-        data = (leaf.src.name, np.asarray(leaf.data))
-        _two_columns(node)
-        return self.node("columns", (node,), data, len(data[1]), static=True, depth=node.depth)
-
-    def seal(self, node: Node) -> Node:
-        """A quantifier body or axiom with its mask formulas ended.
-
-        A mask `and` here may be one the fused loss splits into its
-        conjuncts, so each of its operands is ended on its own.
-        """
-        if node.mask is None:
-            return node
-        if node.kind == "and":
-            node.mask = None
-            node.kids = tuple(self.seal(k) for k in node.kids)
-            return node
-        return self.columns(node)
+                    self.depth if depth is None else depth, src)
 
     def negate(self, node: Node) -> Node:
         return self.node("not", (node,), width=node.width)
@@ -271,7 +237,7 @@ class _Lowering:
 
     def lower_axiom(self, name: str, formula) -> Node:
         self.axiom = name
-        root = self.seal(self.formula(formula))
+        root = self.formula(formula)
         if root.fv:
             raise UnboundSymbol(root.fv[0])
         return root
@@ -280,7 +246,7 @@ class _Lowering:
         if isinstance(f, RelApp):
             bits = self.boolvecs.get(f.symbol)
             if bits is not None:
-                return self.node("bits", (self.term(f.args[0]),), np.asarray(bits), src=f)
+                return self.node("bits", (self.term(f.args[0]),), bits, src=f)
             if f.symbol not in self.symbols:
                 raise UnboundSymbol(f.symbol)
             self.applied.append(f.symbol)
@@ -317,9 +283,7 @@ class _Lowering:
             bits = self.boolvecs.get(f.name)
             if bits is None:
                 raise UnboundSymbol(f.name)
-            node = self.node("boolvec", data=bits, width=len(bits), static=True, src=f)
-            node.mask = node if len(bits) > 1 else None
-            return node
+            return self.node("boolvec", data=bits, width=len(bits), static=True, src=f)
         raise SortError("compile", "a formula", type(f).__name__)
 
     def quantifier(self, f: Forall | Exists) -> Node:
@@ -332,7 +296,7 @@ class _Lowering:
             domain = self.plan.interp.domains.get(f.domain)
             if domain is None:
                 raise UnboundSymbol(f.domain)
-            key = self.plan.sampler_key(self.axiom, f.vars, f.domain)
+            key = (self.axiom, f.vars, f.domain)
             self.sites.setdefault(key, domain)
             body = self.bound(f, [not isinstance(c, EmbeddingColumn) for c in domain.columns])
             body = self.fold(body, frozenset(f.vars), (f.vars, key, self.depth, self.axiom), True)
@@ -347,7 +311,6 @@ class _Lowering:
         body = self.formula(f.body)
         if isinstance(f, Exists):
             body = self.negate(body)
-        body = self.seal(body)
         self.scope, self.depth = outer, self.depth - 1
         return body
 
@@ -375,7 +338,7 @@ class _Lowering:
                 return node
         if kind in ("and", "index", "sample"):
             node.kids = tuple(self.fold(k, names, data, loss) for k in node.kids)
-        elif kind in ("not", "columns"):
+        elif kind == "not":
             node.kids = (self.fold(node.kids[0], names, data, False),)
         elif kind == "select":
             node.kids = (node.kids[0], self.fold(node.kids[1], names, data, False))
@@ -403,31 +366,6 @@ class _Lowering:
         raise SortError("compile", "a term", type(t).__name__)
 
 
-def _mask(kids: tuple) -> Node | None:
-    """The mask that all of a static `not`'s or `and`'s operands share, or None."""
-    mask = None
-    for k in kids:
-        if k.mask is None:
-            if k.width != 1:
-                return None
-        elif mask is None:
-            mask = k.mask
-        elif k.mask.data != mask.data:
-            return None
-    return mask
-
-
-def _two_columns(node: Node) -> None:
-    """Lower a mask formula over the two-column boolvec `[0, 1]`, in place."""
-    if node.mask is None:
-        return
-    node.mask, node.width = None, 2
-    if node.kind == "boolvec":
-        node.data = (0, 1)
-    for kid in node.kids:
-        _two_columns(kid)
-
-
 def _foldable(node: Node, names: frozenset) -> bool:
     """Whether a node is a static formula over some of `names` alone."""
     return node.static and bool(node.fv) and names.issuperset(node.fv)
@@ -445,11 +383,10 @@ class Plan:
     """
 
     def __init__(self, theory: Theory, interp: Interpretation,
-                 batch_size: int | None = None, shared_draw: bool = False, seed: int = 0):
+                 batch_size: int | None = None, seed: int = 0):
         self.theory = theory
         self.interp = interp
         self.batch_size = batch_size
-        self.shared_draw = shared_draw
         lowering = _Lowering(self)
         self.roots: list[tuple[str, Node]] = [
             (ax.name, lowering.lower_axiom(ax.name, ax.formula)) for ax in theory.axioms]
@@ -464,11 +401,6 @@ class Plan:
             for (key, domain), ss in zip(lowering.sites.items(), seeds)
         }
 
-    def sampler_key(self, axiom: str, vars: tuple[str, ...], domain: str) -> tuple:
-        if self.shared_draw:
-            return (domain,)
-        return (axiom, vars, domain)
-
     @property
     def parameters(self):
         return self.interp.parameters
@@ -479,9 +411,9 @@ class Plan:
 
 
 def compile(theory: Theory, interp: Interpretation, batch_size: int | None = None,
-            shared_draw: bool = False, seed: int = 0) -> Plan:
+            seed: int = 0) -> Plan:
     """Build an evaluation plan; raises UnboundSymbol/SortError on bad input."""
-    return Plan(theory, interp, batch_size=batch_size, shared_draw=shared_draw, seed=seed)
+    return Plan(theory, interp, batch_size=batch_size, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +467,31 @@ def _per_row(symbol: str, out, rows: int, axioms) -> tuple:
     return shape[1:]
 
 
-def _with_classes(value: Tensor, width: int, classes: int) -> Tensor:
+def _with_classes(value, width: int, classes: int):
     """A width-1 value meeting a class vector gets a trailing class axis."""
     if width == 1 and classes > 1 and value.data.ndim:
         return T.reshape(value, value.data.shape + (1,))
     return value
+
+
+def _wide(value) -> Tensor:
+    """A formula's value at every class: a `tensor.Columns` gathered by its bits."""
+    return Tensor(value.wide()) if isinstance(value, T.Columns) else value
+
+
+def _shared_bits(kids: tuple, values: list):
+    """The bits array of every `tensor.Columns` among `values`, if they share one
+    and every other operand is one wide; else None."""
+    bits = None
+    for kid, value in zip(kids, values):
+        if isinstance(value, T.Columns):
+            if bits is None:
+                bits = value.bits
+            elif value.bits is not bits:
+                return None
+        elif kid.width > 1:
+            return None
+    return bits
 
 
 class _Evaluator:
@@ -669,11 +621,11 @@ class _Evaluator:
         for kid in node.kids:
             self.collect(kid, env, apps)
 
-    def formula(self, node: Node, env: dict) -> Tensor:
+    def formula(self, node: Node, env: dict) -> Tensor | T.Columns:
         kind = node.kind
         if kind == "select":
             index, vector = node.kids
-            return L.softselect(self.formula(vector, env), self.term(index, env))
+            return L.softselect(_wide(self.formula(vector, env)), self.term(index, env))
         if kind == "rel":
             symbol, out_key = node.data
             out = self.apply(symbol, node, env)
@@ -683,22 +635,29 @@ class _Evaluator:
             return out
         if kind == "and":
             first = node.kids[0]
-            if first.kind != "fold":
-                return L.conj(*self.operands(node.kids, env, node.width))
-            # the other operands first; then the fold's sums, or its conjuncts ahead of them
-            rest = self.operands(node.kids[1:], env, node.width)
-            if self.fold:
-                return L.conj(*rest, parts=self.gathered(first, node.width))
-            return L.conj(*self.operands(first.kids, env, node.width), *rest)
+            if first.kind == "fold":
+                # the other operands first; then the fold's sums, or its conjuncts ahead of them
+                rest = self.operands(node.kids[1:], env, node.width)
+                if self.fold:
+                    return L.conj(*rest, parts=self.gathered(first, node.width))
+                return L.conj(*self.operands(first.kids, env, node.width), *rest)
+            values = self.operands(node.kids, env, node.width)
+            if node.width > 1 and node.static:
+                bits = _shared_bits(node.kids, values)
+                if bits is not None:  # a rule mask: its two columns, conjoined there
+                    return T.Columns(L.conj(*[v.values if isinstance(v, T.Columns) else v
+                                              for v in values]).data, bits)
+            return L.conj(*values)
         if kind == "fold":  # not first in an and: one formula, whose value is the min
             return Tensor(self.gathered(node)[0]) if self.fold else self.formula(node.kids[0], env)
         if kind == "not":
-            return T.neg(self.formula(node.kids[0], env))
-        if kind == "columns":  # static, so off the tape
-            return Tensor(self.formula(node.kids[0], env).data[..., node.data[1]])
+            value = self.formula(node.kids[0], env)
+            if isinstance(value, T.Columns):
+                return T.Columns(-value.values, value.bits)
+            return T.neg(value)
         if kind in ("index", "sample"):
             inner, n = self.bind(node, env)
-            value = self.formula(node.kids[0], inner)
+            value = _wide(self.formula(node.kids[0], inner))
             axis = _on_axis(n, node.depth, node.depth + 1) + (1,) * (node.width > 1)
             shape = np.broadcast_shapes(value.data.shape, axis)
             return L.conj_reduce(_spread(value, shape), node.depth)
@@ -712,7 +671,9 @@ class _Evaluator:
             return _crisp(node.data[np.asarray(idx)] == 1, self.big)
         if kind == "bool":
             return Tensor(node.data)
-        return L.bool_vector(node.data, self.big)  # boolvec
+        if node.width > 1:  # a boolvec: its two columns, -big and +big, gathered by the bits
+            return T.Columns(L.bool_vector((0, 1), self.big).data, node.data)
+        return L.bool_vector(node.data, self.big)
 
     def bind(self, node: Node, env: dict) -> tuple[dict, int]:
         """A quantifier's variables bound on its axis; returns the env and the axis size.
@@ -734,11 +695,10 @@ class _Evaluator:
     def operands(self, kids: tuple, env: dict, width: int) -> list:
         """The values of a conjunction's operands, each taken to its class `width`.
 
-        A `columns` operand stays narrow: its two columns and its bits, as a
-        `tensor.Columns`, which the conjunction gathers where it adds them.
+        A `tensor.Columns` stays narrow, and the conjunction gathers it where
+        it adds it.
         """
-        return [T.Columns(self.formula(k.kids[0], env).data, k.data[1]) if k.kind == "columns"
-                else _with_classes(self.formula(k, env), k.width, width) for k in kids]
+        return [_with_classes(self.formula(k, env), k.width, width) for k in kids]
 
     def gathered(self, node: Node, width: int = 1) -> tuple:
         """A fold's (min, sum logsigmoid, sum exp(-l)) rows drawn by its sampler.
@@ -784,7 +744,7 @@ class _Evaluator:
         if kind in ("index", "sample"):
             inner, n = self.bind(node, env)
             return self.loss(node.kids[0], inner, lead + (n,), classes)
-        value = _with_classes(self.formula(node, env), node.width, classes)
+        value = _with_classes(_wide(self.formula(node, env)), node.width, classes)
         return T.softplus_neg_sum(value, lead + ((classes,) if classes > 1 else ()))
 
 
@@ -817,7 +777,7 @@ def _pass(plan: Plan, draws: dict | None, roots: list, loss: bool) -> CompiledBa
     per_axiom: dict[str, Tensor] = {}
     for name, node in roots:
         ev.axiom = name
-        out = ev.loss(node, {}) if loss else ev.formula(node, {})
+        out = ev.loss(node, {}) if loss else _wide(ev.formula(node, {}))
         while not loss and out.data.ndim >= 1:  # vector-valued roots conjoin componentwise
             out = L.conj_reduce(out, axis=-1)
         if not np.isfinite(out.data):
@@ -882,7 +842,7 @@ def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
                            for key, s in plan.samplers.items()}, fold=False, axiom=axiom)
     index, vector = select.kids
     ev.batch([(axiom, vector), (axiom, index)], env)
-    return ev.formula(vector, env).data, np.asarray(ev.term(index, env))
+    return _wide(ev.formula(vector, env)).data, np.asarray(ev.term(index, env))
 
 
 # ---------------------------------------------------------------------------
@@ -934,9 +894,8 @@ def explain(plan: Plan) -> str:
         elif kind == "fold":  # data[1] is the sampler key, which ends with the domain
             what = "fold" if len(kids) == 1 else f"fold of {len(kids)} conjuncts"
             text = f"{what} [computed once over {node.data[1][-1]}, gathered by the draw]"
-        elif kind == "columns":
-            text = (f"columns of {node.data[0]} [2 evaluated, "
-                    f"gathered by its {len(node.data[1])} bits]")
+        elif kind == "boolvec" and node.width > 1:
+            text = f"{src.name} [2 columns, gathered by its {node.width} bits]"
         elif kind == "and":
             text = f"and of {len(kids)}"
         elif kind == "not":

@@ -22,8 +22,13 @@ from .tensor import Tensor
 # headroom in chained conjunctions
 BIG = 20.0
 
-# above this, 1 - prod(t_i) underflows and the exact conjunction form loses
-# accuracy, so we switch to -ln(sum exp(-l_i))
+# where every operand exceeds this, a conjunction takes the stable tail
+# -ln(sum exp(-l_i)) instead of the exact S - ln(-expm1(S)).  A naive
+# 1 - prod(t_i) would lose accuracy here, but the exact form does not: against
+# 50-digit mpmath on 300 random inputs in [15, 27.5] it is off by at most
+# 3.5e-15, the tail by up to 1.1e-7 (2 operands) and 3.4e-7 (11 operands), and
+# the value jumps by 1.5e-7 (2 operands) and 1.5e-6 (11 operands) across one
+# ulp at 15.  Where to switch instead is ROADMAP.md item 11.
 STABLE_MIN = 15.0
 
 _CLAMP = -1e-12  # keeps ln(-expm1(S)) finite when every conjunct is true

@@ -192,7 +192,8 @@ def eval_formula(theory, interp, f, env) -> float | list[float]:
     if isinstance(f, Forall):
         return _quantify(theory, interp, f, env)
     if isinstance(f, Exists):
-        return -_quantify(theory, interp, Forall(f.vars, f.domain, Not(f.body)), env)
+        v = _quantify(theory, interp, Forall(f.vars, f.domain, Not(f.body)), env)
+        return [-x for x in v] if isinstance(v, list) else -v
     raise TypeError(f)
 
 
@@ -208,21 +209,20 @@ def _nary(theory, interp, items, env, combine):
     return cols
 
 
-def _quantify(theory, interp, f: Forall, env) -> float:
+def _quantify(theory, interp, f: Forall, env) -> float | list[float]:
+    """The conjunction over every grounding, class by class when the body is
+    class-valued: forall x . V(x) is the vector of ∧_x V_c(x), as the compiler
+    reads it."""
     sort = theory.sort(f.domain)
-    results: list[float] = []
     if sort is not None and sort.is_index:
-        for i in range(sort.cardinality):
-            v = eval_formula(theory, interp, f.body, {**env, f.vars[0]: i})
-            results.extend(v if isinstance(v, list) else [v])
-        return conj(results)
-    domain = interp.domains[f.domain]
-    for i in range(domain.cardinality):
-        inner = dict(env)
-        for var, col in zip(f.vars, domain.columns):
-            inner[var] = _column_value(col, i)
-        v = eval_formula(theory, interp, f.body, inner)
-        results.extend(v if isinstance(v, list) else [v])
+        envs = [{**env, f.vars[0]: i} for i in range(sort.cardinality)]
+    else:
+        domain = interp.domains[f.domain]
+        envs = [{**env, **{var: _column_value(col, i) for var, col in zip(f.vars, domain.columns)}}
+                for i in range(domain.cardinality)]
+    results = [eval_formula(theory, interp, f.body, inner) for inner in envs]
+    if isinstance(results[0], list):
+        return [conj([v[c] for v in results]) for c in range(len(results[0]))]
     return conj(results)
 
 

@@ -287,11 +287,11 @@ class TestCompileTrainEval:
 
 # each subcommand's options, by dest, as `--help` lists them
 OPTIONS = {
-    "compile": {"theory", "explain", "batch_size", "shared_draw", "seed", "data_dir", "big",
-                "eq_eps", "eq_mu", "eq_sigma"},
+    "compile": {"theory", "explain", "batch_size", "seed", "data_dir", "big", "eq_eps",
+                "eq_mu", "eq_sigma"},
     "train": {"theory", "config", "out", "iterations", "batch_size", "lr", "cadence",
-              "curriculum", "rules_only_after", "shared_draw", "seed", "data_dir", "big",
-              "eq_eps", "eq_mu", "eq_sigma"},
+              "curriculum", "rules_only_after", "seed", "data_dir", "big", "eq_eps",
+              "eq_mu", "eq_sigma"},
     "eval": {"theory", "checkpoint", "data", "symbol", "seed", "data_dir", "big", "eq_eps",
              "eq_mu", "eq_sigma"},
     "oracle-check": {"signature", "depth", "trials", "seed", "big"},
@@ -325,8 +325,8 @@ class TestOptions:
         listed = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out)) - {"help"}
         assert listed == {dest.replace("_", "-") for dest in OPTIONS[command]}
 
-    def test_sixty_options_in_all(self):
-        assert sum(len(dests) for dests in OPTIONS.values()) == 60
+    def test_fifty_eight_options_in_all(self):
+        assert sum(len(dests) for dests in OPTIONS.values()) == 58
 
     def test_every_option_is_read(self, toy_dir, monkeypatch):
         # the experiments are stubbed; every other handler runs on the toy theory

@@ -133,9 +133,9 @@ class TestLowering:
         folds = [line for line in listing if "computed once over Train" in line]
         assert [line.split(" ", 1)[1] for line in map(str.strip, folds)] == [
             "fold of 10 conjuncts [computed once over Train, gathered by the draw]"]
-        guards = [line.strip().split(" ", 1)[1] for line in listing if " columns " in line]
+        guards = [line.strip().split(" ", 1)[1] for line in listing if " columns, " in line]
         assert len(guards) == 10 and guards[0] == (
-            "columns of h_riding [2 evaluated, gathered by its 12 bits]")
+            "h_riding [2 columns, gathered by its 12 bits]")
 
 
 class TestEvaluate:
@@ -249,6 +249,8 @@ class TestNestedSampling:
         sort K card 3;
         const c : Row learned;
         boolvec bv : [1, 0, 1];
+        boolvec bu : [1, 0, 1];
+        boolvec bw : [0, 1, 1];
         rel M : E x Row mlp 5 act tanh;
         rel Q : Row mlp 4 act sigmoid;
         rel R : Row x Row mlp 4 act sigmoid;
@@ -273,9 +275,25 @@ class TestNestedSampling:
         "mod_index_in_data": "mi : forall r: Pool . forall j: K . forall k: K . "
                              "pi[(j + k) mod 3](V(r)) | ~pi[j](V(r)) & ~pi[k](V(r))",
         "one_hot_index_in_data": "oh : forall r: Pool . forall k: K . N(r, k) | Q(r)",
-        # a static guard over bv, evaluated on its two truth columns
+        # a static guard over bv, evaluated on its two truth columns, at each
+        # position: a quantifier reduces a class-valued body class by class, and
+        # a class-valued root is the conjunction of its classes
         "mask_guard": "mg : forall r: Pool . Q(r) & (bv -> P(r))",
-        "mask_guard_in_data": "mgd : forall r: Pool . forall q: Pool . R(r, q) | (bv -> P(q))",
+        "mask_guard_in_data": "mgd : forall r: Pool . exists q: Pool . R(r, q) | (bv -> P(q))",
+        "mask_guard_alone": "ma : forall r: Pool . bv -> P(r)",
+        "mask_guard_under_exists": "me : exists r: Pool . bv -> P(r)",
+        "mask_guard_negated": "mn : forall r: Pool . ~(bv -> P(r)) | Q(r)",
+        "mask_guard_under_index": "mk : forall k: K . forall r: Pool . N(r, k) | (bv -> P(r))",
+        "mask_guard_selected": "ms : forall r: Pool . forall k: K . pi[k](bv -> P(r))",
+        "mask_guard_selected_beside_learned": "msl : forall r: Pool . forall k: K . "
+                                              "pi[k](V(r) & (bv -> P(r)))",
+        "mask_guard_root_conjunct": "mr : (bv -> false) & exists r: Pool . Q(r)",
+        "mask_guard_root": "mo : bv -> false",
+        "mask_guards_equal_bits": "mu : forall r: Pool . (bv -> P(r)) & (bu -> ~P(r))",
+        "mask_guards_two_patterns": "mw : forall r: Pool . (bv -> P(r)) & (bw -> ~P(r)) | Q(r)",
+        # static, but beside a class vector that is not narrow
+        "mask_guard_beside_a_vector": "mv : forall r: Pool . ~((bv -> P(r)) & forall k: K . bw) "
+                                      "| Q(r)",
     }
 
     def _plan(self, axiom, seed):
@@ -296,6 +314,14 @@ class TestNestedSampling:
 
     def test_learned_row_across_a_batch_has_exact_gradients(self):
         _, _, plan = self._plan(self.AXIOMS["embedding_in_data"], 0)
+        fused = fuse_loss(plan)
+        report = T.grad_check(lambda: fused.evaluate()[0], plan.parameters)
+        assert report.passed, report
+
+    @pytest.mark.parametrize("nesting", ["mask_guard", "mask_guard_root_conjunct"])
+    def test_learned_scalar_beside_a_guard_has_exact_gradients(self, nesting):
+        # the conjunction is not static, so its value stays on the tape at full width
+        _, _, plan = self._plan(self.AXIOMS[nesting], 2)
         fused = fuse_loss(plan)
         report = T.grad_check(lambda: fused.evaluate()[0], plan.parameters)
         assert report.passed, report
@@ -415,6 +441,47 @@ class TestColumns:
         np.testing.assert_array_equal(per_axiom["labels"].data, L.conj_reduce(
             L.softselect(want, columns[1]), 0).data)
 
+    @pytest.mark.parametrize("g, narrow", [((1, 0, 0, 1, 1), True), ((0, 1, 0, 1, 1), False)],
+                             ids=["equal bits", "two patterns"])
+    def test_two_boolvecs_conjoin_at_two_columns_only_when_their_bits_are_equal(
+            self, monkeypatch, g, narrow):
+        # h and g are different names; with equal bits they are one pattern, so
+        # the whole formula stays at two columns and `scores` gathers it once
+        h, rows, n = (1, 0, 0, 1, 1), 4, 5
+        th = check_theory(parse_theory(f"""
+            sort Row dim 1;
+            sort K card {n};
+            boolvec h : {list(h)};
+            boolvec g : {list(g)};
+            rel c1 : Row extern c1;
+            rel c2 : Row extern c2;
+            data D : Row x K from "mem";
+            axiom labels : forall (r, y): D . pi[y]((h -> c1(r)) & (g -> ~c2(r)));
+        """))
+        c = np.random.default_rng(0).uniform(-30, 30, size=(2, rows))
+        columns = (np.arange(rows, dtype=float)[:, None], np.arange(rows))
+        externs = {f"c{i + 1}": (lambda x, i=i: c[i][x[..., 0].astype(int)]) for i in range(2)}
+        plan = compile(th, bind_theory(th, externs=externs, data={"D": columns}))
+        c1, c2 = (T.Tensor(c[i][:, None]) for i in range(2))
+        want = L.conj(L.neg(L.conj(L.bool_vector(h), L.neg(c1))),
+                      L.neg(L.conj(L.bool_vector(g), L.neg(L.neg(c2)))))
+        calls, conjoin = [], T.conjoin
+
+        def spy(logits, parts, switch, cap):
+            out = conjoin(logits, parts, switch, cap)
+            calls.append((logits, out.data.shape))
+            return out
+
+        monkeypatch.setattr(T, "conjoin", spy)
+        got, _ = scores(plan, "labels", columns)
+        np.testing.assert_array_equal(got, want.data)
+        *guards, (outer, shape) = calls
+        assert [s for _, s in guards] == [(rows, 2), (rows, 2)]
+        if narrow:
+            assert shape == (rows, 2) and not any(isinstance(x, T.Columns) for x in outer)
+        else:  # each pattern reaches the conjunction narrow and is gathered there
+            assert shape == (rows, n) and [x.bits.tolist() for x in outer] == [list(h), list(g)]
+
 
 class TestNarrowOperand:
     """A guard reaches the conjunction at two columns (`tensor.Columns`) beside a
@@ -435,6 +502,10 @@ class TestNarrowOperand:
         pytest.param("M(k) & (h -> c(k)) & L(k)",
                      lambda l, m, h, c: L.conj(m, L.neg(L.conj(h, L.neg(c))), l),
                      id="between taped"),
+        pytest.param("h & L(k)", lambda l, m, h, c: L.conj(h, l), id="bare boolvec"),
+        # one wide and learned: the conjunction is not static, so it stays taped
+        pytest.param("M(k) & (h -> c(k))", lambda l, m, h, c: L.conj(m, L.neg(L.conj(h, L.neg(c)))),
+                     id="beside a learned scalar"),
     ]
 
     @staticmethod
@@ -506,6 +577,22 @@ class TestNarrowOperand:
         taped, guard = outer[0]
         assert taped.node is not None and taped.data.shape == (5, 5)
         assert guard.values.shape == (5, 2) and guard.shape == (5, 5)
+
+    def test_a_bare_boolvec_is_narrow(self, monkeypatch):
+        plan, _, _ = self._plan("h & L(k)", (1, 0, 1, 1, 0), 0)
+        calls, conjoin = [], T.conjoin
+
+        def spy(logits, parts, switch, cap):
+            calls.append(logits)
+            return conjoin(logits, parts, switch, cap)
+
+        monkeypatch.setattr(T, "conjoin", spy)
+        with Tape():
+            fuse_loss(plan).evaluate()
+        ((h, taped),) = calls
+        assert isinstance(h, T.Columns) and h.values.shape == (2,) and h.shape == (5,)
+        assert h.bits.tolist() == [1, 0, 1, 1, 0]
+        assert taped.node is not None and taped.data.shape == (5, 5)
 
 
 class TestZeroDivisor:
@@ -640,17 +727,6 @@ class TestFold:
         assert len(plan.folds) == 1
         report = T.grad_check(lambda: fuse_loss(plan).evaluate()[0], plan.parameters)
         assert report.passed, report
-
-    def test_shared_draw(self):
-        # a3 is static as a whole; its loss keeps one term per conjunct
-        _, _, plan = self._plan("axiom a1 : forall u: Pool . Q(u) & far(u);\n"
-                                "axiom a2 : forall v: Pool . far(v) -> Q(v);\n"
-                                "axiom a3 : forall w: Pool . far(w) & ~far(w);",
-                                batch_size=3, shared_draw=True, seed=1)
-        assert len(plan.samplers) == 1
-        assert [len(_folds(root)) for _, root in plan.roots] == [1, 1, 2]
-        _assert_fold_is_exact(plan, 6)
-        assert len(plan.folds) == 4
 
     def test_guards_beside_an_index_axis(self):
         # in ik the index quantifier encloses the dataset quantifier; in ki the
@@ -944,24 +1020,6 @@ class TestFuseLoss:
         assert rules_only.item() < 1e-6 < full.item()
 
 
-class TestSharedDraw:
-    def test_flag_merges_sampler_keys(self):
-        th = check_theory(parse_theory("""
-            sort Row dim 3;
-            rel P : Row mlp 4 act relu;
-            rel Q : Row mlp 4 act relu;
-            data Pool : Row from "mem";
-            axiom a1 : forall r: Pool . P(r);
-            axiom a2 : forall r: Pool . Q(r);
-        """))
-        rows = np.random.default_rng(1).normal(size=(10, 3))
-        interp = bind_theory(th, data={"Pool": (rows,)})
-        independent = compile(th, interp, batch_size=4, seed=0)
-        shared = compile(th, interp, batch_size=4, shared_draw=True, seed=0)
-        assert len(independent.samplers) == 2
-        assert len(shared.samplers) == 1
-
-
 class _Calls:
     """A learned binding that records the row count of every call."""
 
@@ -1122,18 +1180,13 @@ class TestMaskGather:
         splits, interp = self._relations()
         split = splits.test_standard
         rows, classes = len(split.predicate), len(splits.vocab.predicates)
-        calls, kinds, conjoin, formula = [], [], T.conjoin, compiler._Evaluator.formula
+        calls, conjoin = [], T.conjoin
 
         def spy(logits, parts, switch, cap):
             calls.append(logits)
             return conjoin(logits, parts, switch, cap)
 
-        def spy_formula(ev, node, env):
-            kinds.append(node.kind)
-            return formula(ev, node, env)
-
         monkeypatch.setattr(T, "conjoin", spy)
-        monkeypatch.setattr(compiler._Evaluator, "formula", spy_formula)
         experiments.masked_scores(interp, splits.vocab, split, True)
         (outer,) = [ops for ops in calls if any(isinstance(x, T.Columns) for x in ops)]
         *guards, vrd = outer
@@ -1141,10 +1194,23 @@ class TestMaskGather:
         for g in guards:
             assert g.values.shape == (rows, 2) and g.bits.shape == (classes,)
         assert isinstance(vrd, T.Tensor) and vrd.data.shape == (rows, classes)
-        assert "columns" not in kinds  # the only route that gathers a guard on its own
         wide = [x for ops in calls for x in ops
                 if not isinstance(x, T.Columns) and np.size(getattr(x, "data", x)) >= rows * classes]
         assert len(wide) == 1 and wide[0] is vrd
+
+    def test_lowering_keeps_no_two_column_form(self):
+        # the evaluator's values carry the two columns; the lowered tree is the
+        # formula as written, with no node kind or slot for them
+        _, interp = self._relations()
+        (_, root), = compile(interp.theory, interp).roots
+        nodes, stack = [], [root]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1].kids)
+        guards = [n for n in nodes if n.kind == "boolvec"]
+        assert len(guards) == 10 and {n.width for n in guards} == {12}
+        assert "columns" not in {n.kind for n in nodes}
+        assert "mask" not in compiler.Node.__slots__
 
 
 class TestRecordedLosses:
