@@ -9,7 +9,6 @@ import numpy as np
 
 from dasl import logit as L
 from dasl import tensor as T
-from dasl.logit import EqualityParams
 from dasl.tensor import Parameter, Tape, backward
 
 
@@ -45,9 +44,9 @@ for i in range(3):
     print(f"pi_{i}(scores) = {pi:+.4f}  sigma -> {sigma(pi):.4f}")
 
 print("\n=== the equality logit is a log likelihood ratio over distance ===")
-params_eq = EqualityParams(eps=0.1, mu=1.0, sigma=0.5)
+print(f"noise model: eps={L.EQ_EPS}, mu={L.EQ_MU}, sigma={L.EQ_SIGMA}")
 for x in (0.0, 0.1, 0.25, 0.5, 1.0):
-    v = L.equality_logit(x, 0.0, params_eq).item()
+    v = L.equality_logit(x, 0.0).item()
     print(f"x = {x:4.2f} -> logit {v:+9.3f}  (truth {sigma(v):.4f})")
 
 print("\n=== class masking: suppress classes whose precondition fails ===")

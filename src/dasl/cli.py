@@ -28,7 +28,6 @@ from .experiments import (
 from .gradcheck import run_gradcheck
 from .interp import bind_theory
 from .lang import CheckError, LexError, ParseError, check_theory, parse_theory
-from .logit import BIG, DEFAULT_EQUALITY, EqualityParams
 from .oracle import agreement_suite
 from .tensor import load_checkpoint
 from .train import TrainConfig, train
@@ -67,21 +66,13 @@ def _load_theory(path: str):
         return check_theory(parse_theory(fh.read()))
 
 
-def _bind(args, theory, data=None):
-    eq = EqualityParams(args.eq_eps, args.eq_mu, args.eq_sigma).validate()
-    return bind_theory(
-        theory,
-        externs=spatial_predicate_externs(args.big),
-        data=data,
-        data_dir=args.data_dir,
-        seed=args.seed,
-        big=args.big,
-        equality=eq,
-    )
+def _bind(args, theory):
+    return bind_theory(theory, externs=spatial_predicate_externs(),
+                       data_dir=args.data_dir, seed=args.seed)
 
 
 # what _bind reads; compile, train and eval take all of them
-_BIND_OPTIONS = ("seed", "data_dir", "big", "eq_eps", "eq_mu", "eq_sigma")
+_BIND_OPTIONS = ("seed", "data_dir")
 
 
 def _add_options(p: argparse.ArgumentParser, *dests: str) -> None:
@@ -89,10 +80,6 @@ def _add_options(p: argparse.ArgumentParser, *dests: str) -> None:
     specs = {
         "seed": dict(type=int, default=0),
         "data_dir": dict(default=os.environ.get("DASL_DATA_DIR")),
-        "big": dict(type=float, default=BIG, help="logit assigned to crisp truth"),
-        "eq_eps": dict(type=float, default=DEFAULT_EQUALITY.eps),
-        "eq_mu": dict(type=float, default=DEFAULT_EQUALITY.mu),
-        "eq_sigma": dict(type=float, default=DEFAULT_EQUALITY.sigma),
     }
     for dest in dests:
         p.add_argument("--" + dest.replace("_", "-"), **specs[dest])
@@ -176,7 +163,7 @@ def _cmd_eval(args) -> int:
 def _cmd_oracle_check(args) -> int:
     signature = _load_theory(args.signature)
     result = agreement_suite(signature, depth=args.depth, trials=args.trials,
-                             seed=args.seed, big=args.big)
+                             seed=args.seed)
     print(f"agreement: {result.passes}/{result.trials}")
     if not result.all_agree:
         print(result.failures[0])
@@ -284,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", required=True)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--trials", type=int, default=200)
-    _add_options(p, "seed", "big")
+    _add_options(p, "seed")
     p.set_defaults(fn=_cmd_oracle_check)
 
     # the experiments' defaults are ExperimentConfig's, bar the seed counts

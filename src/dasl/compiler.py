@@ -47,7 +47,7 @@ connective over one) has one truth value per class, and reads class by class:
 A static formula over one boolvec bit pattern whose other operands are one
 wide (a rule mask `h -> c`) takes two values per row, those at bits 0 and 1,
 and the evaluator keeps it as a `tensor.Columns` of those two columns and the
-bits: a boolvec of two or more bits is its columns -big and +big, `not`
+bits: a boolvec of two or more bits is its columns -BIG and +BIG, `not`
 negates both, and a static `and` whose `Columns` operands share one bits
 array (a plan keeps one per bit pattern) conjoins on the two columns.  So
 each class entry is the same ops on the same inputs as at full width, at 2
@@ -127,7 +127,7 @@ class Node:
     """One lowered formula or term.
 
     kind      data                                      kids
-    bool      the crisp logit, +big or -big             ()
+    bool      the crisp logit, +BIG or -BIG             ()
     boolvec   the bits, one array per pattern per plan  ()
     bits      the bits, one array per pattern per plan  (index term,)
     rel       (symbol, symbol_outputs key or None)      argument terms
@@ -277,8 +277,7 @@ class _Lowering:
         if isinstance(f, Equals):
             return self.node("eq", (self.term(f.lhs), self.term(f.rhs)), src=f)
         if isinstance(f, BoolConst):
-            big = self.plan.interp.big
-            return self.node("bool", data=big if f.value else -big, static=True, src=f)
+            return self.node("bool", data=L.BIG if f.value else -L.BIG, static=True, src=f)
         if isinstance(f, BoolVectorConst):
             bits = self.boolvecs.get(f.name)
             if bits is None:
@@ -420,8 +419,8 @@ def compile(theory: Theory, interp: Interpretation, batch_size: int | None = Non
 # evaluation
 
 
-def _crisp(mask, big: float) -> Tensor:
-    return Tensor(np.where(np.asarray(mask, dtype=bool), big, -big))
+def _crisp(mask) -> Tensor:
+    return Tensor(np.where(np.asarray(mask, dtype=bool), L.BIG, -L.BIG))
 
 
 def _is_integerish(v) -> bool:
@@ -518,7 +517,6 @@ class _Evaluator:
         self.fold = fold
         self.axiom = axiom
         self.symbols = plan.interp.symbols
-        self.big = plan.interp.big
         self.symbol_outputs: dict = {}
         self.batched: dict[int, object] = {}  # node uid -> its slice of a batched call
         self.taken: dict[int, dict] = {}  # sampled quantifier uid -> its bound columns
@@ -664,16 +662,16 @@ class _Evaluator:
         if kind == "eq":
             lhs, rhs = (self.term(t, env) for t in node.kids)
             if _is_integerish(lhs) and _is_integerish(rhs):
-                return _crisp(np.asarray(lhs) == np.asarray(rhs), self.big)
-            return L.equality_logit(lhs, rhs, self.plan.interp.equality)
+                return _crisp(np.asarray(lhs) == np.asarray(rhs))
+            return L.equality_logit(lhs, rhs)
         if kind == "bits":
             idx = self.term(node.kids[0], env)
-            return _crisp(node.data[np.asarray(idx)] == 1, self.big)
+            return _crisp(node.data[np.asarray(idx)] == 1)
         if kind == "bool":
             return Tensor(node.data)
-        if node.width > 1:  # a boolvec: its two columns, -big and +big, gathered by the bits
-            return T.Columns(L.bool_vector((0, 1), self.big).data, node.data)
-        return L.bool_vector(node.data, self.big)
+        if node.width > 1:  # a boolvec: its two columns, -BIG and +BIG, gathered by the bits
+            return T.Columns(L.bool_vector((0, 1)).data, node.data)
+        return L.bool_vector(node.data)
 
     def bind(self, node: Node, env: dict) -> tuple[dict, int]:
         """A quantifier's variables bound on its axis; returns the env and the axis size.

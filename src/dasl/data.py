@@ -142,7 +142,7 @@ def spatial_predicates(pair: BoxPair) -> dict[str, bool]:
     }
 
 
-def spatial_predicate_externs(big: float = BIG) -> dict[str, object]:
+def spatial_predicate_externs() -> dict[str, object]:
     """Batched extern functions feature-rows -> crisp logits.
 
     Each extern reads the 8-feature encoding of spatial_features; rows may
@@ -152,7 +152,7 @@ def spatial_predicate_externs(big: float = BIG) -> dict[str, object]:
     """
 
     def crisp(mask: np.ndarray) -> np.ndarray:
-        return np.where(mask, big, -big)
+        return np.where(mask, BIG, -BIG)
 
     def above(rows):
         rows = np.asarray(rows, dtype=np.float64)

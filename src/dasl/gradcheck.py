@@ -60,19 +60,28 @@ def _mlp_graph(rng: np.random.Generator):
     return build, params
 
 
+# a3 tapes an embedding table's rows (`gather`), an MLP input built from a
+# taped argument (`write_columns`) and a quantifier under the tape
+# (`conjoin_axis`); a4 the equality chain (`sqrt`) and Q applied to both r and
+# h(r), one batched call cut back into its applications (`concat`, `slice_rows`)
 _LOGIC_SRC = """
 sort Row dim 5;
 sort K card 4;
+sort E card 3 dim 2;
 rel P : Row out 4 mlp 6 act sigmoid;
 rel Q : Row mlp 5 act tanh;
+rel S : Row x E mlp 4 act relu;
+func h : Row -> Row mlp 3 act tanh;
 data Pool : Row x K from "mem";
 axiom a1 : forall (r, k): Pool . pi[k](P(r)) & Q(r);
 axiom a2 : forall (r, k): Pool . forall j: K . pi[j](P(r)) -> pi[(j + 1) mod 4](P(r)) | Q(r);
+axiom a3 : forall (r, k): Pool . exists e: E . S(r, e);
+axiom a4 : forall (r, k): Pool . ~(h(r) = r) | Q(h(r));
 """
 
 
 def _logic_graph(rng: np.random.Generator):
-    """A compiled two-axiom plan; the scalar is the fused training loss."""
+    """A compiled four-axiom plan; the scalar is the fused training loss."""
     theory = check_theory(parse_theory(_LOGIC_SRC))
     rows = rng.normal(size=(6, 5))
     ks = rng.integers(4, size=6)

@@ -16,7 +16,6 @@ import numpy as np
 from . import tensor as T
 from .data import load_csv_table, load_idx
 from .lang import ExternRef, MlpSpec, SortDecl, Theory
-from .logit import BIG, EqualityParams, DEFAULT_EQUALITY
 from .tensor import Parameter, Tensor
 
 
@@ -319,8 +318,6 @@ class Interpretation:
     theory: Theory
     domains: dict[str, Domain]
     symbols: dict[str, object]
-    big: float = BIG
-    equality: EqualityParams = DEFAULT_EQUALITY
 
     @property
     def parameters(self) -> list[Parameter]:
@@ -364,8 +361,6 @@ def bind_theory(
     data: dict[str, tuple] | None = None,
     data_dir: str | None = None,
     seed: int = 0,
-    big: float = BIG,
-    equality: EqualityParams = DEFAULT_EQUALITY,
 ) -> Interpretation:
     """Attach a binding to every declared symbol and load every dataset.
 
@@ -444,7 +439,7 @@ def bind_theory(
             cols.append(col)
         domains[d.name] = Domain(d.name, n or 0, tuple(cols))
 
-    return Interpretation(theory, domains, symbols, big=big, equality=equality)
+    return Interpretation(theory, domains, symbols)
 
 
 def _checked_column(where: str, sort: SortDecl, col) -> tuple[object, int]:

@@ -11,8 +11,6 @@ kernel of `dasl.tensor` and adds one tape record, however many operands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -21,6 +19,11 @@ from .tensor import Tensor
 # logit assigned to crisp truth; sigma(BIG) ~ 1 - 2e-9 keeps double-precision
 # headroom in chained conjunctions
 BIG = 20.0
+
+# the equality logit's noise model: the distance between equal values spreads
+# by EQ_EPS around 0, between unequal ones by EQ_SIGMA around +-EQ_MU.  With
+# EQ_EPS < EQ_SIGMA the logit is maximal at 0 and non-increasing after it.
+EQ_EPS, EQ_MU, EQ_SIGMA = 0.1, 1.0, 0.5
 
 # where every operand exceeds this, a conjunction takes the stable tail
 # -ln(sum exp(-l_i)) instead of the exact S - ln(-expm1(S)).  A naive
@@ -44,14 +47,6 @@ class EmptyDisjunction(Exception):
 
 
 class DegenerateVector(Exception):
-    pass
-
-
-class InvalidParams(Exception):
-    pass
-
-
-class DomainError(Exception):
     pass
 
 
@@ -157,31 +152,7 @@ def softselect(v, index) -> Tensor:
     return T.softselect_table(v, index, _MASK_FILL)
 
 
-@dataclass(frozen=True)
-class EqualityParams:
-    """Noise model for the equality logit.
-
-    eps:   spread of the distance when the two values are equal
-    mu:    typical distance when they are genuinely different
-    sigma: spread of that unequal-case distance
-    """
-
-    eps: float = 0.1
-    mu: float = 1.0
-    sigma: float = 0.5
-
-    def validate(self) -> "EqualityParams":
-        if not (self.eps > 0 and self.mu > 0 and self.sigma > 0):
-            raise InvalidParams(f"all parameters must be positive: {self}")
-        if not self.eps < self.sigma:
-            raise InvalidParams(f"eps must be < sigma: {self}")
-        return self
-
-
-DEFAULT_EQUALITY = EqualityParams()
-
-
-def equality_logit(u, v, params: EqualityParams = DEFAULT_EQUALITY) -> Tensor:
+def equality_logit(u, v) -> Tensor:
     """Log likelihood ratio that u and v denote the same value.
 
     With x = ||u - v|| (norm over the last axis; plain difference for
@@ -190,32 +161,30 @@ def equality_logit(u, v, params: EqualityParams = DEFAULT_EQUALITY) -> Tensor:
         ln(2*sigma/eps) - x^2/(2*eps^2)
                         - ln(exp(-(x-mu)^2/(2*sigma^2)) + exp(-(x+mu)^2/(2*sigma^2)))
 
-    which is the log of the ratio between an equal-case density centred at
-    0 with spread eps and an unequal-case density centred at +-mu with
-    spread sigma.  Maximal at x = 0 and monotone non-increasing for x >= 0
-    whenever eps < sigma.
+    with eps, mu, sigma = EQ_EPS, EQ_MU, EQ_SIGMA: the log of the ratio
+    between an equal-case density centred at 0 with spread eps and an
+    unequal-case density centred at +-mu with spread sigma.
     """
-    params.validate()
     d = T.sub(u, v)
     d2 = T.mul(d, d)
     x2 = d2 if _data(d).ndim == 0 else T.reduce_sum(d2, axis=-1)
     # the tiny offset keeps the gradient finite at u = v and moves the
     # value by far less than any tolerance in use
     x = T.sqrt(T.add(x2, 1e-30))
-    inv2s2 = 1.0 / (2.0 * params.sigma * params.sigma)
-    a = T.mul(T.mul(T.sub(x, params.mu), T.sub(x, params.mu)), inv2s2)
-    b = T.mul(T.mul(T.add(x, params.mu), T.add(x, params.mu)), inv2s2)
+    inv2s2 = 1.0 / (2.0 * EQ_SIGMA * EQ_SIGMA)
+    a = T.mul(T.mul(T.sub(x, EQ_MU), T.sub(x, EQ_MU)), inv2s2)
+    b = T.mul(T.mul(T.add(x, EQ_MU), T.add(x, EQ_MU)), inv2s2)
     # ln(e^-a + e^-b) = -a + ln(1 + e^-(b-a)), and b >= a for x >= 0
     lo, hi = a, b
     denom_log = T.sub(T.softplus(T.neg(T.sub(hi, lo))), lo)
-    const = float(np.log(2.0 * params.sigma / params.eps))
-    return T.sub(T.sub(const, T.mul(x2, 1.0 / (2.0 * params.eps * params.eps))), denom_log)
+    const = float(np.log(2.0 * EQ_SIGMA / EQ_EPS))
+    return T.sub(T.sub(const, T.mul(x2, 1.0 / (2.0 * EQ_EPS * EQ_EPS))), denom_log)
 
 
-def bool_vector(bits, big: float = BIG) -> Tensor:
-    """Crisp truth vector: bit b -> (2b - 1) * big."""
+def bool_vector(bits) -> Tensor:
+    """Crisp truth vector: bit b -> (2b - 1) * BIG."""
     arr = np.asarray(bits, dtype=np.float64)
-    return Tensor((2.0 * arr - 1.0) * big)
+    return Tensor((2.0 * arr - 1.0) * BIG)
 
 
 def mask_classes(class_logits, mask, condition) -> Tensor:
@@ -234,39 +203,3 @@ def mask_classes(class_logits, mask, condition) -> Tensor:
     if cond_data.ndim == cdata.ndim - 1:
         cond = T.reshape(cond, cond_data.shape + (1,))
     return conj(class_logits, implies(mask, cond))
-
-
-# ---------------------------------------------------------------------------
-# truth-space t-norms, for the vanishing-gradient comparison only
-
-
-def tnorm_eval(kind: str, t1, t2):
-    """Binary t-norm on raw truth values in [0,1] (not logits)."""
-    a = np.asarray(t1, dtype=np.float64)
-    b = np.asarray(t2, dtype=np.float64)
-    if (a < 0).any() or (a > 1).any() or (b < 0).any() or (b > 1).any():
-        raise DomainError("truth values must lie in [0, 1]")
-    if kind == "product":
-        return a * b
-    if kind == "goedel-min":
-        return np.minimum(a, b)
-    if kind == "lukasiewicz":
-        return np.maximum(0.0, a + b - 1.0)
-    raise ValueError(f"unknown t-norm {kind!r}")
-
-
-def tnorm_grad(kind: str, t1, t2):
-    """Subgradients (d/dt1, d/dt2) of tnorm_eval at (t1, t2)."""
-    a = np.asarray(t1, dtype=np.float64)
-    b = np.asarray(t2, dtype=np.float64)
-    if (a < 0).any() or (a > 1).any() or (b < 0).any() or (b > 1).any():
-        raise DomainError("truth values must lie in [0, 1]")
-    if kind == "product":
-        return b, a
-    if kind == "goedel-min":
-        take_a = a <= b  # ties route to the first argument
-        return take_a.astype(np.float64), (~take_a).astype(np.float64)
-    if kind == "lukasiewicz":
-        alive = (a + b - 1.0 > 0).astype(np.float64)
-        return alive, alive
-    raise ValueError(f"unknown t-norm {kind!r}")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .compiler import Node, Plan, compile, evaluate, fuse_loss
 from .interp import Interpretation, bind_theory
 from .lang import (
@@ -166,8 +165,8 @@ def enumerate_models(theory: Theory, sizes: dict[str, int]):
 # crisp model -> interpretation bridge
 
 
-def crisp_interpretation(model: CrispModel, theory: Theory, big: float = BIG) -> Interpretation:
-    """Bind a crisp model: tables become externs returning +-big logits."""
+def crisp_interpretation(model: CrispModel, theory: Theory) -> Interpretation:
+    """Bind a crisp model: tables become externs returning +-BIG logits."""
     externs: dict[str, object] = {}
     for c in theory.consts:
         externs[c.name] = model.constants[c.name]
@@ -185,10 +184,10 @@ def crisp_interpretation(model: CrispModel, theory: Theory, big: float = BIG) ->
 
         def r_fn(*args, table=table):
             values = table[tuple(np.asarray(a) for a in args)] if args else table
-            return np.where(values, big, -big)
+            return np.where(values, BIG, -BIG)
 
         externs[_extern_name(r.binding, r.name)] = r_fn
-    return bind_theory(theory, externs=externs, big=big)
+    return bind_theory(theory, externs=externs)
 
 
 def _extern_name(binding, fallback: str) -> str:
@@ -204,30 +203,19 @@ class SatisfactionReport:
     per_axiom: dict[str, bool]
     satisfied: bool
     loss: float
-    theta: float
 
 
-def satisfies_at_threshold(model: CrispModel, theory: Theory,
-                           theta: float | None = None, big: float = BIG) -> SatisfactionReport:
-    """Compile with crisp bindings, full sampling; satisfied iff loss <= theta.
-
-    theta defaults to 1e-6 per root-level conjunct; an explicit theta is
-    apportioned to axioms by their conjunct counts so the overall verdict
-    stays the conjunction of per-axiom verdicts.
-    """
-    interp = crisp_interpretation(model, theory, big=big)
+def satisfies_at_threshold(model: CrispModel, theory: Theory) -> SatisfactionReport:
+    """Compile with crisp bindings, full sampling; an axiom is satisfied iff
+    its loss is at most 1e-6 per root-level conjunct."""
+    interp = crisp_interpretation(model, theory)
     plan = compile(theory, interp, batch_size=None)
     fused = fuse_loss(plan)
     total, batch = fused.evaluate()
     counts = {name: _conjunct_count(plan, node) for name, node in plan.roots}
-    total_count = max(1, sum(counts.values()))
-    theta_total = 1e-6 * total_count if theta is None else theta
-    per_axiom = {
-        name: float(batch.per_axiom[name].data) <= theta_total * counts[name] / total_count
-        for name in counts
-    }
-    return SatisfactionReport(per_axiom, all(per_axiom.values()) if per_axiom else True,
-                              float(total.data), theta_total)
+    per_axiom = {name: float(batch.per_axiom[name].data) <= 1e-6 * counts[name]
+                 for name in counts}
+    return SatisfactionReport(per_axiom, all(per_axiom.values()), float(total.data))
 
 
 def _conjunct_count(plan: Plan, node: Node) -> int:
@@ -362,7 +350,7 @@ rel R : D x D extern R;
 
 
 def agreement_suite(signature: Theory, depth: int = 4, trials: int = 200,
-                    seed: int = 0, big: float = BIG) -> AgreementResult:
+                    seed: int = 0) -> AgreementResult:
     """Randomized soundness/completeness check at finite scale.
 
     For each trial, a random crisp model and random closed formula are
@@ -383,7 +371,7 @@ def agreement_suite(signature: Theory, depth: int = 4, trials: int = 200,
             axioms=(AxiomDecl("trial", formula),),
         ))
         classical = tarski_eval(model, theory.axioms[0].formula)
-        interp = crisp_interpretation(model, theory, big=big)
+        interp = crisp_interpretation(model, theory)
         plan = compile(theory, interp, batch_size=None)
         root = evaluate(plan).root
         compiled = float(root.data) > 0.0

@@ -162,6 +162,10 @@ class TrainConfig:
             raise ValueError("cadence must be >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
+        if self.curriculum_initial < 1 or self.curriculum_classes < 1:
+            raise ValueError("curriculum_initial and curriculum_classes must be >= 1")
+        if self.rules_only_after is not None and not self.curriculum:
+            raise ValueError("rules_only_after needs the curriculum")
 
 
 @dataclass
@@ -239,7 +243,14 @@ def train(plan: Plan, config: TrainConfig, test_set=None) -> TrainState:
         if not candidates:
             raise ValueError(f"no sampler over domain {config.curriculum_domain!r}")
         triples_sampler = candidates[0]
-        max_per_class = triples_sampler.domain.cardinality // config.curriculum_classes
+        size = triples_sampler.domain.cardinality
+        if size < config.curriculum_classes:
+            raise ValueError(f"curriculum domain {config.curriculum_domain!r} has {size} rows, "
+                             f"fewer than its {config.curriculum_classes} classes")
+        missing = sorted(set(config.labeled_axioms) - {ax.name for ax in plan.theory.axioms})
+        if missing:
+            raise ValueError(f"labeled axioms {', '.join(missing)} are not in the theory")
+        max_per_class = size // config.curriculum_classes
         curriculum = CurriculumState(
             working_set=min(config.curriculum_initial, max_per_class),
             max_size=max_per_class,

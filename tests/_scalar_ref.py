@@ -31,6 +31,7 @@ from dasl.lang import (
     SoftSelect,
     Variable,
 )
+from dasl.logit import BIG, EQ_EPS, EQ_MU, EQ_SIGMA
 
 
 def sigmoid(x: float) -> float:
@@ -68,16 +69,16 @@ def softselect(vec: list[float], idx: int) -> float:
     return vec[idx] - (m + math.log(sum(math.exp(v - m) for v in others)))
 
 
-def equality(u, v, params) -> float:
+def equality(u, v) -> float:
     du = u if isinstance(u, list) else [u]
     dv = v if isinstance(v, list) else [v]
     x2 = sum((a - b) ** 2 for a, b in zip(du, dv))
     x = math.sqrt(x2 + 1e-30)
-    s2 = 2.0 * params.sigma * params.sigma
-    a = (x - params.mu) ** 2 / s2
-    b = (x + params.mu) ** 2 / s2
+    s2 = 2.0 * EQ_SIGMA * EQ_SIGMA
+    a = (x - EQ_MU) ** 2 / s2
+    b = (x + EQ_MU) ** 2 / s2
     denom = math.log(math.exp(-a) + math.exp(-b))
-    return math.log(2.0 * params.sigma / params.eps) - x2 / (2.0 * params.eps ** 2) - denom
+    return math.log(2.0 * EQ_SIGMA / EQ_EPS) - x2 / (2.0 * EQ_EPS ** 2) - denom
 
 
 def _mlp_forward(binding, args: list) -> list[float]:
@@ -150,17 +151,16 @@ def eval_term(theory, interp, t, env):
 
 
 def eval_formula(theory, interp, f, env) -> float | list[float]:
-    big = interp.big
     if isinstance(f, BoolConst):
-        return big if f.value else -big
+        return BIG if f.value else -BIG
     if isinstance(f, BoolVectorConst):
         bits = theory.boolvec(f.name).bits
-        return [big if b else -big for b in bits]
+        return [BIG if b else -BIG for b in bits]
     if isinstance(f, RelApp):
         bv = theory.boolvec(f.symbol)
         if bv is not None:
             i = eval_term(theory, interp, f.args[0], env)
-            return big if bv.bits[i] else -big
+            return BIG if bv.bits[i] else -BIG
         binding = interp.symbols[f.symbol]
         args = [eval_term(theory, interp, a, env) for a in f.args]
         if hasattr(binding, "weights"):
@@ -174,8 +174,8 @@ def eval_formula(theory, interp, f, env) -> float | list[float]:
         lhs = eval_term(theory, interp, f.lhs, env)
         rhs = eval_term(theory, interp, f.rhs, env)
         if isinstance(lhs, int) and isinstance(rhs, int):
-            return big if lhs == rhs else -big
-        return equality(lhs, rhs, interp.equality)
+            return BIG if lhs == rhs else -BIG
+        return equality(lhs, rhs)
     if isinstance(f, Not):
         v = eval_formula(theory, interp, f.body, env)
         return [-x for x in v] if isinstance(v, list) else -v

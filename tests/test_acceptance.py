@@ -30,7 +30,7 @@ from dasl.data import gen_synth_relations, spatial_predicate_externs
 from dasl.gradcheck import run_gradcheck
 from dasl.interp import bind_theory
 from dasl.lang import check_theory, parse_theory
-from dasl.logit import EqualityParams
+from dasl.logit import EQ_EPS, EQ_MU, EQ_SIGMA
 from dasl.oracle import agreement_suite, default_signature, partition_loss_check
 from dasl.tensor import Parameter, Tape, backward
 from dasl.train import CurriculumState, TrainConfig, train, update_curriculum
@@ -60,6 +60,26 @@ class TestCriterion1Gradients:
         assert worst < 1e-4
         assert elapsed < 60
         _report(1, f"50/50 graphs, max rel err {worst:.2e}, {elapsed:.1f}s")
+
+    def test_the_graphs_tape_every_kernel_training_emits(self, monkeypatch):
+        pulls = set()
+        record = T.Tape.record
+
+        def spy(tape, out, inputs):
+            pulls.update(item[1].__name__ for item in inputs)
+            return record(tape, out, inputs)
+
+        monkeypatch.setattr(T.Tape, "record", spy)
+        run_gradcheck(trials=50, seed=0, h=1e-5, tol=1e-4)
+        emitted = {
+            "_pull_conjoin", "_pull_conjoin_axis", "_pull_softselect_rows",
+            "_pull_softselect_table", "_pull_softplus_neg_sum", "_pull_sigmoid",
+            "_pull_tanh", "_pull_relu", "_pull_sqrt",
+            "_pull_gather",  # an embedding sort's rows
+            "_pull_slice",  # concat and write_columns
+            "_pull_rows",  # slice_rows
+        }
+        assert emitted - pulls == set()
 
 
 class TestCriterion2ConnectiveAlgebra:
@@ -169,14 +189,13 @@ class TestCriterion6EqualitySemantics:
     def test_density_ratio_maximum_monotone(self):
         import mpmath
 
-        params = EqualityParams()
         grid = np.arange(0.0, 5.0001, 0.01)
         worst = 0.0
         vals = []
         with mpmath.workdps(50):
-            eps, mu, sg = (mpmath.mpf(str(v)) for v in (params.eps, params.mu, params.sigma))
+            eps, mu, sg = (mpmath.mpf(str(v)) for v in (EQ_EPS, EQ_MU, EQ_SIGMA))
             for x in grid:
-                got = L.equality_logit(float(x), 0.0, params).item()
+                got = L.equality_logit(float(x), 0.0).item()
                 xm = mpmath.mpf(float(x))
                 f_eq = (2 / eps) * mpmath.e ** (-xm * xm / (2 * eps ** 2))
                 f_neq = (1 / sg) * (mpmath.e ** (-((xm - mu) ** 2) / (2 * sg ** 2))

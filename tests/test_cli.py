@@ -1,6 +1,8 @@
 """CLI contract: subcommands, exit codes, config files."""
 
+import argparse
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -287,14 +289,11 @@ class TestCompileTrainEval:
 
 # each subcommand's options, by dest, as `--help` lists them
 OPTIONS = {
-    "compile": {"theory", "explain", "batch_size", "seed", "data_dir", "big", "eq_eps",
-                "eq_mu", "eq_sigma"},
+    "compile": {"theory", "explain", "batch_size", "seed", "data_dir"},
     "train": {"theory", "config", "out", "iterations", "batch_size", "lr", "cadence",
-              "curriculum", "rules_only_after", "seed", "data_dir", "big", "eq_eps",
-              "eq_mu", "eq_sigma"},
-    "eval": {"theory", "checkpoint", "data", "symbol", "seed", "data_dir", "big", "eq_eps",
-             "eq_mu", "eq_sigma"},
-    "oracle-check": {"signature", "depth", "trials", "seed", "big"},
+              "curriculum", "rules_only_after", "seed", "data_dir"},
+    "eval": {"theory", "checkpoint", "data", "symbol", "seed", "data_dir"},
+    "oracle-check": {"signature", "depth", "trials", "seed"},
     "mnist": {"ntr", "knowledge", "seeds", "iterations", "triples_per_class", "batch_size",
               "lr", "cadence", "out", "data_dir"},
     "synth-rel": {"regime", "seeds", "iterations", "batch_size", "lr", "cadence", "out"},
@@ -325,8 +324,24 @@ class TestOptions:
         listed = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out)) - {"help"}
         assert listed == {dest.replace("_", "-") for dest in OPTIONS[command]}
 
-    def test_fifty_eight_options_in_all(self):
-        assert sum(len(dests) for dests in OPTIONS.values()) == 58
+    def test_forty_five_options_in_all(self):
+        assert sum(len(dests) for dests in OPTIONS.values()) == 45
+
+    def test_readme_usage_block_lists_each_subcommands_options(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        listed: dict[str, set[str]] = {}
+        for line in block.strip().splitlines():
+            head = re.match(r"dasl ([a-z-]+)", line)
+            if head:
+                command = listed.setdefault(head.group(1), set())
+            command.update(re.findall(r"--([a-z-]+)", line))
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsed = {name: {opt[2:] for action in p._actions for opt in action.option_strings
+                         if opt.startswith("--") and opt != "--help"}
+                  for name, p in sub.choices.items()}
+        assert listed == parsed
 
     def test_every_option_is_read(self, toy_dir, monkeypatch):
         # the experiments are stubbed; every other handler runs on the toy theory
@@ -364,6 +379,15 @@ class TestOptions:
         ["synth-rel", "--data-dir", "."],
         ["gradcheck", "--big", "30"],
         ["gradcheck", "--eq-sigma", "0.7"],
+        ["compile", "--theory", "t.dasl", "--big", "30"],
+        ["compile", "--theory", "t.dasl", "--eq-eps", "0.2"],
+        ["train", "--theory", "t.dasl", "--big", "30"],
+        ["train", "--theory", "t.dasl", "--eq-mu", "2"],
+        ["eval", "--theory", "t.dasl", "--checkpoint", "c", "--data", "D", "--symbol", "s",
+         "--big", "30"],
+        ["eval", "--theory", "t.dasl", "--checkpoint", "c", "--data", "D", "--symbol", "s",
+         "--eq-sigma", "0.7"],
+        ["oracle-check", "--signature", "sig.dasl", "--big", "30"],
     ])
     def test_an_option_the_subcommand_would_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -401,6 +425,17 @@ class TestOptions:
                 "--iterations", "3", "--lr", lr]
         assert main(argv) == 2
         assert "learning rate must be finite and > 0" in capsys.readouterr().err
+
+    def test_train_rules_only_after_without_the_curriculum_exits_2_before_any_data(
+            self, toy_dir, capsys, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data loaded before the config was checked")
+
+        monkeypatch.setattr("dasl.cli._bind", no_data)
+        argv = ["train", "--theory", str(toy_dir / "toy.dasl"), "--data-dir", str(toy_dir),
+                "--rules-only-after", "5"]
+        assert main(argv) == 2
+        assert "rules_only_after needs the curriculum" in capsys.readouterr().err
 
     def test_compile_rejects_an_mlp_relation_with_an_empty_hidden_layer(self, tmp_path,
                                                                           capsys):

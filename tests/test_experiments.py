@@ -217,20 +217,19 @@ def _reference_masked_scores(interp, vocab, split):
     It does not read the theory text, so it is the independent reference
     for `masked_scores`.
     """
-    big = interp.big
-    spatial = spatial_predicate_externs(big)
+    spatial = spatial_predicate_externs()
     scores = interp.symbols["vrd"]([split.features, split.subject, split.object])
     for pred in sorted(vocab.rules):
         subj, obj, sp = vocab.rules[pred]
         conds = []
         if subj is not None:
-            conds.append(np.where(np.asarray(vocab.bits(subj))[split.subject] == 1, big, -big))
+            conds.append(np.where(np.asarray(vocab.bits(subj))[split.subject] == 1, L.BIG, -L.BIG))
         if obj is not None:
-            conds.append(np.where(np.asarray(vocab.bits(obj))[split.object] == 1, big, -big))
+            conds.append(np.where(np.asarray(vocab.bits(obj))[split.object] == 1, L.BIG, -L.BIG))
         if sp is not None:
             conds.append(spatial[sp.replace("-", "_")](split.features))
         cond = L.conj(*conds) if len(conds) > 1 else Tensor(conds[0])
-        mask = L.bool_vector(vocab.predicate_mask(pred), big)
+        mask = L.bool_vector(vocab.predicate_mask(pred))
         scores = L.mask_classes(scores, mask, cond)
     return scores.data
 

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _tnorm_ref import DomainError, tnorm_eval, tnorm_grad
 from dasl import logit as L
 from dasl import tensor as T
 from dasl.logit import (
     BIG,
+    EQ_EPS,
+    EQ_MU,
+    EQ_SIGMA,
     DegenerateVector,
-    DomainError,
     EmptyConjunction,
     EmptyDisjunction,
-    EqualityParams,
-    InvalidParams,
     bool_vector,
     conj,
     conj_reduce,
@@ -24,8 +25,6 @@ from dasl.logit import (
     mask_classes,
     neg,
     softselect,
-    tnorm_eval,
-    tnorm_grad,
 )
 from dasl.tensor import Parameter, Tape, backward
 
@@ -281,7 +280,7 @@ class TestSoftselectTable:
             softselect(np.zeros((2, 1, 3)), np.array([[0, 3]]))
 
 
-def density_ratio_oracle(x: float, params: EqualityParams) -> float:
+def density_ratio_oracle(x: float) -> float:
     """ln of (equal-case density / unequal-case density), evaluated directly.
 
     Uses 50-digit arithmetic: the equal-case density underflows float64
@@ -291,7 +290,7 @@ def density_ratio_oracle(x: float, params: EqualityParams) -> float:
 
     with mpmath.workdps(50):
         x = mpmath.mpf(x)
-        eps, mu, sg = (mpmath.mpf(str(v)) for v in (params.eps, params.mu, params.sigma))
+        eps, mu, sg = (mpmath.mpf(str(v)) for v in (EQ_EPS, EQ_MU, EQ_SIGMA))
         root = mpmath.sqrt(2 * mpmath.pi)
         f_eq = (2 / (eps * root)) * mpmath.e ** (-x * x / (2 * eps ** 2))
         f_neq = (1 / (sg * root)) * (
@@ -313,15 +312,13 @@ class TestEqualityLogit:
         assert got == pytest.approx(-47.698, abs=1e-3)
 
     def test_matches_density_ratio_oracle(self):
-        params = EqualityParams()
         for x in np.arange(0.0, 5.0001, 0.01):
-            got = equality_logit(float(x), 0.0, params).item()
-            assert got == pytest.approx(density_ratio_oracle(float(x), params), abs=1e-9)
+            got = equality_logit(float(x), 0.0).item()
+            assert got == pytest.approx(density_ratio_oracle(float(x)), abs=1e-9)
 
     def test_monotone_non_increasing(self):
-        params = EqualityParams()
         grid = np.arange(0.0, 5.0001, 0.01)
-        vals = np.array([equality_logit(float(x), 0.0, params).item() for x in grid])
+        vals = np.array([equality_logit(float(x), 0.0).item() for x in grid])
         assert np.all(np.diff(vals) <= 1e-12)
         assert np.argmax(vals) == 0
 
@@ -341,11 +338,9 @@ class TestEqualityLogit:
         want = equality_logit(2.0, 0.0).item()  # same distance
         assert equality_logit(u, v).item() == pytest.approx(want, abs=1e-9)
 
-    def test_invalid_params(self):
-        with pytest.raises(InvalidParams):
-            EqualityParams(eps=0.5, mu=1.0, sigma=0.3).validate()
-        with pytest.raises(InvalidParams):
-            EqualityParams(eps=-0.1).validate()
+    def test_noise_model_keeps_the_maximum_at_zero(self):
+        # eps < sigma is what makes the logit maximal at 0 and non-increasing after
+        assert 0 < EQ_EPS < EQ_SIGMA and EQ_MU > 0
 
     def test_gradient_finite_at_equal_points(self):
         p = Parameter("u", np.array([1.0, 1.0]))

@@ -389,5 +389,51 @@ class TestCurriculumInTraining:
         for p, v in zip(plan.parameters, before):
             np.testing.assert_array_equal(p.value, v)
         config = TrainConfig(iterations=1, batch_size=3, curriculum=True, curriculum_classes=3,
-                             monitor_symbol="digit", monitor_arg="x2")
+                             monitor_symbol="digit", monitor_arg="x2", labeled_axioms=())
         assert len(train(plan, config).loss_history) == 1
+
+    @pytest.mark.parametrize("setting", [{"curriculum_initial": 0}, {"curriculum_classes": 0}],
+                             ids=["initial", "classes"])
+    def test_a_curriculum_size_below_one_is_an_error(self, setting):
+        # classes 0 divided by zero; initial 0 sampled an empty working set at step 1
+        with pytest.raises(ValueError, match="curriculum_initial and curriculum_classes"):
+            TrainConfig(iterations=4, batch_size=8, curriculum=True, **setting)
+
+    def test_rules_only_after_without_the_curriculum_is_an_error(self):
+        # it was ignored without a word: no curriculum, so no rules-only phase
+        with pytest.raises(ValueError, match="rules_only_after needs the curriculum"):
+            TrainConfig(iterations=4, batch_size=8, rules_only_after=2)
+
+    @staticmethod
+    def _digit_plan(triples_per_class=2):
+        th = check_theory(parse_theory("""
+            sort Row dim 4;
+            rel digit : Row out 3 mlp 6 act sigmoid;
+            data Triples : Row x Row x Row from "mem";
+            axiom labels : forall (x1, x2, x3): Triples . pi[0](digit(x1));
+            axiom rule : forall (x1, x2, x3): Triples . pi[0](digit(x1)) -> pi[0](digit(x2));
+        """))
+        rows = np.random.default_rng(4).normal(size=(9, 4))
+        from dasl.interp import build_triples
+
+        trip = build_triples(rows, np.tile(np.arange(3), 3), per_class=triples_per_class,
+                             seed=0, n_classes=3)
+        return compile(th, bind_theory(th, data={"Triples": trip}, seed=1), batch_size=3)
+
+    def test_a_mistyped_labeled_axiom_is_an_error_before_the_first_step(self):
+        # rules-only would have gone on training `labels` without a word
+        plan = self._digit_plan()
+        before = [p.value.copy() for p in plan.parameters]
+        config = TrainConfig(iterations=5, batch_size=3, curriculum=True, curriculum_classes=3,
+                             labeled_axioms=("label", "labels"))
+        with pytest.raises(ValueError, match="labeled axioms label are not in the theory"):
+            train(plan, config)
+        for p, v in zip(plan.parameters, before):
+            np.testing.assert_array_equal(p.value, v)
+
+    def test_a_curriculum_domain_smaller_than_its_classes_is_an_error(self):
+        # its working set was empty, and step 1 stopped with EmptyDomain
+        plan = self._digit_plan()
+        config = TrainConfig(iterations=5, batch_size=3, curriculum=True, curriculum_classes=7)
+        with pytest.raises(ValueError, match="'Triples' has 6 rows, fewer than its 7 classes"):
+            train(plan, config)
