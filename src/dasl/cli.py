@@ -25,7 +25,7 @@ from .experiments import (
     run_relations_experiment,
     summarize,
 )
-from .gradcheck import run_gradcheck
+from .gradcheck import TOL, run_gradcheck
 from .interp import bind_theory
 from .lang import CheckError, LexError, ParseError, check_theory, parse_theory
 from .oracle import agreement_suite
@@ -37,9 +37,8 @@ from .train import TrainConfig, train
 # an unset key keeps TrainConfig's default
 _TRAIN_CONFIG_CASTS = {
     "iterations": int, "batch_size": int, "lr": float, "cadence": int, "curriculum": bool,
-    "eval_symbol": str, "labeled_axioms": lambda raw: tuple(raw.split(",")),
-    "curriculum_domain": str, "monitor_symbol": str, "monitor_arg": str,
-    "rules_only_after": int,
+    "labeled_axioms": lambda raw: tuple(raw.split(",")), "curriculum_domain": str,
+    "monitor_symbol": str, "monitor_arg": str, "rules_only_after": int,
 }
 TRAIN_CONFIG_KEYS = tuple(_TRAIN_CONFIG_CASTS)
 
@@ -219,7 +218,8 @@ def _cmd_gradcheck(args) -> int:
         status = "pass" if report.passed else "FAIL"
         print(f"{name}: {status} (max rel err {report.max_rel_error:.3e})")
         failed += 0 if report.passed else 1
-    print(f"{len(reports) - failed}/{len(reports)} graphs pass at tol 1e-4")
+    print(f"{len(reports) - failed}/{len(reports)} graphs pass at tol "
+          f"{np.format_float_scientific(TOL, trim='-', exp_digits=1)}")
     return 0 if failed == 0 else 1
 
 

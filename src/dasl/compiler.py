@@ -77,7 +77,14 @@ import numpy as np
 
 from . import logit as L
 from . import tensor as T
-from .interp import EmbeddingColumn, ExternBinding, FixedBinding, Interpretation, Sampler
+from .interp import (
+    EmbeddingColumn,
+    ExternBinding,
+    FixedBinding,
+    IdOutOfRange,
+    Interpretation,
+    Sampler,
+)
 from .lang import (
     And,
     ArithExpr,
@@ -665,8 +672,11 @@ class _Evaluator:
                 return _crisp(np.asarray(lhs) == np.asarray(rhs))
             return L.equality_logit(lhs, rhs)
         if kind == "bits":
-            idx = self.term(node.kids[0], env)
-            return _crisp(node.data[np.asarray(idx)] == 1)
+            idx, n = np.asarray(self.term(node.kids[0], env)), len(node.data)
+            if idx.size and idx.max() >= n:
+                raise IdOutOfRange(f"axiom {self.axiom!r}: boolvec {node.src.symbol} has id "
+                                   f"{idx.max()}, outside [0, {n})")
+            return _crisp(node.data[idx] == 1)
         if kind == "bool":
             return Tensor(node.data)
         if node.width > 1:  # a boolvec: its two columns, -BIG and +BIG, gathered by the bits

@@ -34,7 +34,7 @@ class WidthMismatch(Exception):
 
 
 class IdOutOfRange(Exception):
-    """An MLP argument of an index sort holds an id outside [0, card)."""
+    """An MLP argument or a boolvec index of an index sort holds an id outside [0, card)."""
 
 
 class EmptyDomain(Exception):

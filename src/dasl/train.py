@@ -22,19 +22,18 @@ from .tensor import NonFiniteGradient, Parameter, Tensor, save_checkpoint
 # ---------------------------------------------------------------------------
 # Adam
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's published defaults (Kingma & Ba 2015)
+
 
 @dataclass
 class AdamState:
-    """Adam's settings, step count and moments.
+    """Adam's learning rate, step count and moments.
 
     m and v keep each parameter's moments by name, as views of two flat
     buffers laid out like the parameters' store (`tensor.pack`), which
     `flat` holds as (store, m, v)."""
 
     lr: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -65,7 +64,7 @@ def adam_step(params: list[Parameter], state: AdamState) -> AdamState:
     if state.flat is None or state.flat[0] is not store:
         state.flat = store, _lay_out(state.m, store), _lay_out(state.v, store)
     state.step += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    b1, b2, lr, eps = BETA1, BETA2, state.lr, EPS
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     flat = store.values, store.grads, state.flat[1], state.flat[2]
     n = store.values.size
@@ -104,26 +103,26 @@ def _lay_out(moments: dict[str, np.ndarray], store: T.Store) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # curriculum
 
+# the confidence filter's weight, the confidence that grows the working set, and its factor
+ALPHA, THRESHOLD, GROWTH = 0.1, 0.9, 2
+
 
 @dataclass
 class CurriculumState:
     """Confidence-gated doubling of the unlabeled working set (per class)."""
 
     p_c: float = 0.0
-    alpha: float = 0.1
-    threshold: float = 0.9
     working_set: int = 10
     max_size: int = 10
-    growth: int = 2
     phase: str = "warm"  # warm -> growing -> rules-only
 
 
 def update_curriculum(state: CurriculumState, p_max: float) -> CurriculumState:
     """Low-pass the confidence; on crossing, grow-then-reset atomically."""
-    state.p_c = (1.0 - state.alpha) * state.p_c + state.alpha * p_max
-    if state.p_c > state.threshold and state.phase != "rules-only":
+    state.p_c = (1.0 - ALPHA) * state.p_c + ALPHA * p_max
+    if state.p_c > THRESHOLD and state.phase != "rules-only":
         if state.working_set < state.max_size:
-            state.working_set = min(state.working_set * state.growth, state.max_size)
+            state.working_set = min(state.working_set * GROWTH, state.max_size)
             state.p_c = 0.0
             state.phase = "growing"
         else:

@@ -93,7 +93,9 @@ class TestExitCodes:
     def test_gradcheck_exits_0(self, toy_dir, capsys):
         assert main(["gradcheck", "--trials", "3", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert "3/3 graphs pass" in out
+        assert [line.split(":")[0] for line in out.splitlines()[:3]] == [
+            "logic-plan-0", "logic-plan-1", "logic-plan-2"]
+        assert "3/3 graphs pass at tol 1e-4" in out
 
 
 class TestCompileTrainEval:
@@ -135,6 +137,15 @@ class TestCompileTrainEval:
         err = capsys.readouterr().err
         assert str(cfg) in err and "'iteratons'" in err
 
+    def test_a_config_key_train_would_not_read_is_unknown(self, toy_dir, capsys):
+        # train has no test set, so an eval symbol would never take effect
+        cfg = toy_dir / "eval.cfg"
+        cfg.write_text("eval_symbol = classify\n")
+        code = main(["train", "--theory", str(toy_dir / "toy.dasl"),
+                     "--data-dir", str(toy_dir), "--config", str(cfg)])
+        assert code == 2
+        assert "unknown config key 'eval_symbol'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, wanted", [
         ("curriculum = ture", "one of 1/true/on/yes/0/false/off/no"),
         ("iterations = five", "an integer"),
@@ -169,6 +180,15 @@ class TestCompileTrainEval:
                      "--iterations", "3", "--batch-size", "6"])
         assert code == 2
         assert "clasify(r)" in capsys.readouterr().err
+
+    def test_a_boolvec_index_past_its_bits_is_diagnostic(self, toy_dir, capsys):
+        # j + k reaches 4 over a three-bit boolvec; check and compile cannot see it
+        theory = toy_dir / "wrap.dasl"
+        theory.write_text("sort K card 3;\nboolvec b : [1, 0, 1];\n"
+                          "axiom wrap : forall j: K . forall k: K . b(j + k);\n")
+        assert main(["train", "--theory", str(theory), "--iterations", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: axiom 'wrap': boolvec b has id 4, outside [0, 3)")
 
     @staticmethod
     def _train(toy_dir, theory="toy.dasl", out="run_eval"):

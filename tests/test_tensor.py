@@ -218,8 +218,9 @@ class TestPrimitiveGradients:
     def test_reductions_match_finite_differences(self, op):
         rng = np.random.default_rng(43)
         p = Parameter("p", rng.uniform(-3, 3, size=(3, 4)))
-        report = grad_check(lambda: T.reduce_sum(op(p, 1)), [p], h=1e-5, tol=1e-4)
-        assert report.passed
+        for axis in (1, None):
+            report = grad_check(lambda: T.reduce_sum(op(p, axis)), [p], h=1e-5, tol=1e-4)
+            assert report.passed, axis
 
     def test_select_and_mask_class(self):
         rng = np.random.default_rng(44)

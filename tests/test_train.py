@@ -10,6 +10,9 @@ from dasl.lang import check_theory, parse_theory
 from dasl.logit import BIG
 from dasl.tensor import NonFiniteGradient, Parameter, load_checkpoint
 from dasl.train import (
+    BETA1,
+    BETA2,
+    EPS,
     AdamState,
     CurriculumState,
     TrainConfig,
@@ -108,12 +111,12 @@ class TestAdam:
             g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
             p.grad[...] = g
             adam_step([p], state)
-            b1, b2 = state.beta1, state.beta2
+            b1, b2 = BETA1, BETA2
             m += (1.0 - b1) * (g - m)
             v += (1.0 - b2) * (g * g - v)
             m_hat = m / (1.0 - b1 ** step)
             v_hat = v / (1.0 - b2 ** step)
-            value -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            value -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
             np.testing.assert_array_equal(p.value, value)
             np.testing.assert_array_equal(state.m["p"], m)
             np.testing.assert_array_equal(state.v["p"], v)
