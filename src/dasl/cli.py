@@ -11,6 +11,7 @@ experiments; the default data directory comes from $DASL_DATA_DIR.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -128,6 +129,10 @@ def _cmd_train(args) -> int:
     overrides = parse_config_file(args.config) if args.config else {}
     config = _train_config_from(args, overrides)
     theory = _load_theory(args.theory)
+    monitor = theory.rel(config.monitor_symbol)
+    if config.curriculum and monitor is not None and monitor.out:
+        # the working set holds rows per class of the monitored classifier
+        config = dataclasses.replace(config, curriculum_classes=monitor.out)
     interp = _bind(args, theory)
     plan = compile(theory, interp, batch_size=config.batch_size, seed=args.seed)
     state = train(plan, config)

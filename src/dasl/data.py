@@ -1,9 +1,11 @@
 """Dataset ingestion and the synthetic spatial-relationship generator.
 
 Covers the IDX container (big-endian header, unsigned byte payload), CSV
-numeric tables, box-pair spatial features, crisp spatial predicates, and a
-procedurally generated relationship-classification task whose labels
-respect a set of semantic/spatial rules by construction.
+numeric tables, box-pair spatial features, and a procedurally generated
+relationship-classification task whose labels respect a set of
+semantic/spatial rules by construction.  The crisp spatial predicates are
+stated once, in SPATIAL: the generator places boxes by it, the externs
+test features by it, and `experiments.relations_theory` declares it.
 """
 
 from __future__ import annotations
@@ -128,49 +130,31 @@ def spatial_features(pair: BoxPair) -> np.ndarray:
     )
 
 
-def spatial_predicates(pair: BoxPair) -> dict[str, bool]:
-    """Crisp spatial relations; boundaries are inclusive on both sides."""
-    _, ys, _, _ = pair.subject_box
-    _, yo, _, _ = pair.object_box
-    xs = pair.subject_box[0]
-    xo = pair.object_box[0]
-    return {
-        "above": ys >= yo,
-        "below": ys <= yo,
-        "right-of": xs >= xo,
-        "left-of": xs <= xo,
-    }
+# extern name -> (box coordinate: 0 = x, 1 = y; sign): the predicate holds
+# when sign * (subject - object) >= 0 on that coordinate, ties included
+SPATIAL = {"above": (1, 1.0), "below": (1, -1.0), "left_of": (0, -1.0), "right_of": (0, 1.0)}
 
 
 def spatial_predicate_externs() -> dict[str, object]:
-    """Batched extern functions feature-rows -> crisp logits.
+    """Batched extern functions feature-rows -> crisp logits, one per SPATIAL entry.
 
     Each extern reads the 8-feature encoding of spatial_features; rows may
-    be a single 8-vector or a batch (n, 8).  above/below test the sign of
-    dy = y_s - y_o (feature 1 before normalization keeps its sign), and
-    left/right the sign of dx.
+    be a single 8-vector or a batch (n, 8).  Features 0 and 1 are dx/w_o
+    and dy/h_o, so they carry the sign of the subject-minus-object
+    difference on box coordinates 0 and 1.  They stay numpy-only: perfbench
+    traces `logit`'s functions, and a logit span inside an extern's
+    `interp.symbol` span would be taken twice off `compiler.self_ms`.
     """
 
-    def crisp(mask: np.ndarray) -> np.ndarray:
-        return np.where(mask, BIG, -BIG)
+    def extern(axis: int, sign: float):
+        holds = np.greater_equal if sign > 0 else np.less_equal
 
-    def above(rows):
-        rows = np.asarray(rows, dtype=np.float64)
-        return crisp(rows[..., 1] >= 0)
+        def crisp(rows):
+            return np.where(holds(np.asarray(rows, dtype=np.float64)[..., axis], 0), BIG, -BIG)
 
-    def below(rows):
-        rows = np.asarray(rows, dtype=np.float64)
-        return crisp(rows[..., 1] <= 0)
+        return crisp
 
-    def right_of(rows):
-        rows = np.asarray(rows, dtype=np.float64)
-        return crisp(rows[..., 0] >= 0)
-
-    def left_of(rows):
-        rows = np.asarray(rows, dtype=np.float64)
-        return crisp(rows[..., 0] <= 0)
-
-    return {"above": above, "below": below, "right_of": right_of, "left_of": left_of}
+    return {name: extern(axis, sign) for name, (axis, sign) in SPATIAL.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +165,43 @@ def spatial_predicate_externs() -> dict[str, object]:
 class RelationVocab:
     """Object/predicate vocabularies plus the rule schema the data obeys.
 
-    Semantic memberships are bit tuples over object classes; spatial
-    constraints name one of the crisp predicates or None.  Predicates come
-    in confusable pairs (2k, 2k+1) that share one context code in the
-    generated features, so only class membership or geometry separates a
-    pair.
+    `members` names sets of object classes.  A rule names the member set
+    its subject and its object belong to and the SPATIAL predicate their
+    boxes satisfy, each or None.  Predicates come in confusable pairs
+    (2k, 2k+1) that share one context code in the generated features, so
+    only class membership or geometry separates a pair.
     """
 
     object_classes: tuple[str, ...]
     predicates: tuple[str, ...]
-    can_ride: tuple[int, ...]
-    ridable: tuple[int, ...]
-    living: tuple[int, ...]
-    wearable: tuple[int, ...]
-    sleepable: tuple[int, ...]
-    eatable: tuple[int, ...]
-    # predicate -> (subject member set or None, object member set or None, spatial or None)
-    rules: dict[int, tuple[tuple[int, ...] | None, tuple[int, ...] | None, str | None]] = field(hash=False)
+    members: dict[str, tuple[int, ...]] = field(hash=False)
+    # predicate -> (subject member set, object member set, SPATIAL name); each may be None
+    rules: dict[int, tuple[str | None, str | None, str | None]] = field(hash=False)
 
-    def bits(self, members: tuple[int, ...]) -> tuple[int, ...]:
+    def __post_init__(self):
+        if len(self.object_classes) < 2 or len(self.predicates) < 2:
+            raise InvalidVocab("need at least two object classes and two predicates")
+        for pred, (subj, obj, spatial) in self.rules.items():
+            if not 0 <= pred < len(self.predicates):
+                raise InvalidVocab(f"a rule names predicate {pred}, "
+                                   f"outside the {len(self.predicates)} predicates")
+            if subj is obj is spatial is None:
+                raise InvalidVocab(f"the rule for predicate {self.predicates[pred]!r} "
+                                   f"constrains nothing")
+            for name, known, kind in ((subj, self.members, "member set"),
+                                      (obj, self.members, "member set"),
+                                      (spatial, SPATIAL, "spatial predicate")):
+                if name is not None and name not in known:
+                    raise InvalidVocab(f"the rule for predicate {self.predicates[pred]!r} "
+                                       f"names unknown {kind} {name!r}")
+
+    @property
+    def feature_dim(self) -> int:
+        """Width of a feature row: 8 spatial dims, then one context code per predicate pair."""
+        return 8 + (len(self.predicates) + 1) // 2
+
+    def bits(self, name: str) -> tuple[int, ...]:
+        members = self.members[name]
         return tuple(1 if i in members else 0 for i in range(len(self.object_classes)))
 
     def predicate_mask(self, pred: int) -> tuple[int, ...]:
@@ -215,61 +217,35 @@ def default_relation_vocab() -> RelationVocab:
         "riding", "wear", "sleep-on", "eat", "above", "below",
         "left-of", "right-of", "on", "under", "near", "beside",
     )
-    can_ride = (0, 1)
-    ridable = (3, 4)
-    living = (0, 1, 2)
-    wearable = (5, 6)
-    sleepable = (7, 9)
-    eatable = (8,)
+    members = {"can_ride": (0, 1), "ridable": (3, 4), "living": (0, 1, 2),
+               "wearable": (5, 6), "sleepable": (7, 9), "eatable": (8,)}
     rules = {
-        0: (can_ride, ridable, "above"),   # riding
-        1: (living, wearable, None),       # wear
-        2: (living, sleepable, "above"),   # sleep-on
-        3: (None, eatable, None),          # eat
+        0: ("can_ride", "ridable", "above"),   # riding
+        1: ("living", "wearable", None),       # wear
+        2: ("living", "sleepable", "above"),   # sleep-on
+        3: (None, "eatable", None),            # eat
         4: (None, None, "above"),
         5: (None, None, "below"),
-        6: (None, None, "left-of"),
-        7: (None, None, "right-of"),
-        8: (None, None, "above"),          # on
-        9: (None, None, "below"),          # under
+        6: (None, None, "left_of"),
+        7: (None, None, "right_of"),
+        8: (None, None, "above"),              # on
+        9: (None, None, "below"),              # under
     }
-    return RelationVocab(objects, predicates, can_ride, ridable, living, wearable,
-                         sleepable, eatable, rules)
-
-
-def _rule_holds(vocab: RelationVocab, pair: BoxPair) -> bool:
-    rule = vocab.rules.get(pair.predicate)
-    if rule is None:
-        return True
-    subj, obj, spatial = rule
-    if subj is not None and pair.subject_class not in subj:
-        return False
-    if obj is not None and pair.object_class not in obj:
-        return False
-    if spatial is not None and not spatial_predicates(pair)[spatial]:
-        return False
-    return True
+    return RelationVocab(objects, predicates, members, rules)
 
 
 def _sample_pair(vocab: RelationVocab, pred: int, subj: int, obj: int,
                  rng: np.random.Generator) -> BoxPair:
-    rule = vocab.rules.get(pred)
-    spatial = rule[2] if rule else None
-    for _ in range(200):
-        xs, ys, xo, yo = rng.uniform(-2.0, 2.0, size=4)
-        ws, hs, wo, ho = np.exp(rng.uniform(-0.7, 0.7, size=4))
-        if spatial == "above":
-            ys = yo + abs(ys - yo) + 0.05
-        elif spatial == "below":
-            ys = yo - abs(ys - yo) - 0.05
-        elif spatial == "left-of":
-            xs = xo - abs(xs - xo) - 0.05
-        elif spatial == "right-of":
-            xs = xo + abs(xs - xo) + 0.05
-        pair = BoxPair((xs, ys, ws, hs), (xo, yo, wo, ho), subj, obj, pred)
-        if _rule_holds(vocab, pair):
-            return pair
-    raise InvalidVocab(f"cannot satisfy the rule for predicate {pred}")
+    """Random boxes for a legal (pred, subj, obj); the subject moves to clear the spatial rule."""
+    centers = rng.uniform(-2.0, 2.0, size=4)  # xs, ys, xo, yo
+    ws, hs, wo, ho = np.exp(rng.uniform(-0.7, 0.7, size=4))
+    spatial = vocab.rules.get(pred, (None, None, None))[2]
+    if spatial is not None:
+        axis, sign = SPATIAL[spatial]
+        s, o = centers[axis], centers[axis + 2]
+        centers[axis] = o + sign * abs(s - o) + sign * 0.05
+    xs, ys, xo, yo = centers
+    return BoxPair((xs, ys, ws, hs), (xo, yo, wo, ho), subj, obj, pred)
 
 
 @dataclass
@@ -304,12 +280,13 @@ CONTEXT_NOISE_BASE = 0.6
 CONTEXT_NOISE_STEP = 0.25
 
 
-def _encode_split(pairs: list[BoxPair], n_pred: int, rng: np.random.Generator) -> RelationSplit:
+def _encode_split(pairs: list[BoxPair], vocab: RelationVocab,
+                  rng: np.random.Generator) -> RelationSplit:
     spatial = np.stack([spatial_features(p) for p in pairs])
     pred = np.array([p.predicate for p in pairs], dtype=np.int64)
     subj = np.array([p.subject_class for p in pairs], dtype=np.int64)
     obj = np.array([p.object_class for p in pairs], dtype=np.int64)
-    n_codes = (n_pred + 1) // 2
+    n_codes = vocab.feature_dim - spatial.shape[1]
     noise_std = CONTEXT_NOISE_BASE + CONTEXT_NOISE_STEP * (subj % 3)
     context = rng.normal(0.0, 1.0, size=(len(pairs), n_codes)) * noise_std[:, None]
     context[np.arange(len(pairs)), pred // 2] += CONTEXT_SIGNAL
@@ -339,16 +316,13 @@ def gen_synth_relations(
     check_train_fraction(train_fraction)
     vocab = vocab or default_relation_vocab()
     n_obj = len(vocab.object_classes)
-    n_pred = len(vocab.predicates)
-    if n_obj < 2 or n_pred < 2:
-        raise InvalidVocab("need at least two object classes and two predicates")
     rng = np.random.default_rng(seed)
 
     combos = []
-    for p in range(n_pred):
-        rule = vocab.rules.get(p)
-        subj_ok = rule[0] if rule and rule[0] else tuple(range(n_obj))
-        obj_ok = rule[1] if rule and rule[1] else tuple(range(n_obj))
+    for p in range(len(vocab.predicates)):
+        subj, obj, _ = vocab.rules.get(p, (None, None, None))
+        subj_ok = vocab.members[subj] if subj else range(n_obj)
+        obj_ok = vocab.members[obj] if obj else range(n_obj)
         combos.extend((p, s, o) for s in subj_ok for o in obj_ok if s != o)
     combos.sort()
     rng.shuffle(combos)
@@ -369,9 +343,9 @@ def gen_synth_relations(
     test_standard = draw(seen, n_test)
     test_zero = draw(sorted(zero_shot), n_test)
     return RelationSplits(
-        train=_encode_split(train, n_pred, rng),
-        test_standard=_encode_split(test_standard, n_pred, rng),
-        test_zero_shot=_encode_split(test_zero, n_pred, rng),
+        train=_encode_split(train, vocab, rng),
+        test_standard=_encode_split(test_standard, vocab, rng),
+        test_zero_shot=_encode_split(test_zero, vocab, rng),
         vocab=vocab,
         zero_shot_combos=zero_shot,
     )

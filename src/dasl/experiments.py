@@ -17,6 +17,7 @@ import numpy as np
 
 from .compiler import compile, scores
 from .data import (
+    SPATIAL,
     RelationSplit,
     RelationSplits,
     RelationVocab,
@@ -221,54 +222,34 @@ def run_mnist_experiment(config: ExperimentConfig) -> list[ResultRow]:
 # synthetic relations
 
 
-_SPATIAL_REL = {"above": "above", "below": "below",
-                "left-of": "left_of", "right-of": "right_of"}
-
-
 def relations_theory(knowledge: bool, vocab: RelationVocab | None = None,
                      hidden: int = 64) -> Theory:
     """Classifier theory, optionally conjoined with the rule-schema masks."""
     vocab = vocab or default_relation_vocab()
-    n_obj = len(vocab.object_classes)
-    n_pred = len(vocab.predicates)
-    feat_dim = 8 + (n_pred + 1) // 2
 
     def bits(t):
         return "[" + ", ".join(str(b) for b in t) + "]"
 
     src = [
-        f"sort Feat dim {feat_dim};",
-        f"sort Obj card {n_obj};",
-        f"sort Pred card {n_pred};",
-        f"rel vrd : Feat x Obj x Obj out {n_pred} mlp {hidden} act relu;",
+        f"sort Feat dim {vocab.feature_dim};",
+        f"sort Obj card {len(vocab.object_classes)};",
+        f"sort Pred card {len(vocab.predicates)};",
+        f"rel vrd : Feat x Obj x Obj out {len(vocab.predicates)} mlp {hidden} act relu;",
         'data Train : Feat x Obj x Obj x Pred from "train";',
     ]
     score = "vrd(f, s, o)"
     if knowledge:
-        names = {
-            vocab.can_ride: "can_ride",
-            vocab.ridable: "ridable",
-            vocab.living: "living",
-            vocab.wearable: "wearable",
-            vocab.sleepable: "sleepable",
-            vocab.eatable: "eatable",
-        }
-        for vec, name in names.items():
-            src.append(f"boolvec {name} : {bits(vocab.bits(vec))};")
-        for rel in sorted(set(_SPATIAL_REL.values())):
+        for name in vocab.members:
+            src.append(f"boolvec {name} : {bits(vocab.bits(name))};")
+        for rel in sorted(SPATIAL):
             src.append(f"rel {rel} : Feat extern {rel};")
         guards = []
         for pred in sorted(vocab.rules):
-            subj, obj, spatial = vocab.rules[pred]
             hname = f"h_{vocab.predicates[pred].replace('-', '_')}"
             src.append(f"boolvec {hname} : {bits(vocab.predicate_mask(pred))};")
-            conds = []
-            if subj is not None:
-                conds.append(f"{names[subj]}(s)")
-            if obj is not None:
-                conds.append(f"{names[obj]}(o)")
-            if spatial is not None:
-                conds.append(f"{_SPATIAL_REL[spatial]}(f)")
+            # the rule's subject set tests s, its object set o, its SPATIAL name f
+            conds = [f"{name}({var})" for name, var in zip(vocab.rules[pred], "sof")
+                     if name is not None]
             guards.append(f"({hname} -> {' & '.join(conds)})")
         score = " & ".join([score, *guards])
     src.append(f"axiom labels : forall (f, s, o, y): Train . pi[y]({score});")

@@ -49,28 +49,38 @@ def _sigma(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-class TestCriterion1Gradients:
-    def test_fifty_randomized_graphs(self):
+@pytest.fixture(scope="module")
+def gradcheck_run():
+    """One timed `run_gradcheck(50)`: its reports, seconds and every pull it taped."""
+    pulls = set()
+    record = T.Tape.record
+
+    def spy(tape, out, inputs):
+        pulls.update(item[1].__name__ for item in inputs)
+        return record(tape, out, inputs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T.Tape, "record", spy)
         t0 = time.time()
         reports = run_gradcheck(trials=50, seed=0)
         elapsed = time.time() - t0
+    return reports, elapsed, pulls
+
+
+@pytest.mark.slow
+class TestCriterion1Gradients:
+    def test_fifty_randomized_graphs(self, gradcheck_run):
+        reports, elapsed, _ = gradcheck_run
         worst = max(r.max_rel_error for _, r in reports)
         failures = [name for name, r in reports if not r.passed]
+        assert len(reports) == 50
         assert failures == []
         assert worst < 1e-4
         assert elapsed < 60
         _report(1, f"50/50 graphs, max rel err {worst:.2e}, {elapsed:.1f}s")
 
-    def test_the_graphs_tape_every_kernel_training_emits(self, monkeypatch):
-        pulls = set()
-        record = T.Tape.record
-
-        def spy(tape, out, inputs):
-            pulls.update(item[1].__name__ for item in inputs)
-            return record(tape, out, inputs)
-
-        monkeypatch.setattr(T.Tape, "record", spy)
-        run_gradcheck(trials=50, seed=0)
+    def test_the_graphs_tape_every_kernel_training_emits(self, gradcheck_run):
+        _, _, pulls = gradcheck_run
         emitted = {
             "_pull_conjoin", "_pull_conjoin_axis", "_pull_softselect_rows",
             "_pull_softselect_table", "_pull_softplus_neg_sum", "_pull_sigmoid",
@@ -260,6 +270,7 @@ class TestCriterion7MnistReproduction:
                    f"all-labels {results['all-labels']:.3f} at {iterations} iterations")
 
 
+@pytest.mark.slow
 class TestCriterion8KnowledgeBenefit:
     def test_zero_shot_gap_and_mask_suppression(self, tmp_path):
         t0 = time.time()
@@ -287,8 +298,8 @@ class TestCriterion8KnowledgeBenefit:
         probs = np.exp(scores - scores.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         riding = list(splits.vocab.predicates).index("riding")
-        violating = np.array([p_.subject_class not in splits.vocab.can_ride
-                              or p_.object_class not in splits.vocab.ridable
+        violating = np.array([p_.subject_class not in splits.vocab.members["can_ride"]
+                              or p_.object_class not in splits.vocab.members["ridable"]
                               for p_ in split.pairs])
         mass = probs[violating, riding].max()
         assert mass < 1e-4

@@ -181,6 +181,28 @@ class TestCompileTrainEval:
         assert code == 2
         assert "clasify(r)" in capsys.readouterr().err
 
+    def test_the_curriculum_takes_its_class_count_from_the_monitored_relation(
+            self, tmp_path, capsys):
+        # 9 triples hold 3 per class of a 3-class digit, but fewer than 10 classes' worth
+        (tmp_path / "three.dasl").write_text(
+            "sort Img dim 4;\nsort C card 3;\n"
+            "rel digit : Img out 3 mlp 5 act relu;\n"
+            'data Labeled : Img x C from "img.csv,lab.csv";\n'
+            'data Triples : Img x Img x Img from "t1.csv,t2.csv,t3.csv";\n'
+            "axiom labels : forall (x, y): Labeled . pi[y](digit(x));\n"
+            "axiom rule : forall (x1, x2, x3): Triples . forall y1: C . forall y2: C . "
+            "(pi[y1](digit(x1)) & pi[y2](digit(x2))) -> pi[(y1 + y2) mod 3](digit(x3));\n")
+        rng = np.random.default_rng(0)
+        write_csv_table(tmp_path / "img.csv", rng.normal(size=(6, 4)))
+        write_csv_table(tmp_path / "lab.csv", np.arange(6.0)[:, None] % 3)
+        for name in ("t1.csv", "t2.csv", "t3.csv"):
+            write_csv_table(tmp_path / name, rng.normal(size=(9, 4)))
+        code = main(["train", "--theory", str(tmp_path / "three.dasl"),
+                     "--data-dir", str(tmp_path), "--curriculum",
+                     "--iterations", "4", "--batch-size", "3"])
+        assert code == 0, capsys.readouterr().err
+        assert "trained 4 iterations" in capsys.readouterr().out
+
     def test_a_boolvec_index_past_its_bits_is_diagnostic(self, toy_dir, capsys):
         # j + k reaches 4 over a three-bit boolvec; check and compile cannot see it
         theory = toy_dir / "wrap.dasl"

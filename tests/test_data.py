@@ -1,4 +1,9 @@
-"""IDX files, spatial features/predicates, and the synthetic generator."""
+"""IDX files, spatial features/predicates, and the synthetic generator.
+
+The box-coordinate form of the spatial predicates and the rule check live
+here, apart from `dasl.data`, as the independent route the generator and
+the externs are checked against.
+"""
 
 import struct
 
@@ -6,19 +11,21 @@ import numpy as np
 import pytest
 
 from dasl.data import (
+    SPATIAL,
     BadMagic,
     BoxPair,
     DegenerateBox,
+    InvalidVocab,
+    RelationVocab,
     TruncatedFile,
+    default_relation_vocab,
     gen_synth_relations,
     load_csv_table,
     load_idx,
     spatial_features,
     spatial_predicate_externs,
-    spatial_predicates,
     write_csv_table,
     write_idx,
-    _rule_holds,
 )
 from dasl.logit import BIG
 
@@ -93,6 +100,20 @@ class TestSpatialFeatures:
             spatial_features(_pair((0, 0, 0.0, 1.0), (0, 0, 1.0, 1.0)))
 
 
+def spatial_predicates(pair):
+    """Crisp spatial relations on the box centers; boundaries are inclusive on both sides."""
+    xs, ys = pair.subject_box[:2]
+    xo, yo = pair.object_box[:2]
+    return {"above": ys >= yo, "below": ys <= yo, "right_of": xs >= xo, "left_of": xs <= xo}
+
+
+def rule_holds(vocab, pair):
+    subj, obj, spatial = vocab.rules.get(pair.predicate, (None, None, None))
+    return ((subj is None or pair.subject_class in vocab.members[subj])
+            and (obj is None or pair.object_class in vocab.members[obj])
+            and (spatial is None or spatial_predicates(pair)[spatial]))
+
+
 class TestSpatialPredicates:
     def test_above_below(self):
         p = _pair((0.0, 3.0, 1.0, 1.0), (0.0, 1.0, 1.0, 1.0))
@@ -107,28 +128,87 @@ class TestSpatialPredicates:
     def test_left_right(self):
         p = _pair((-1.0, 0.0, 1.0, 1.0), (2.0, 0.0, 1.0, 1.0))
         preds = spatial_predicates(p)
-        assert preds["left-of"] and not preds["right-of"]
+        assert preds["left_of"] and not preds["right_of"]
+
+    def test_the_table_names_every_extern(self):
+        assert set(spatial_predicate_externs()) == set(SPATIAL) == {
+            "above", "below", "left_of", "right_of"}
 
     def test_externs_agree_with_predicates(self):
         externs = spatial_predicate_externs()
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            xs, ys, xo, yo = rng.uniform(-3, 3, size=4)
+        centers = rng.uniform(-3, 3, size=(50, 4))
+        centers[:10, 2:] = centers[:10, :2]  # ties on both coordinates
+        centers[10:20, 3] = centers[10:20, 1]  # ties on y only
+        for xs, ys, xo, yo in centers:
             p = _pair((xs, ys, 1.0, 1.0), (xo, yo, 1.0, 1.0))
             feats = spatial_features(p)
             preds = spatial_predicates(p)
-            assert (externs["above"](feats) == BIG) == preds["above"]
-            assert (externs["below"](feats) == BIG) == preds["below"]
-            assert (externs["left_of"](feats) == BIG) == preds["left-of"]
-            assert (externs["right_of"](feats) == BIG) == preds["right-of"]
+            for name, extern in externs.items():
+                assert (extern(feats) == BIG) == preds[name], name
+            batched = {name: extern(feats[None, :]) for name, extern in externs.items()}
+            assert all(v.shape == (1,) for v in batched.values())
+
+    @pytest.mark.parametrize("dx, dy", [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_is_a_tie(self, dx, dy):
+        # the box form reads a tie as both sides holding, whatever the zero's sign
+        rows = np.array([[dx, dy] + [0.5] * 6])
+        for name, extern in spatial_predicate_externs().items():
+            np.testing.assert_array_equal(extern(rows), [BIG], err_msg=name)
+
+    def test_externs_read_the_sign_of_dx_and_dy(self):
+        rows = np.array([[2.0, -3.0] + [0.0] * 6, [-1e-300, 1e-300] + [0.0] * 6])
+        got = {name: extern(rows) for name, extern in spatial_predicate_externs().items()}
+        np.testing.assert_array_equal(got["above"], [-BIG, BIG])
+        np.testing.assert_array_equal(got["below"], [BIG, -BIG])
+        np.testing.assert_array_equal(got["right_of"], [BIG, -BIG])
+        np.testing.assert_array_equal(got["left_of"], [-BIG, BIG])
+
+
+def _vocab(**rules):
+    """A three-class vocabulary whose rules come from `rules` (predicate index -> rule)."""
+    return RelationVocab(("a", "b", "c"), ("p", "q"), {"ab": (0, 1)},
+                         {int(k[1:]): v for k, v in rules.items()})
+
+
+class TestRelationVocab:
+    def test_default_vocab_rules_name_its_sets(self):
+        vocab = default_relation_vocab()
+        assert vocab.rules[0] == ("can_ride", "ridable", "above")
+        assert vocab.members["can_ride"] == (0, 1)
+        assert vocab.bits("eatable") == (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
+
+    @pytest.mark.parametrize("rule, unknown", [
+        (("ab", "near", None), "member set 'near'"),
+        (("nope", None, None), "member set 'nope'"),
+        ((None, "ab", "near"), "spatial predicate 'near'"),
+        ((None, None, "left-of"), "spatial predicate 'left-of'"),
+    ])
+    def test_unknown_names_are_rejected_at_construction(self, rule, unknown):
+        with pytest.raises(InvalidVocab, match=f"predicate 'q' names unknown {unknown}"):
+            _vocab(p1=rule)
+
+    def test_a_rule_must_name_a_predicate_and_constrain_something(self):
+        with pytest.raises(InvalidVocab, match="predicate 2, outside the 2 predicates"):
+            _vocab(p2=("ab", None, None))
+        with pytest.raises(InvalidVocab, match="predicate 'p' constrains nothing"):
+            _vocab(p0=(None, None, None))
+
+    def test_too_small_a_vocabulary_is_rejected(self):
+        with pytest.raises(InvalidVocab, match="at least two object classes"):
+            RelationVocab(("a",), ("p", "q"), {}, {})
+
+    def test_feature_dim(self):
+        assert _vocab().feature_dim == 8 + 1
+        assert default_relation_vocab().feature_dim == 8 + 6
 
 
 class TestSynthRelations:
     def test_generator_soundness(self):
-        splits = gen_synth_relations(n_train_pool=800, n_test=200, seed=0)
+        splits = gen_synth_relations(n_train_pool=800, n_test=200, train_fraction=1.0, seed=0)
         vocab = splits.vocab
         for split in (splits.train, splits.test_standard, splits.test_zero_shot):
-            assert all(_rule_holds(vocab, p) for p in split.pairs)
+            assert all(rule_holds(vocab, p) for p in split.pairs)
 
     def test_riding_examples_satisfy_full_rule(self):
         splits = gen_synth_relations(n_train_pool=2000, n_test=500, seed=1)
@@ -136,8 +216,8 @@ class TestSynthRelations:
         for split in (splits.train, splits.test_standard):
             for p in split.pairs:
                 if vocab.predicates[p.predicate] == "riding":
-                    assert p.subject_class in vocab.can_ride
-                    assert p.object_class in vocab.ridable
+                    assert p.subject_class in vocab.members["can_ride"]
+                    assert p.object_class in vocab.members["ridable"]
                     assert spatial_predicates(p)["above"]
 
     def test_zero_shot_split_disjoint(self):
@@ -165,7 +245,7 @@ class TestSynthRelations:
     def test_feature_layout(self):
         splits = gen_synth_relations(n_train_pool=300, n_test=50, seed=4)
         n_pred = len(splits.vocab.predicates)
-        assert splits.train.features.shape[1] == 8 + (n_pred + 1) // 2
+        assert splits.train.features.shape[1] == 8 + (n_pred + 1) // 2 == splits.vocab.feature_dim
 
     def test_seed_determinism(self):
         a = gen_synth_relations(n_train_pool=300, n_test=50, seed=5)

@@ -8,7 +8,13 @@ import pytest
 from dasl import experiments
 from dasl import logit as L
 from dasl.compiler import compile, scores
-from dasl.data import gen_synth_relations, spatial_predicate_externs, write_idx
+from dasl.data import (
+    RelationVocab,
+    default_relation_vocab,
+    gen_synth_relations,
+    spatial_predicate_externs,
+    write_idx,
+)
 from dasl.experiments import (
     DataMissing,
     ExperimentConfig,
@@ -27,6 +33,7 @@ from dasl.experiments import (
     write_results,
 )
 from dasl.interp import bind_theory, build_triples
+from dasl.lang import print_theory
 from dasl.tensor import Tensor
 from dasl.train import TrainConfig, train
 
@@ -227,7 +234,7 @@ def _reference_masked_scores(interp, vocab, split):
         if obj is not None:
             conds.append(np.where(np.asarray(vocab.bits(obj))[split.object] == 1, L.BIG, -L.BIG))
         if sp is not None:
-            conds.append(spatial[sp.replace("-", "_")](split.features))
+            conds.append(spatial[sp](split.features))
         cond = L.conj(*conds) if len(conds) > 1 else Tensor(conds[0])
         mask = L.bool_vector(vocab.predicate_mask(pred))
         scores = L.mask_classes(scores, mask, cond)
@@ -248,6 +255,16 @@ class TestRelationsHarness:
             th = relations_theory(knowledge)
             assert th.rel("vrd").out == 12
             assert (th.boolvec("h_riding") is not None) == knowledge
+
+    def test_member_sets_with_equal_classes_keep_their_names(self):
+        default = default_relation_vocab()
+        members = dict(default.members, living=default.members["can_ride"])
+        vocab = RelationVocab(default.object_classes, default.predicates, members, default.rules)
+        text = print_theory(relations_theory(True, vocab))
+        for name in members:
+            assert f"boolvec {name} : " in text
+        assert "(h_riding -> can_ride(s) & ridable(o) & above(f))" in text
+        assert "(h_wear -> living(s) & wearable(o))" in text
 
     def test_masked_scores_match_the_numpy_rule_masks(self):
         splits = gen_synth_relations(n_train_pool=400, n_test=120, seed=9)
@@ -290,8 +307,8 @@ class TestRelationsHarness:
         probs /= probs.sum(axis=1, keepdims=True)
         riding = list(splits.vocab.predicates).index("riding")
         violating = np.array([
-            p.subject_class not in splits.vocab.can_ride
-            or p.object_class not in splits.vocab.ridable
+            p.subject_class not in splits.vocab.members["can_ride"]
+            or p.object_class not in splits.vocab.members["ridable"]
             for p in split.pairs
         ])
         assert violating.any()

@@ -379,6 +379,7 @@ _FRAGMENTS = [
 
 
 class TestAgainstReferenceLexer:
+    @pytest.mark.slow
     @given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS),
                               st.text(alphabet="ab1²٣-># \"\n\t;", max_size=4)),
                     max_size=30))

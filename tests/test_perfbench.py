@@ -16,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["digit-triples", "relations-knowledge", "oracle-agreement"])
 def test_benchmark_checks_pass(workload):
     run = subprocess.run(
