@@ -24,13 +24,13 @@ quantifier's own variables is held by a `fold` node; where such formulas
 are operands of one conjunction whose value is taken (not one the fused
 loss splits into its conjuncts), they all are one fold, placed first.  The
 first evaluation of a fold computes its formulas once over the
-quantifier's whole domain and keeps the running (min, sum logsigmoid, sum
-exp(-l)) of `logit.conj` over them per row in `Plan.folds`
-(`logit.conj_parts`); every later step gathers those rows by the draw.  An
-`and` whose first operand is a fold resumes from the three sums, and
-`logit.conj` adds the other operands to them; any other fold holds one
-formula and reads the min, its value.  A plan's datasets and bindings are
-therefore fixed once it is compiled.
+quantifier's whole domain and keeps one array per row in `Plan.folds`: a
+fold of one formula its value, a fold of several the running sum S of
+`logit.conj` over them (`logit.conj_parts`).  Every later step gathers
+those rows by the draw.  An `and` whose first operand is a fold of several
+resumes from S, and `logit.conj` adds the other operands to it; a fold of
+one formula is its value, first in an `and` or anywhere else.  A plan's
+datasets and bindings are therefore fixed once it is compiled.
 
 A formula of class width n > 1 (an `out n` relation, a boolvec, or a
 connective over one) has one truth value per class, and reads class by class:
@@ -52,8 +52,8 @@ negates both, and a static `and` whose `Columns` operands share one bits
 array (a plan keeps one per bit pattern) conjoins on the two columns.  So
 each class entry is the same ops on the same inputs as at full width, at 2
 entries per row.  Any other conjunction, and a fold's table, takes a
-`Columns` operand narrow: the kernel gathers its logsigmoid and exp(-l) by
-the bits where it adds them, in the same order.  Only a softselect's vector,
+`Columns` operand narrow: the kernel gathers its logsigmoid by the bits
+where it adds it, in the same order.  Only a softselect's vector,
 a quantifier's body, a loss term, an axiom's root and the logits of `scores`
 are gathered to every class.
 
@@ -164,12 +164,11 @@ class Node:
     key; and an `eq`, `arith`, `bits`, `not`, `and`, `select` or `index`
     whose kids are all static.  A `sample` is never static: its value
     depends on the draw.
-    A `fold` gathers the running (min, sum logsigmoid, sum exp(-l)) of its
-    conjuncts, each taken to its class width, by the draw of the sampled
-    quantifier that binds `variables` on `axis`.  As the first operand of an
-    `and`, it holds every static conjunct over those variables and the
-    `and` resumes from the three; anywhere else it holds one formula and
-    its value is the min.
+    A `fold` gathers its table by the draw of the sampled quantifier that
+    binds `variables` on `axis`: the value of its one formula, or the
+    running sum S of its several conjuncts, each taken to its class width.
+    Only the first operand of an `and` holds several, every static conjunct
+    over those variables, and the `and` resumes from S.
 
     `src` is the source formula of an atom, select or quantifier, which
     `explain` prints, or the source term of an `arith`, which errors name.
@@ -382,8 +381,8 @@ class Plan:
 
     `roots` holds each axiom's lowered tree; `vector_outputs` holds every
     key that `CompiledBatch.symbol_outputs` can carry; `folds` maps a fold
-    node's uid to its per-row (min, sum logsigmoid, sum exp(-l)) on axis 1,
-    filled on the node's first evaluation.
+    node's uid to its per-row table (its formula's value, or the `conj_parts`
+    of its several formulas), filled on the node's first evaluation.
     `shared_symbols` holds the learned symbols applied at more than one node,
     which each evaluator pass calls once (`_Evaluator.batch`).
     """
@@ -641,11 +640,14 @@ class _Evaluator:
         if kind == "and":
             first = node.kids[0]
             if first.kind == "fold":
-                # the other operands first; then the fold's sums, or its conjuncts ahead of them
+                # the other operands first; then the fold's value or sum, or its conjuncts
                 rest = self.operands(node.kids[1:], env, node.width)
-                if self.fold:
-                    return L.conj(*rest, parts=self.gathered(first, node.width))
-                return L.conj(*self.operands(first.kids, env, node.width), *rest)
+                if not self.fold:
+                    return L.conj(*self.operands(first.kids, env, node.width), *rest)
+                table = self.gathered(first, node.width)
+                if len(first.kids) == 1:
+                    return L.conj(table, *rest)
+                return L.conj(*rest, parts=table)
             values = self.operands(node.kids, env, node.width)
             if node.width > 1 and node.static:
                 bits = _shared_bits(node.kids, values)
@@ -653,8 +655,8 @@ class _Evaluator:
                     return T.Columns(L.conj(*[v.values if isinstance(v, T.Columns) else v
                                               for v in values]).data, bits)
             return L.conj(*values)
-        if kind == "fold":  # not first in an and: one formula, whose value is the min
-            return Tensor(self.gathered(node)[0]) if self.fold else self.formula(node.kids[0], env)
+        if kind == "fold":  # not first in an and: one formula, whose value the table holds
+            return Tensor(self.gathered(node)) if self.fold else self.formula(node.kids[0], env)
         if kind == "not":
             value = self.formula(node.kids[0], env)
             if isinstance(value, T.Columns):
@@ -708,10 +710,10 @@ class _Evaluator:
         """
         return [_with_classes(self.formula(k, env), k.width, width) for k in kids]
 
-    def gathered(self, node: Node, width: int = 1) -> tuple:
-        """A fold's (min, sum logsigmoid, sum exp(-l)) rows drawn by its sampler.
+    def gathered(self, node: Node, width: int = 1) -> np.ndarray:
+        """A fold's table rows drawn by its sampler.
 
-        Each has the node's leading axes, and a class axis of 1 when the fold
+        They have the node's leading axes, and a class axis of 1 when the fold
         has width 1 and meets a `width` class vector.  The table is computed
         on the node's first evaluation.
         """
@@ -720,23 +722,24 @@ class _Evaluator:
             table = self.plan.folds[node.uid] = self.fold_table(node)
         _, key, axis, _ = node.data
         rows = table[self.draws[key]]
-        shape = (_on_axis(len(rows), axis, node.depth) + rows.shape[2:]
+        shape = (_on_axis(len(rows), axis, node.depth) + rows.shape[1:]
                  + (1,) * (node.width == 1 and width > 1))
-        return tuple(rows[:, i].reshape(shape) for i in range(3))
+        return rows.reshape(shape)
 
     def fold_table(self, node: Node) -> np.ndarray:
-        """A fold's `conj_parts`, once over its quantifier's whole domain.
-
-        One row per domain row, holding the three sums on axis 1.
+        """A fold's table, once over its quantifier's whole domain: one row per
+        domain row, holding its formula's value for a fold of one formula and
+        the `conj_parts` of its formulas for a fold of several.  So the
+        table's kind is the node's, whichever caller reads it first.
         """
         names, key, axis, axiom = node.data
         domain = self.plan.samplers[key].domain
         n = domain.cardinality
         env = {v: (col.take(np.arange(n)), axis)
                for v, col in zip(names, domain.columns) if v in node.fv}
-        parts = L.conj_parts(*_Evaluator(self.plan, {}, axiom=axiom).operands(
-            node.kids, env, node.width))
-        return np.stack([p.reshape((n,) + p.shape[node.depth:]) for p in parts], axis=1)
+        values = _Evaluator(self.plan, {}, axiom=axiom).operands(node.kids, env, node.width)
+        table = L.conj(*values).data if len(values) == 1 else L.conj_parts(*values)
+        return table.reshape((n,) + table.shape[node.depth:])
 
     def loss(self, node: Node, env: dict, lead: tuple = (), classes: int = 1) -> Tensor:
         """softplus(-l) summed over the root-level conjuncts below node.

@@ -25,16 +25,10 @@ BIG = 20.0
 # EQ_EPS < EQ_SIGMA the logit is maximal at 0 and non-increasing after it.
 EQ_EPS, EQ_MU, EQ_SIGMA = 0.1, 1.0, 0.5
 
-# where every operand exceeds this, a conjunction takes the stable tail
-# -ln(sum exp(-l_i)) instead of the exact S - ln(-expm1(S)).  A naive
-# 1 - prod(t_i) would lose accuracy here, but the exact form does not: against
-# 50-digit mpmath on 300 random inputs in [15, 27.5] it is off by at most
-# 3.5e-15, the tail by up to 1.1e-7 (2 operands) and 3.4e-7 (11 operands), and
-# the value jumps by 1.5e-7 (2 operands) and 1.5e-6 (11 operands) across one
-# ulp at 15.  Where to switch instead is ROADMAP.md item 11.
-STABLE_MIN = 15.0
-
-_CLAMP = -1e-12  # keeps ln(-expm1(S)) finite when every conjunct is true
+# caps S = sum logsigmoid(l_i) below 0, so that ln(-expm1(S)) stays finite when
+# every conjunct is true.  A conjunction is exact below -ln(1e-300) = 690.7755
+# and saturates there, as the chain of single ops does at tensor.log's floor.
+_CAP = -1e-300
 _MASK_FILL = -1e30
 
 
@@ -66,19 +60,19 @@ def neg(l) -> Tensor:
 def conj(*logits, parts=None) -> Tensor:
     """n-ary conjunction: logit(prod sigma(l_i)), elementwise with broadcasting.
 
-    Computed as S - ln(-expm1(S)) for S = sum logsigmoid(l_i); where every
-    operand exceeds STABLE_MIN this switches to -ln(sum exp(-l_i)).  One
+    Computed as S - ln(-expm1(min(S, _CAP))) for S = sum logsigmoid(l_i),
+    exact where the result is below 690.7755 and saturating there.  One
     kernel (`tensor.conjoin`) and one tape record, whose pull gives each
     operand the per-conjunct gradient of that formula.
 
     `parts`, from `conj_parts(*first)`, stands for leading operands `first`
-    whose sums are already taken: the sums start from them, so
+    whose sum is already taken: the sum starts from it, so
     `conj(*logits, parts=conj_parts(*first))` adds in the order
     `conj(*first, *logits)` does and equals it bit for bit.
 
     An operand may be a `tensor.Columns`, a static operand kept at two
-    columns: its logsigmoid and exp(-l) are taken there and gathered by its
-    bits where they are added, and its values where the running min meets them.
+    columns: its logsigmoid is taken there and gathered by its bits where it
+    is added.
     """
     if not logits:
         raise EmptyConjunction("conjunction of zero formulas")
@@ -89,23 +83,21 @@ def conj(*logits, parts=None) -> Tensor:
         if isinstance(x, T.Columns):
             return Tensor(x.wide())
         return x if isinstance(x, Tensor) else Tensor(_data(x))
-    return T.conjoin(logits, parts, STABLE_MIN, _CLAMP)
+    return T.conjoin(logits, parts, _CAP)
 
 
-def conj_parts(*logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The running (min, sum logsigmoid, sum exp(-l)) that `conj` keeps over `logits`.
+def conj_parts(*logits) -> np.ndarray:
+    """S = sum logsigmoid(l_i), the running sum `conj` keeps over `logits`.
 
     For constant operands whose conjunction with others is taken many times:
-    `conj(*rest, parts=conj_parts(*logits))` resumes from these sums.  The
-    three arrays have the operands' broadcast shape.  An operand may be a
-    `tensor.Columns`, as in `conj`.  Nothing is recorded on a tape.
+    `conj(*rest, parts=conj_parts(*logits))` resumes from it.  S has the
+    operands' broadcast shape.  An operand may be a `tensor.Columns`, as in
+    `conj`.  Nothing is recorded on a tape.
     """
     if not logits:
         raise EmptyConjunction("conjunction of zero formulas")
-    datas = [l if isinstance(l, T.Columns) else _data(l) for l in logits]
-    lo = T.running_min(datas)
-    s, acc = T.conjoin_sums(datas)
-    return np.asarray(lo), np.asarray(s), np.asarray(acc)
+    return np.asarray(T.conjoin_sums([l if isinstance(l, T.Columns) else _data(l)
+                                      for l in logits]))
 
 
 def conj_reduce(t, axis: int) -> Tensor:
@@ -115,7 +107,7 @@ def conj_reduce(t, axis: int) -> Tensor:
     T._check_axis(data, axis)
     if data.shape[axis] == 0:
         raise EmptyConjunction("conjunction over an empty axis")
-    return T.conjoin_axis(t, axis, STABLE_MIN, _CLAMP)
+    return T.conjoin_axis(t, axis, _CAP)
 
 
 def disj(*logits) -> Tensor:

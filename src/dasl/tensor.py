@@ -721,18 +721,16 @@ def _pull_softselect_table(g, shape, flat, shifted, total):
 # logit-space conjunction
 #
 # logit(prod sigmoid(l_i)) is S - ln(-expm1(min(S, cap))) for
-# S = sum logsigmoid(l_i) (the exact branch) and, where every operand exceeds
-# `switch`, -ln(sum exp(-l_i)) (the stable branch).  Each kernel computes only
-# the branches some entry takes and adds one tape record.  Its pull replays
-# the backward of the chain of single ops (logsigmoid, add, clamp_max, expm1,
-# neg, log, sub; neg, exp, add, log, neg; where) in that chain's order: the
-# exact branch's operands last to first, then the stable branch's.  So values
-# and accumulated gradients equal the chain's bit for bit, also where an
-# operand appears twice or is used again later.  The forward takes shorter
-# routes to the same bits: logsigmoid(d) = min(d, -0) - log1p(exp(-|d|)) is
-# -(max(-d, 0) + log1p(t)) with the negation moved inward, which rounding
-# does not see; and since cap < 0, expm1 never reaches its _EXP_MAX cap nor
-# -expm1 the log's _LOG_FLOOR.
+# S = sum logsigmoid(l_i).  Each kernel adds one tape record.  Its pull
+# replays the backward of the chain of single ops (logsigmoid, add,
+# clamp_max, expm1, neg, log, sub) in that chain's order, operands last to
+# first.  So values and accumulated gradients equal the chain's bit for bit,
+# also where an operand appears twice or is used again later.  The forward
+# takes shorter routes to the same bits: logsigmoid(d) = min(d, -0) -
+# log1p(exp(-|d|)) is -(max(-d, 0) + log1p(t)) with the negation moved
+# inward, which rounding does not see; and since cap < 0, expm1 never
+# reaches its _EXP_MAX cap, and with cap <= -_LOG_FLOOR -expm1 never falls
+# below the log's floor.
 
 
 class Columns:
@@ -741,9 +739,9 @@ class Columns:
     `values` holds the operand's two truth columns (its value where a boolvec
     bit is 0 and where it is 1) and `bits` that boolvec's bits, so the
     operand's shape is `values.shape[:-1] + bits.shape`.  The conjunction
-    kernels take logsigmoid and exp(-l) on the two columns and gather each by
-    the bits just before it is added, so every sum adds the numbers the
-    gathered operand gives, in the same order.  Never on a tape.
+    kernel takes logsigmoid on the two columns and gathers it by the bits
+    just before it is added, so the sum adds the numbers the gathered
+    operand gives, in the same order.  Never on a tape.
     """
 
     __slots__ = ("values", "bits")
@@ -761,171 +759,96 @@ class Columns:
         return self.values[..., self.bits]
 
 
-def _gathered(x: np.ndarray, bits) -> np.ndarray:
-    return x if bits is None else x[..., bits]
+def conjoin_sums(datas, s=None, saved: list | None = None):
+    """Add logsigmoid(d) onto `s` for each of `datas`, left to right; None starts
+    from the first term.  A `Columns` has it taken on its two columns and
+    gathered by its bits.  The sum broadcasts every operand, so it is the
+    shape check: a mismatch raises ShapeMismatch.
 
-
-def _into(op, total, x, own: bool, x_free: bool):
-    """op(total, x), and whether the result may be written over.
-
-    A running sum or min that is an array made here (`own`), of the result's
-    shape, takes the result in place: a conjunction over 2000 x 12 entries
-    then reuses one array instead of making one per operand.  A None total
-    starts as x, which may be written over when `x_free`.
+    A sum that is an array made here, of the result's shape, takes each
+    addition in place: a conjunction over 2000 x 12 entries then reuses one
+    array instead of making one per operand.  With `saved`, appends per
+    operand what the pull needs: (d, t = exp(-|d|), the shape of the sum
+    after it).  Without, no operand's temporaries outlive its addition.
     """
-    if total is None:
-        return x, x_free
-    if own and total.ndim and x.shape == total.shape:  # numpy gives 0-d results as scalars
-        return op(total, x, out=total), True
-    return op(total, x), True
-
-
-def running_min(datas, lo=None) -> np.ndarray:
-    """The elementwise minimum of `lo` (if given) and `datas`, left to right, a
-    `Columns` gathered first.  It broadcasts every operand, so it is the shape
-    check: a mismatch raises ShapeMismatch."""
-    first, own = ([] if lo is None else [lo]), False
+    start, own = s, False  # own: s is an array made here and kept nowhere else
     try:
-        for d in datas:
-            wide = isinstance(d, Columns)
-            lo, own = _into(np.minimum, lo, d.wide() if wide else d, own, wide)
-    except ValueError:
-        raise ShapeMismatch(*[d.shape for d in (*first, *datas)]) from None
-    return lo
-
-
-def conjoin_sums(datas, s=None, acc=None, exact: bool = True, stable: bool = True,
-                 saved: list | None = None):
-    """Add logsigmoid(d) onto `s` and exp(-d) onto `acc` for each of `datas`, left
-    to right, each sum only if asked for; None starts from the first term.  A
-    `Columns` has both taken on its two columns and gathered by its bits.
-
-    With `saved`, appends per operand what the pull needs: (d, t = exp(-|d|),
-    exp(-d), the shape of the sums after it).  Without, no operand's
-    temporaries outlive its additions.
-    """
-    t = e = None
-    own_s = own_acc = False  # whether the sum is an array made here and kept nowhere else
-    for d in datas:
-        bits = None
-        if isinstance(d, Columns):
-            d, bits = d.values, d.bits
-        if exact:
+        for x in datas:
+            d, bits = (x.values, x.bits) if isinstance(x, Columns) else (x, None)
             t = np.exp(np.copysign(d, -1.0))
-            ls = _gathered(np.minimum(d, -0.0) - np.log1p(t), bits)
-            s, own_s = _into(np.add, s, ls, own_s, True)
-        if stable:
-            e = _gathered(np.exp(np.minimum(-d, _EXP_MAX)), bits)
-            acc, own_acc = _into(np.add, acc, e, own_acc, saved is None)
-        if saved is not None:
-            saved.append((d, t, e, np.shape(s if exact else acc)))
-    return s, acc
+            ls = np.minimum(d, -0.0) - np.log1p(t)
+            if bits is not None:
+                ls = ls[..., bits]
+            if s is None:
+                s, own = ls, True
+            elif own and s.ndim and ls.shape == s.shape:  # numpy gives 0-d results as scalars
+                np.add(s, ls, out=s)
+            else:
+                s, own = np.add(s, ls), True
+            if saved is not None:
+                saved.append((d, t, np.shape(s)))
+    except ValueError:
+        raise ShapeMismatch(*[np.shape(x) for x in ([] if start is None else [start])],
+                            *[x.shape for x in datas]) from None
+    return s
 
 
-def conjoin(logits, parts, switch: float, cap: float) -> Tensor:
+def conjoin(logits, parts, cap: float) -> Tensor:
     """The conjunction of `logits`, elementwise with broadcasting, resumed from
-    `parts` = (min, S, sum exp(-l)) of leading operands, or from nothing if None.
-    An operand may be a `Columns`."""
+    `parts` = S of leading operands, or from nothing if None.  An operand may
+    be a `Columns`."""
     datas, nodes = [], []
     for l in logits:
         d, n = (l, None) if isinstance(l, Columns) else _ensure(l)
         datas.append(d)
         nodes.append(n)
-    lo, s, acc = (None, None, None) if parts is None else parts
-    use = running_min(datas, lo) > switch
-    stable, exact = _branches(use)
     taped = [k for k, n in enumerate(nodes) if n is not None]
     saved = [] if taped else None
-    s, acc = conjoin_sums(datas, s, acc, exact, stable, saved)
-    ex_saved = st_saved = None
-    if exact:
-        out, ex_saved = _exact_tail(s, cap)
-    if stable:
-        st_saved = np.maximum(acc, _LOG_FLOOR)
-        st = -np.log(st_saved)
-        out = np.where(use, st, out) if exact else st
+    out, tail = _tail(conjoin_sums(datas, parts, saved), cap)
     if not taped:
         return Tensor(out)
-    nids = tuple(nodes[k] for k in reversed(taped)) * (exact + stable)
-    return _make(out, (nids, _pull_conjoin, taped, saved, cap,
-                       use if exact and stable else None, ex_saved, st_saved))
+    nids = tuple(nodes[k] for k in reversed(taped))
+    return _make(out, (nids, _pull_conjoin, taped, saved, cap, tail))
 
 
-def _branches(use) -> tuple[bool, bool]:
-    """Whether some entry takes the stable branch, and whether some takes the exact."""
-    n = int(use if use.ndim == 0 else np.count_nonzero(use))  # count_nonzero is slow on 0-d
-    return n > 0, n < use.size
-
-
-def _exact_tail(s, cap):
+def _tail(s, cap):
     """S - ln(-expm1(min(S, cap))), and what its pull needs."""
     capped = np.minimum(s, cap)
     p_false = -np.expm1(capped)  # 1 - prod sigmoid(l_i)
     return s - np.log(p_false), (s, capped, p_false)
 
 
-def _pull_exact_tail(g, use, cap, s, capped, p_false):
-    """The gradient that reaches S from the exact branch's share of g: directly,
-    then through the log, neg, expm1 and clamp."""
-    g = g if use is None else g * ~use
+def _pull_tail(g, cap, s, capped, p_false):
+    """The gradient that reaches S: directly, then through the log, neg, expm1
+    and clamp."""
     return g + np.negative(-g / p_false) * np.exp(capped) * (s <= cap)
 
 
-def _pull_conjoin(g, taped, saved, cap, use, exact, stable):
+def _pull_conjoin(g, taped, saved, cap, tail):
     out = []
-    if exact is not None:
-        grad = _pull_exact_tail(g, use, cap, *exact)
-        for k in range(len(saved) - 1, taped[0] - 1, -1):
-            d, t, _, _ = saved[k]
-            if k in taped:
-                out.append(_unbroadcast(grad, np.shape(d)) * _sigmoid_of(-d, t))
-            if k:
-                grad = _unbroadcast(grad, saved[k - 1][3])
-    if stable is not None:
-        g_st = g if use is None else g * use
-        grad = np.negative(g_st) / stable
-        for k in range(len(saved) - 1, taped[0] - 1, -1):
-            d, _, e, _ = saved[k]
-            if k in taped:
-                out.append(np.negative(_unbroadcast(grad, np.shape(d)) * e))
-            if k:
-                grad = _unbroadcast(grad, saved[k - 1][3])
+    grad = _pull_tail(g, cap, *tail)
+    for k in range(len(saved) - 1, taped[0] - 1, -1):
+        d, t, _ = saved[k]
+        if k in taped:
+            out.append(_unbroadcast(grad, np.shape(d)) * _sigmoid_of(-d, t))
+        if k:
+            grad = _unbroadcast(grad, saved[k - 1][2])
     return out
 
 
-def conjoin_axis(a, axis: int, switch: float, cap: float) -> Tensor:
+def conjoin_axis(a, axis: int, cap: float) -> Tensor:
     """The conjunction along one axis of `a` (the universal-quantifier reduction);
     the axis is in range and not empty, as `logit.conj_reduce` checks."""
     da, na = _ensure(a)
-    use = da.min(axis=axis) > switch
-    stable, exact = _branches(use)
-    ex_saved = st_saved = None
-    if exact:
-        t = np.exp(np.copysign(da, -1.0))
-        out, ex_saved = _exact_tail((np.minimum(da, -0.0) - np.log1p(t)).sum(axis=axis), cap)
-        ex_saved = (da, t, ex_saved)
-    if stable:
-        lse, shifted, total = _logsumexp_parts(-da, axis)
-        st = -np.squeeze(lse, axis)
-        out = np.where(use, st, out) if exact else st
-        st_saved = (shifted, total)
+    t = np.exp(np.copysign(da, -1.0))
+    out, tail = _tail((np.minimum(da, -0.0) - np.log1p(t)).sum(axis=axis), cap)
     if na is None:
         return Tensor(out)
-    return _make(out, ((na,) * (exact + stable), _pull_conjoin_axis, axis, cap,
-                       use if exact and stable else None, ex_saved, st_saved))
+    return _make(out, (na, _pull_conjoin_axis, axis, cap, da, t, tail))
 
 
-def _pull_conjoin_axis(g, axis, cap, use, exact, stable):
-    out = []
-    if exact is not None:
-        d, t, tail = exact
-        grad = _pull_exact_tail(g, use, cap, *tail)
-        out.append(np.expand_dims(grad, axis) * _sigmoid_of(-d, t))
-    if stable is not None:
-        shifted, total = stable
-        g_st = g if use is None else g * use
-        out.append(np.negative(np.expand_dims(np.negative(g_st), axis) * (shifted / total)))
-    return out
+def _pull_conjoin_axis(g, axis, cap, d, t, tail):
+    return np.expand_dims(_pull_tail(g, cap, *tail), axis) * _sigmoid_of(-d, t)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,10 @@ def train(plan: Plan, config: TrainConfig, test_set=None) -> TrainState:
         if size < config.curriculum_classes:
             raise ValueError(f"curriculum domain {config.curriculum_domain!r} has {size} rows, "
                              f"fewer than its {config.curriculum_classes} classes")
+        width = plan.theory.rel(config.monitor_symbol).out
+        if width != config.curriculum_classes:  # the working set holds rows per class
+            raise ValueError(f"curriculum_classes is {config.curriculum_classes}, but the "
+                             f"monitored relation {config.monitor_symbol} has {width} classes")
         missing = sorted(set(config.labeled_axioms) - {ax.name for ax in plan.theory.axioms})
         if missing:
             raise ValueError(f"labeled axioms {', '.join(missing)} are not in the theory")

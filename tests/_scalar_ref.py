@@ -48,11 +48,8 @@ def logsigmoid(x: float) -> float:
 def conj(ls: list[float]) -> float:
     if len(ls) == 1:
         return ls[0]
-    if min(ls) > 15.0:
-        return -math.log(sum(math.exp(-l) for l in ls))
     s = sum(logsigmoid(l) for l in ls)
-    s_c = min(s, -1e-12)
-    return s - math.log(-math.expm1(s_c))
+    return s - math.log(-math.expm1(min(s, -1e-300)))
 
 
 def disj(ls: list[float]) -> float:

@@ -3,9 +3,10 @@
 `logit.conj` and `logit.conj_reduce` are single kernels with one tape record
 each; `tests/_conj_ref.py` keeps the chain of single `tensor` ops they were
 built from.  Values and every operand's accumulated gradient must have the
-same bits (any NaN equals any NaN), in every branch regime, with special
-values, repeated operands, constants, and operands used again later on the
-tape.
+same bits (any NaN equals any NaN), in every regime up to and past the cap,
+with special values, repeated operands, constants, and operands used again
+later on the tape.  `TestExactness` checks both kernels against 50-digit
+mpmath.
 """
 
 import numpy as np
@@ -16,13 +17,15 @@ from hypothesis import strategies as st
 import _conj_ref as ref
 from dasl import logit as L
 from dasl import tensor as T
-from dasl.logit import BIG, STABLE_MIN, conj, conj_parts, conj_reduce
+from dasl.logit import _CAP, BIG, conj, conj_parts, conj_reduce
 from dasl.tensor import Parameter, Tape, backward
 
-# each regime's range puts the operands' minimum below, around, or above
-# STABLE_MIN, so the exact branch, both branches, or the stable branch run
-REGIMES = {"exact": (-40.0, 10.0), "mixed": (10.0, 22.0), "stable": (STABLE_MIN, 45.0)}
-SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, STABLE_MIN, BIG, -BIG])
+# each regime's range puts the operands' minimum below, around, or above 15,
+# around crisp truth (BIG), or on both sides of where S reaches the cap
+# (about 690.8 for one operand and 693.2 for eleven)
+REGIMES = {"exact": (-40.0, 10.0), "mixed": (10.0, 22.0), "stable": (15.0, 45.0),
+           "cap": (680.0, 745.0)}
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 15.0, BIG, -BIG])
 
 
 def assert_same_bits(got, want, what):
@@ -143,21 +146,9 @@ class TestConjKernel:
         compare([vals.reshape(4, 4)], [True], [0])
         compare([vals.reshape(4, 4)], [True], [0], reuse=True)
 
-    def test_exactly_at_stable_min(self):
-        # the switch is strict: an operand at STABLE_MIN keeps its entry exact
-        at = np.full((2, 2), STABLE_MIN)
-        above = np.array([[STABLE_MIN + 1.0, 30.0], [40.0, STABLE_MIN]])
-        compare([at, above], [True, True], [0, 1])
-        compare([above, above + 1.0], [True, True], [0, 1], reuse=True)
-        assert conj(at, above).data[0, 0] == ref.conj(at, above).data[0, 0]
-
-    @pytest.mark.parametrize("switch", [np.inf, -np.inf], ids=["exact only", "stable only"])
-    def test_one_branch_over_every_regime(self, switch, monkeypatch):
-        # with the switch moved, one branch runs where the other would: the
-        # exact branch on sums within the clamp's reach of 0, the stable one
-        # on sums of exp(-l) that overflow
-        for module in (L, ref):
-            monkeypatch.setattr(module, "STABLE_MIN", switch)
+    def test_both_kernels_in_every_regime(self):
+        # three operands, one repeated, with and without a constant taken as
+        # parts; then conj_reduce over each axis of the widest
         rng = np.random.default_rng(6)
         for regime in (*sorted(REGIMES), "far"):
             shapes = [(3, 1), (1, 2), (3, 2)]
@@ -170,6 +161,12 @@ class TestConjKernel:
                 want = run_reduce(ref.conj_reduce, vals[2], axis, True)
                 assert_same_bits(got[0], want[0], f"value, axis {axis}")
                 assert_same_bits(got[1], want[1], f"gradient, axis {axis}")
+
+    def test_around_15(self):
+        at = np.full((2, 2), 15.0)
+        above = np.array([[16.0, 30.0], [40.0, 15.0]])
+        compare([at, above], [True, True], [0, 1])
+        compare([above, above + 1.0], [True, True], [0, 1], reuse=True)
 
 
 @st.composite
@@ -232,8 +229,7 @@ class TestColumnsOperand:
         for i, (g, w) in enumerate(zip(got[1], want[1])):
             assert_same_bits(g, w, f"gradient of parameter {i}")
         with np.errstate(all="ignore"):
-            for g, w, what in zip(conj_parts(*narrow), conj_parts(*wide), ("min", "S", "acc")):
-                assert_same_bits(g, w, what)
+            assert_same_bits(conj_parts(*narrow), conj_parts(*wide), "S")
 
     def test_a_mismatched_operand_is_a_shape_error(self):
         columns = T.Columns(np.zeros((3, 2)), np.array([0, 1, 1, 0]))
@@ -256,9 +252,9 @@ class TestConjReduceKernel:
             assert_same_bits(got[1], want[1], f"gradient, axis {axis}")
 
     def test_rows_in_every_regime(self):
-        # one row exact, one at STABLE_MIN, one stable, one with specials
-        vals = np.array([[-3.0, 20.0, 2.0], [STABLE_MIN, 30.0, 16.0], [16.0, 18.0, 40.0],
-                         [np.inf, -0.0, np.nan]])
+        # rows below, at and above 15, one with specials, one past the cap
+        vals = np.array([[-3.0, 20.0, 2.0], [15.0, 30.0, 16.0], [16.0, 18.0, 40.0],
+                         [np.inf, -0.0, np.nan], [700.0, 740.0, 691.0]])
         for axis in (0, 1, -1):
             got = run_reduce(conj_reduce, vals, axis, True)
             want = run_reduce(ref.conj_reduce, vals, axis, True)
@@ -276,7 +272,7 @@ class TestConjReduceKernel:
 
 
 class TestOneRecord:
-    """A conjunction adds one tape record, however many operands and branches."""
+    """A conjunction adds one tape record, however many operands."""
 
     def records(self, build):
         with Tape() as tape:
@@ -295,3 +291,107 @@ class TestOneRecord:
         p = Parameter("p", np.array([[-3.0, 20.0], [16.0, 30.0]]))
         assert self.records(lambda: conj_reduce(p, 0)) == 1
         assert self.records(lambda: conj_reduce(p, 1)) == 1
+
+
+def exact_conj(ls):
+    """logit(prod sigma(l_i)) and its gradient in each l_i, in 50-digit mpmath:
+    S = sum -log1p(e^-l_i), the value S - ln(-expm1(S)) and the gradient
+    sigma(-l_i) / -expm1(S).  Through expm1, 50 digits keep S's own digits
+    where prod sigma(l_i) is 1 - 1e-300."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        ls = [mpmath.mpf(float(l)) for l in ls]
+        s = mpmath.fsum(-mpmath.log1p(mpmath.exp(-l)) for l in ls)
+        p_false = -mpmath.expm1(s)
+        return float(s - mpmath.log(p_false)), [float(1 / ((1 + mpmath.exp(l)) * p_false))
+                                                for l in ls]
+
+
+def exactness_cases():
+    """Operand lists of 1 to 12 below the cap: uniform in [-40, 690], in the band
+    [15, 27.6], +-BIG, 15 +- 1e-9, and minima in [680, 690.77]."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for kind in ("wide", "band", "big", "at 15", "near the cap"):
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            if kind == "wide":
+                ls = rng.uniform(-40.0, 690.0, n)
+            elif kind == "band":
+                ls = rng.uniform(15.0, 27.6, n)
+            elif kind == "big":
+                ls = rng.choice([BIG, -BIG, BIG, rng.uniform(-40.0, 40.0)], n)
+            elif kind == "at 15":
+                ls = 15.0 + rng.choice([-1e-9, 0.0, 1e-9], n)
+            else:
+                low = rng.uniform(680.0, 690.77)
+                ls = low + rng.uniform(0.0, 6.0, n)
+                ls[rng.integers(n)] = low
+            cases.append(ls)
+    return cases
+
+
+def value_and_grads(build, ls):
+    """The value of `build(*params)` over one parameter per operand, and each
+    parameter's gradient."""
+    params = [Parameter(f"p{i}", np.float64(l)) for i, l in enumerate(ls)]
+    with Tape():
+        out = build(*params)
+        backward(out)
+    return out.item(), [p.grad.item() for p in params]
+
+
+class TestExactness:
+    """conj, conj with parts and conj_reduce against 50-digit mpmath: within
+    1e-12 in value and 1e-9 relative in gradient below the cap, continuous at
+    it, and saturated at -ln(1e-300) past it, where conj and conj_reduce
+    agree."""
+
+    ROUTES = {
+        "conj": lambda *ps: conj(*ps),
+        "conj with parts": lambda *ps: conj(*ps[1:], parts=conj_parts(*ps[:1])),
+        "conj_reduce": lambda *ps: conj_reduce(T.concat([T.reshape(p, (1,)) for p in ps], 0), 0),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_value_and_gradient_match_mpmath(self, route):
+        build = self.ROUTES[route]
+        for ls in exactness_cases():
+            if route == "conj with parts" and len(ls) == 1:
+                continue
+            want, want_grads = exact_conj(ls)
+            got, got_grads = value_and_grads(build, ls)
+            what = f"{route} of {ls.tolist()}"
+            assert abs(got - want) <= 1e-12, what
+            # the parts are constants: the gradient reaches the others only
+            first = 1 if route == "conj with parts" else 0
+            np.testing.assert_allclose(got_grads[first:], want_grads[first:], rtol=1e-9,
+                                       atol=0, err_msg=what)
+
+    @pytest.mark.parametrize("l", [690.0, 690.77, 691.0, 700.0, 740.0, 1e4, np.inf])
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_conj_and_conj_reduce_agree(self, l, n):
+        ls = np.full(n, l)
+        ls[1:] += np.linspace(0.0, 3.0, n - 1)
+        got = conj(*ls).item()
+        assert abs(got - conj_reduce(ls, 0).item()) <= 1e-12
+        if l > 693.0:  # S is above the cap: saturated at its -ln, from either kernel
+            assert got == -np.log(-_CAP) + _CAP
+
+    @pytest.mark.parametrize("n", [1, 2, 11])
+    def test_continuous_across_the_cap(self, n):
+        # bisect to the two adjacent doubles l between which S crosses the cap;
+        # the operands sit at l + offsets
+        offsets = np.linspace(0.0, 2.0, n)
+        lo, hi = 680.0, 700.0
+        while np.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2
+            if conj_parts(*(mid + offsets)).item() <= _CAP:
+                lo = mid
+            else:
+                hi = mid
+        assert conj_parts(*(lo + offsets)).item() <= _CAP < conj_parts(*(hi + offsets)).item()
+        kernels = [lambda ls: conj_reduce(ls, 0)] + [lambda ls: conj(*ls)] * (n > 1)
+        for kernel in kernels:
+            assert abs(kernel(hi + offsets).item() - kernel(lo + offsets).item()) <= 1e-12

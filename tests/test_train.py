@@ -1,5 +1,7 @@
 """Loss, Adam, the curriculum schedule, metrics, and checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -433,6 +435,18 @@ class TestCurriculumInTraining:
             train(plan, config)
         for p, v in zip(plan.parameters, before):
             np.testing.assert_array_equal(p.value, v)
+
+    def test_curriculum_classes_other_than_the_monitored_width_is_an_error(self):
+        # a 3-class theory trained on a working set of rows // 4 per class
+        plan = self._digit_plan()
+        before = [p.value.copy() for p in plan.parameters]
+        config = TrainConfig(iterations=5, batch_size=3, curriculum=True, curriculum_classes=4)
+        match = "curriculum_classes is 4, but the monitored relation digit has 3 classes"
+        with pytest.raises(ValueError, match=match):
+            train(plan, config)
+        for p, v in zip(plan.parameters, before):
+            np.testing.assert_array_equal(p.value, v)
+        assert len(train(plan, dataclasses.replace(config, curriculum_classes=3)).loss_history) == 5
 
     def test_a_curriculum_domain_smaller_than_its_classes_is_an_error(self):
         # its working set was empty, and step 1 stopped with EmptyDomain
