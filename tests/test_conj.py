@@ -146,11 +146,17 @@ class TestConjKernel:
         compare([vals.reshape(4, 4)], [True], [0])
         compare([vals.reshape(4, 4)], [True], [0], reuse=True)
 
-    def test_both_kernels_in_every_regime(self):
-        # three operands, one repeated, with and without a constant taken as
-        # parts; then conj_reduce over each axis of the widest
+    @pytest.mark.parametrize("regimes", [("exact", "mixed"), ("stable", "cap", "far")],
+                             ids=["exact only", "stable only"])
+    def test_one_branch_over_every_regime(self, regimes):
+        # the one formula over the regimes once split between two branches:
+        # ranges reaching below 15, where entries kept the formula that is
+        # now the only one, and ranges from 15 up, which the deleted stable
+        # branch took and where values moved.  Three operands, one repeated,
+        # with and without a constant taken as parts; then conj_reduce over
+        # each axis of the widest
         rng = np.random.default_rng(6)
-        for regime in (*sorted(REGIMES), "far"):
+        for regime in regimes:
             shapes = [(3, 1), (1, 2), (3, 2)]
             vals = ([rng.uniform(28.0, 60.0, size=s) for s in shapes] if regime == "far"
                     else [values(rng, s, regime, True) for s in shapes])
