@@ -26,11 +26,11 @@ from .experiments import (
     run_relations_experiment,
     summarize,
 )
-from .gradcheck import TOL, run_gradcheck
+from .gradcheck import run_gradcheck
 from .interp import bind_theory
 from .lang import CheckError, LexError, ParseError, check_theory, parse_theory
 from .oracle import agreement_suite
-from .tensor import load_checkpoint
+from .tensor import GRAD_CHECK_TOL, load_checkpoint
 from .train import TrainConfig, train
 
 
@@ -224,7 +224,7 @@ def _cmd_gradcheck(args) -> int:
         print(f"{name}: {status} (max rel err {report.max_rel_error:.3e})")
         failed += 0 if report.passed else 1
     print(f"{len(reports) - failed}/{len(reports)} graphs pass at tol "
-          f"{np.format_float_scientific(TOL, trim='-', exp_digits=1)}")
+          f"{np.format_float_scientific(GRAD_CHECK_TOL, trim='-', exp_digits=1)}")
     return 0 if failed == 0 else 1
 
 

@@ -148,9 +148,10 @@ class Node:
     int       the integer                               ()
     arith     "add" or "mod"                            (lhs, rhs)
     func      the function symbol                       argument terms
-    fold      (variables, sampler key, axis, axiom)     static conjuncts
+    fold      (sampler key, axis)                       static conjuncts
 
-    A `rel` has a symbol_outputs key only when its relation is vector-valued.
+    A sampler key is (axiom, variables, domain name).  A `rel` has a
+    symbol_outputs key only when its relation is vector-valued.
     `depth` counts the quantifiers that enclose a node, and an `index` or
     `sample` node's own axis is its depth.  A node's value has one leading
     axis per enclosing quantifier (size 1 where the node does not depend on
@@ -304,7 +305,7 @@ class _Lowering:
             key = (self.axiom, f.vars, f.domain)
             self.sites.setdefault(key, domain)
             body = self.bound(f, [not isinstance(c, EmbeddingColumn) for c in domain.columns])
-            body = self.fold(body, frozenset(f.vars), (f.vars, key, self.depth, self.axiom), True)
+            body = self.fold(body, frozenset(f.vars), (key, self.depth), True)
             kind, data = "sample", (f.vars, key)
         fv = tuple(v for v in body.fv if v not in f.vars)
         return self.node(kind, (body,), data, body.width, fv, src=f)
@@ -720,7 +721,7 @@ class _Evaluator:
         table = self.plan.folds.get(node.uid)
         if table is None:
             table = self.plan.folds[node.uid] = self.fold_table(node)
-        _, key, axis, _ = node.data
+        key, axis = node.data
         rows = table[self.draws[key]]
         shape = (_on_axis(len(rows), axis, node.depth) + rows.shape[1:]
                  + (1,) * (node.width == 1 and width > 1))
@@ -732,7 +733,8 @@ class _Evaluator:
         the `conj_parts` of its formulas for a fold of several.  So the
         table's kind is the node's, whichever caller reads it first.
         """
-        names, key, axis, axiom = node.data
+        key, axis = node.data
+        axiom, names, _ = key
         domain = self.plan.samplers[key].domain
         n = domain.cardinality
         env = {v: (col.take(np.arange(n)), axis)
@@ -838,7 +840,7 @@ def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
     logits and the pi index term to the labels.  Sampled quantifiers inside
     V range over their whole domain, and no sampler advances.  Folded
     formulas are evaluated on the given rows; `Plan.folds` is not read.  No
-    tape is opened.
+    tape is opened.  A non-finite logit raises NonFiniteLogit.
     """
     node = dict(plan.roots).get(axiom)
     select = None if node is None else _classifier(node)
@@ -853,7 +855,10 @@ def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
                            for key, s in plan.samplers.items()}, fold=False, axiom=axiom)
     index, vector = select.kids
     ev.batch([(axiom, vector), (axiom, index)], env)
-    return _wide(ev.formula(vector, env)).data, np.asarray(ev.term(index, env))
+    logits = _wide(ev.formula(vector, env)).data
+    if not np.isfinite(logits).all():
+        raise NonFiniteLogit(f"axiom {axiom!r} produced a non-finite logit")
+    return logits, np.asarray(ev.term(index, env))
 
 
 # ---------------------------------------------------------------------------
@@ -902,9 +907,9 @@ def explain(plan: Plan) -> str:
         if kind in ("index", "sample"):
             how = f"exhaustive 0..{node.data[1] - 1}" if kind == "index" else "sampled"
             text = f"forall {', '.join(src.vars)} in {src.domain} [{how}]"
-        elif kind == "fold":  # data[1] is the sampler key, which ends with the domain
+        elif kind == "fold":  # data[0] is the sampler key, which ends with the domain
             what = "fold" if len(kids) == 1 else f"fold of {len(kids)} conjuncts"
-            text = f"{what} [computed once over {node.data[1][-1]}, gathered by the draw]"
+            text = f"{what} [computed once over {node.data[0][-1]}, gathered by the draw]"
         elif kind == "boolvec" and node.width > 1:
             text = f"{src.name} [2 columns, gathered by its {node.width} bits]"
         elif kind == "and":

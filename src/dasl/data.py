@@ -84,9 +84,9 @@ def load_csv_table(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
 
 
-def write_csv_table(path, array: np.ndarray, header: str | None = None) -> None:
+def write_csv_table(path, array: np.ndarray) -> None:
     arr = np.atleast_2d(np.asarray(array, dtype=np.float64))
-    cols = header or ",".join(f"c{i}" for i in range(arr.shape[1]))
+    cols = ",".join(f"c{i}" for i in range(arr.shape[1]))
     np.savetxt(path, arr, delimiter=",", header=cols, comments="")
 
 
@@ -278,6 +278,7 @@ class RelationSplits:
 CONTEXT_SIGNAL = 2.0
 CONTEXT_NOISE_BASE = 0.6
 CONTEXT_NOISE_STEP = 0.25
+ZERO_SHOT_FRACTION = 0.25  # the share of legal combinations held out of training
 
 
 def _encode_split(pairs: list[BoxPair], vocab: RelationVocab,
@@ -304,12 +305,11 @@ def gen_synth_relations(
     n_train_pool: int = 20000,
     n_test: int = 2000,
     train_fraction: float = 0.01,
-    zero_shot_fraction: float = 0.25,
     seed: int = 0,
 ) -> RelationSplits:
     """Generate train/test box-pair splits whose labels obey the rule schema.
 
-    A fixed fraction of the legal (predicate, subject, object) combinations
+    ZERO_SHOT_FRACTION of the legal (predicate, subject, object) combinations
     is held out entirely from the train pool and forms the zero-shot test
     split; the train set is a `train_fraction` subsample of the pool.
     """
@@ -326,7 +326,7 @@ def gen_synth_relations(
         combos.extend((p, s, o) for s in subj_ok for o in obj_ok if s != o)
     combos.sort()
     rng.shuffle(combos)
-    n_zero = max(1, int(len(combos) * zero_shot_fraction))
+    n_zero = max(1, int(len(combos) * ZERO_SHOT_FRACTION))
     zero_shot = set(map(tuple, combos[:n_zero]))
     seen = [tuple(c) for c in combos[n_zero:]]
 

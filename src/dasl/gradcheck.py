@@ -14,9 +14,6 @@ from .interp import bind_theory
 from .lang import check_theory, parse_theory
 from .tensor import GradCheckReport, grad_check
 
-H = 1e-5  # the central-difference step
-TOL = 1e-4  # the largest relative error that passes
-
 # the MLPs tape `affine` with each activation; a1 and a2 take a class by a row's
 # id (`softselect_rows`) and by an index variable (`softselect_table`); a3 an
 # embedding table's rows (`gather`), an MLP input built from a taped argument
@@ -58,10 +55,10 @@ def _logic_graph(rng: np.random.Generator):
 
 
 def run_gradcheck(trials: int = 50, seed: int = 0) -> list[tuple[str, GradCheckReport]]:
-    """Check `trials` randomized graphs at `H` and `TOL`; returns (name, report) pairs."""
+    """Check `trials` randomized graphs with `grad_check`; returns (name, report) pairs."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(trials):
         build, params = _logic_graph(rng)
-        out.append((f"logic-plan-{i}", grad_check(build, params, h=H, tol=TOL)))
+        out.append((f"logic-plan-{i}", grad_check(build, params)))
     return out

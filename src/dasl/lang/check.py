@@ -84,9 +84,7 @@ class _Checker:
         self.names[name] = kind
 
     def _fresh(self, base: str) -> str:
-        if base not in self.used_names:
-            self.used_names.add(base)
-            return base
+        """`base_i` for the least i >= 2 that no name in the theory uses."""
         i = 2
         while f"{base}_{i}" in self.used_names:
             i += 1

@@ -890,18 +890,21 @@ def backward(root: Tensor) -> None:
 # finite-difference gradient checking
 
 
+GRAD_CHECK_H = 1e-5  # the central-difference step
+GRAD_CHECK_TOL = 1e-4  # the largest relative error that passes
+
+
 @dataclass
 class GradCheckReport:
     max_rel_error: float
     per_param: dict[str, float]
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tol
+        return self.max_rel_error < GRAD_CHECK_TOL
 
 
-def grad_check(build, params: list[Parameter], h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+def grad_check(build, params: list[Parameter]) -> GradCheckReport:
     """Compare reverse-mode gradients of build() against central differences.
 
     build() must construct a scalar Tensor from the current parameter
@@ -924,17 +927,17 @@ def grad_check(build, params: list[Parameter], h: float = 1e-5, tol: float = 1e-
         err = 0.0
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + h
+            flat[i] = keep + GRAD_CHECK_H
             up = value()
-            flat[i] = keep - h
+            flat[i] = keep - GRAD_CHECK_H
             down = value()
             flat[i] = keep
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * GRAD_CHECK_H)
             g = analytic[p.name].reshape(-1)[i]
             err = max(err, abs(numeric - g) / max(1.0, abs(g)))
         per_param[p.name] = err
         worst = max(worst, err)
-    return GradCheckReport(worst, per_param, tol)
+    return GradCheckReport(worst, per_param)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -29,15 +30,15 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's published defaults (Kingma & Ba 2
 class AdamState:
     """Adam's learning rate, step count and moments.
 
-    m and v keep each parameter's moments by name, as views of two flat
-    buffers laid out like the parameters' store (`tensor.pack`), which
-    `flat` holds as (store, m, v)."""
+    m and v are two flat buffers laid out like the store (`tensor.pack`) of
+    the parameter list that the first `adam_step` packed, `params`; all
+    three are None before that step."""
 
     lr: float = 5e-5
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    flat: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    step: int = field(default=0, init=False)
+    m: np.ndarray | None = field(default=None, init=False)
+    v: np.ndarray | None = field(default=None, init=False)
+    params: tuple[Parameter, ...] | None = field(default=None, init=False, repr=False)
 
 
 _CHUNK = 1 << 14  # values per Adam block: a block's operands and scratch stay in L2
@@ -46,10 +47,12 @@ _CHUNK = 1 << 14  # values per Adam block: a block's operands and scratch stay i
 def adam_step(params: list[Parameter], state: AdamState) -> AdamState:
     """One bias-corrected Adam update from the accumulated gradients.
 
-    Runs once over the parameters' store, which the first call for a list
-    packs (`tensor.pack`).  All or nothing: every gradient is checked before
-    any value, moment or the step count changes.  The store is updated in
-    place, block by block, through two scratch buffers, with the operations of
+    Runs once over the parameters' store (`tensor.pack`).  The moments
+    belong to the list of the first step: any other list raises ValueError
+    naming a parameter.  All or nothing: the list and every gradient are
+    checked before any value, moment or the step count changes.  The store
+    is updated in place, block by block, through two scratch buffers, with
+    the operations of
 
         m += (1 - b1) * (g - m);  v += (1 - b2) * (g * g - v)
         value -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
@@ -57,17 +60,22 @@ def adam_step(params: list[Parameter], state: AdamState) -> AdamState:
     in this order.  Each is elementwise, so the result is bit-identical to
     that formula applied parameter by parameter, wherever the blocks fall.
     """
+    params, kept = tuple(params), state.params
+    if kept is not None and kept != params:
+        p, q = next(pq for pq in zip_longest(params, kept) if pq[0] is not pq[1])
+        raise ValueError(f"the list differs at parameter {(p or q).name!r} from the one "
+                         f"Adam's moments belong to")
     store = T.pack(params)
     if not np.isfinite(store.grads).all():
         bad = next(p for p in store.params if not np.isfinite(p.grad).all())
         raise NonFiniteGradient(f"parameter {bad.name!r} has a non-finite gradient")
-    if state.flat is None or state.flat[0] is not store:
-        state.flat = store, _lay_out(state.m, store), _lay_out(state.v, store)
+    n = store.values.size
+    if kept is None:
+        state.params, state.m, state.v = params, np.zeros(n), np.zeros(n)
     state.step += 1
     b1, b2, lr, eps = BETA1, BETA2, state.lr, EPS
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
-    flat = store.values, store.grads, state.flat[1], state.flat[2]
-    n = store.values.size
+    flat = store.values, store.grads, state.m, state.v
     scratch = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
     for lo in range(0, n, _CHUNK):
         value, g, m, v = (a[lo:lo + _CHUNK] for a in flat)
@@ -87,17 +95,6 @@ def adam_step(params: list[Parameter], state: AdamState) -> AdamState:
         u /= t
         value -= u
     return state
-
-
-def _lay_out(moments: dict[str, np.ndarray], store: T.Store) -> np.ndarray:
-    """Flat moments laid out like `store`: what `moments` keeps under each parameter's
-    name, zeros for a name it lacks; each name is rebound to its view."""
-    flat = np.zeros(store.values.size)
-    for p, view in zip(store.params, store.views(flat)):
-        if p.name in moments:
-            view[...] = moments[p.name]
-        moments[p.name] = view
-    return flat
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from dasl.cli import _load_theory, _train_config_from, build_parser, main, parse
 from dasl.data import load_csv_table, write_csv_table
 from dasl.experiments import ResultRow
 from dasl.interp import bind_theory
-from dasl.tensor import load_checkpoint
+from dasl.oracle import AgreementResult
+from dasl.tensor import load_checkpoint, save_checkpoint
 from dasl.train import evaluate_classifier
 
 
@@ -89,6 +90,17 @@ class TestExitCodes:
                      "--depth", "3", "--trials", "40", "--seed", "2"])
         assert code == 0
         assert "40/40" in capsys.readouterr().out
+
+    def test_oracle_check_failure_exits_1_with_the_first_failure(self, toy_dir, capsys,
+                                                                  monkeypatch):
+        def agreement_suite(signature, depth, trials, seed):
+            return AgreementResult(trials, trials - 1, ["trial 7: first failure"])
+
+        monkeypatch.setattr("dasl.cli.agreement_suite", agreement_suite)
+        code = main(["oracle-check", "--signature", str(toy_dir / "sig.dasl"),
+                     "--trials", "5"])
+        assert code == 1
+        assert capsys.readouterr().out == "agreement: 4/5\ntrial 7: first failure\n"
 
     def test_gradcheck_exits_0(self, toy_dir, capsys):
         assert main(["gradcheck", "--trials", "3", "--seed", "1"]) == 0
@@ -282,6 +294,18 @@ class TestCompileTrainEval:
         assert self._eval(toy_dir, "edited.dasl", ckpt, symbol) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and param in err and "final.ckpt" in err
+
+    def test_eval_non_finite_logit_is_diagnostic(self, toy_dir, capsys):
+        ckpt = self._train(toy_dir)
+        values = load_checkpoint(ckpt)
+        values["classify.b0"][0] = np.nan  # every row's logits go NaN
+        save_checkpoint(values, ckpt)
+        capsys.readouterr()
+        assert self._eval(toy_dir, "toy.dasl", ckpt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: axiom 'labels' produced a non-finite logit"]
 
     def test_eval_unknown_symbol_is_diagnostic(self, toy_dir, capsys):
         ckpt = self._train(toy_dir)

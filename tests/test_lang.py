@@ -231,6 +231,13 @@ class TestCheck:
         assert inner.vars != ("x",)
         assert free_variables(outer) == set()
 
+    def test_renaming_skips_a_taken_suffix(self):
+        th = _checked("axiom a : forall x: D . P(x) & (forall x: D . Q(x))"
+                      " & (forall x_2: D . R(x_2, x_2));")
+        outer = th.axioms[0].formula
+        assert outer.body.items[1].vars == ("x_3",)
+        assert outer.body.items[2].vars == ("x_2",)
+
     def test_idempotent(self):
         th = _checked("axiom a : forall x: D . P(x) & (forall x: D . R(x, f(x)));")
         assert check_theory(th) == th

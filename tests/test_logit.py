@@ -222,7 +222,7 @@ class TestSoftselect:
     def test_differentiable_in_every_component(self):
         rng = np.random.default_rng(9)
         p = Parameter("v", rng.uniform(-2, 2, size=5))
-        report = T.grad_check(lambda: softselect(p, 2), [p], h=1e-5, tol=1e-4)
+        report = T.grad_check(lambda: softselect(p, 2), [p])
         assert report.passed
 
 
@@ -268,8 +268,7 @@ class TestSoftselectTable:
         p = Parameter("v", rng.uniform(-2, 2, size=(3, 1, 4)))
         idx = rng.integers(0, 4, size=(1, 5))
         weights = rng.uniform(-1, 1, size=(3, 5))
-        report = T.grad_check(lambda: T.reduce_sum(T.mul(softselect(p, idx), weights)), [p],
-                              h=1e-5, tol=1e-4)
+        report = T.grad_check(lambda: T.reduce_sum(T.mul(softselect(p, idx), weights)), [p])
         assert report.passed, report.per_param
 
     def test_index_out_of_range(self):

@@ -18,6 +18,7 @@ from dasl.oracle import (
     tarski_eval,
 )
 from dasl.compiler import compile
+from dasl.data import write_csv_table
 from dasl.interp import bind_theory
 from dasl.lang import free_variables
 
@@ -120,6 +121,25 @@ class TestSatisfiesAtThreshold:
         rep = satisfies_at_threshold(_model_p([True, False]), th)
         assert rep.satisfied
         assert rep.loss == 0.0
+
+    def test_each_dataset_row_and_conjunct_counts(self, tmp_path):
+        # 600 rows, each with P(x) and the two groundings of the index
+        # quantifier, whose Q(y) guard is folded: 1800 conjuncts.  Their summed
+        # loss exceeds 1e-6, so the verdict holds only if each one counts.
+        rng = np.random.default_rng(0)
+        for name in ("x", "y"):
+            write_csv_table(tmp_path / f"{name}.csv", rng.integers(2, size=(600, 1)))
+        th = check_theory(parse_theory(
+            "sort D card 2;\nrel P : D extern P;\nrel Q : D extern Q;\n"
+            "rel R : D x D extern R;\n"
+            f'data Pairs : D x D from "{tmp_path}/x.csv,{tmp_path}/y.csv";\n'
+            "axiom a : forall (x, y): Pairs . P(x) & (forall z: D . R(x, z) | Q(y));"))
+        tables = {"P": np.ones(2, bool), "Q": np.ones(2, bool), "R": np.ones((2, 2), bool)}
+        model = CrispModel({"D": 2}, {}, {}, tables)
+        rep = satisfies_at_threshold(model, th)
+        assert rep.satisfied and 1e-6 < rep.loss <= 1800 * 1e-6
+        tables["Q"][1], tables["R"][...] = False, False
+        assert satisfies_at_threshold(model, th).per_axiom == {"a": False}
 
     def test_verdict_matches_tarski_over_enumeration(self):
         th = self._theory(2)

@@ -101,7 +101,9 @@ class TestPack:
     def test_empty_list(self):
         store = pack([])
         assert store.values.size == 0 and store.params == ()
-        assert adam_step([], AdamState()).step == 1
+        state = AdamState()
+        assert adam_step([], state).step == 1 and adam_step([], state).step == 2
+        assert state.m.size == state.v.size == 0
 
     def test_parameter_listed_twice_is_typed(self):
         c = Parameter("c", np.zeros(2))
@@ -117,7 +119,8 @@ class TestPack:
         state = AdamState(lr=0.1)
         with pytest.raises(DuplicateParameter, match="parameter 'p' names two parameters"):
             adam_step([a, b], state)
-        assert state.step == 0 and state.m == {} and not a.value.any() and not b.value.any()
+        assert state.step == 0 and state.m is state.v is None
+        assert not a.value.any() and not b.value.any()
 
 
 class TestAdamOverTheStore:
@@ -134,43 +137,47 @@ class TestAdamOverTheStore:
                 p.grad[...] = g
             adam_step(params, state)
             reference_adam(values, ms, vs, grads, step, state.lr)
-            for p, value, m, v in zip(params, values, ms, vs):
+            store = pack(params)
+            for p, value, m, v, got_m, got_v in zip(params, values, ms, vs, store.views(state.m),
+                                                    store.views(state.v)):
                 assert_bits(p.value, value, f"value of {p.name}, step {step}")
-                assert_bits(state.m[p.name], m, f"m of {p.name}, step {step}")
-                assert_bits(state.v[p.name], v, f"v of {p.name}, step {step}")
+                assert_bits(got_m, m, f"m of {p.name}, step {step}")
+                assert_bits(got_v, v, f"v of {p.name}, step {step}")
         sizes = [p.value.size for p in params]
         assert sizes[0] + sizes[1] == _CHUNK and sum(sizes[:3]) > 2 * _CHUNK
 
     def test_moments_are_views_of_the_flat_moments(self):
         params = make_params(np.random.default_rng(6))
         state = AdamState()
+        assert state.m is state.v is None
         adam_step(params, state)
-        store, m, v = state.flat
-        assert store is pack(params) and m.size == v.size == store.values.size
-        for p in params:
-            assert state.m[p.name].base is m and state.v[p.name].base is v
-            assert state.m[p.name].shape == p.shape
-        views = dict(state.m)
+        m, v = state.m, state.v
+        assert m.dtype == v.dtype == np.float64 and m.size == v.size == pack(params).values.size
+        for p, view in zip(params, pack(params).views(m)):
+            assert view.base is m and view.shape == p.shape
         adam_step(params, state)
-        assert all(state.m[name] is view for name, view in views.items())
+        assert state.m is m and state.v is v
 
-    def test_moments_kept_by_name_carry_over_to_a_new_store(self):
+    @pytest.mark.parametrize("order, name", [
+        (lambda ps: ps[1:] + ps[:1], "b"),  # a rotation: 'b' stands where 'a' did
+        (lambda ps: ps[:-1], "d"),  # 'd', the last, is missing
+        (lambda ps: ps + [Parameter("f", np.zeros(2))], "f"),  # 'f' is new
+        (lambda ps: [], "a"),
+    ], ids=["rotated", "missing", "added", "empty"])
+    def test_another_list_raises_and_changes_nothing(self, order, name):
         rng = np.random.default_rng(7)
         params = make_params(rng)
-        twin = [Parameter(p.name, p.value.copy()) for p in params]
-        state, alone = AdamState(lr=1e-2), [AdamState(lr=1e-2) for _ in params]
-        for step in range(3):
-            grads = random_grads(rng, params)
-            for p, q, g in zip(params, twin, grads):
-                p.grad[...], q.grad[...] = g, g
-            # each step lays the list out anew: a rotation of the last one
-            adam_step(params[step:] + params[:step], state)
-            for q, s in zip(twin, alone):
-                adam_step([q], s)
-        for p, q, s in zip(params, twin, alone):
-            assert_bits(p.value, q.value, p.name)
-            assert_bits(state.m[p.name], s.m[p.name], p.name)
-            assert_bits(state.v[p.name], s.v[p.name], p.name)
+        state = AdamState(lr=1e-2)
+        for p, g in zip(params, random_grads(rng, params)):
+            p.grad[...] = g
+        adam_step(params, state)
+        store = pack(params)
+        before = store.values.copy(), state.m.copy(), state.v.copy()
+        with pytest.raises(ValueError, match=f"differs at parameter {name!r}"):
+            adam_step(order(params), state)
+        assert state.step == 1 and pack(params) is store
+        for got, want in zip((store.values, state.m, state.v), before):
+            assert_bits(got, want)
 
     def test_non_finite_gradient_names_the_first_and_changes_nothing(self):
         rng = np.random.default_rng(8)
@@ -180,13 +187,13 @@ class TestAdamOverTheStore:
             p.grad[...] = g
         adam_step(params, state)
         store = pack(params)
-        before = store.values.copy(), state.flat[1].copy(), state.flat[2].copy()
+        before = store.values.copy(), state.m.copy(), state.v.copy()
         params[4].grad[-1] = np.nan  # "d", last in the list
         params[2].grad[1, 9999] = -np.inf  # "c", the first offender in list order
         with pytest.raises(NonFiniteGradient, match="parameter 'c' has a non-finite gradient"):
             adam_step(params, state)
         assert state.step == 1 and pack(params) is store
-        for got, want in zip((store.values, state.flat[1], state.flat[2]), before):
+        for got, want in zip((store.values, state.m, state.v), before):
             assert_bits(got, want)
 
 
