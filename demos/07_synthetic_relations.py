@@ -44,5 +44,5 @@ print(f"\nzero-shot accuracy gap: {gap * 100:+.1f} points, two-sided sign test p
 splits = gen_synth_relations(train_fraction=0.01, seed=0)
 print(f"\n(task: {len(splits.vocab.predicates)} predicates over "
       f"{len(splits.vocab.object_classes)} object classes; "
-      f"{len(splits.train.pairs)} training pairs at the 1% regime; "
+      f"{len(splits.train.boxes)} training pairs at the 1% regime; "
       f"{len(splits.zero_shot_combos)} held-out combinations)")

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 failed check, 2 usage error or diagnostics.
 Config files are flat `key = value` text with `#` comments; command-line
 flags override file values, and TrainConfig's defaults fill the rest.
 Randomness sits behind --seed, or --seeds N (seeds 0..N-1) for the
-experiments; the default data directory comes from $DASL_DATA_DIR.
+experiments; compile and eval take none, as nothing they print depends on
+one.  The default data directory comes from $DASL_DATA_DIR.
 """
 
 from __future__ import annotations
@@ -66,13 +67,9 @@ def _load_theory(path: str):
         return check_theory(parse_theory(fh.read()))
 
 
-def _bind(args, theory):
+def _bind(args, theory, seed: int = 0):
     return bind_theory(theory, externs=spatial_predicate_externs(),
-                       data_dir=args.data_dir, seed=args.seed)
-
-
-# what _bind reads; compile, train and eval take all of them
-_BIND_OPTIONS = ("seed", "data_dir")
+                       data_dir=args.data_dir, seed=seed)
 
 
 def _add_options(p: argparse.ArgumentParser, *dests: str) -> None:
@@ -94,7 +91,7 @@ def _diagnostic(e: Exception) -> bool:
 def _cmd_compile(args) -> int:
     theory = _load_theory(args.theory)
     interp = _bind(args, theory)
-    plan = compile(theory, interp, batch_size=args.batch_size, seed=args.seed)
+    plan = compile(theory, interp, batch_size=args.batch_size)
     if args.explain:
         print(explain(plan))
     else:
@@ -133,7 +130,7 @@ def _cmd_train(args) -> int:
     if config.curriculum and monitor is not None and monitor.out:
         # the working set holds rows per class of the monitored classifier
         config = dataclasses.replace(config, curriculum_classes=monitor.out)
-    interp = _bind(args, theory)
+    interp = _bind(args, theory, args.seed)
     plan = compile(theory, interp, batch_size=config.batch_size, seed=args.seed)
     state = train(plan, config)
     final = state.loss_history[-1] if state.loss_history else float("nan")
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True)
     p.add_argument("--explain", action="store_true")
     p.add_argument("--batch-size", type=int, default=None)
-    _add_options(p, *_BIND_OPTIONS)
+    _add_options(p, "data_dir")
     p.set_defaults(fn=_cmd_compile)
 
     p = add(
@@ -260,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cadence", type=int, default=None)
     p.add_argument("--curriculum", action="store_const", const=True, default=None)
     p.add_argument("--rules-only-after", type=int, default=None)
-    _add_options(p, *_BIND_OPTIONS)
+    _add_options(p, "seed", "data_dir")
     p.set_defaults(fn=_cmd_train)
 
     p = add("eval", help="score a checkpointed classifier on a dataset")
@@ -268,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="dataset name in the theory")
     p.add_argument("--symbol", required=True, help="classifier relation name")
-    _add_options(p, *_BIND_OPTIONS)
+    _add_options(p, "data_dir")
     p.set_defaults(fn=_cmd_eval)
 
     p = add("oracle-check", help="randomized agreement between the classical oracle "

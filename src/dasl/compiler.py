@@ -392,7 +392,6 @@ class Plan:
                  batch_size: int | None = None, seed: int = 0):
         self.theory = theory
         self.interp = interp
-        self.batch_size = batch_size
         lowering = _Lowering(self)
         self.roots: list[tuple[str, Node]] = [
             (ax.name, lowering.lower_axiom(ax.name, ax.formula)) for ax in theory.axioms]

@@ -91,43 +91,26 @@ def write_csv_table(path, array: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# box pairs and spatial features
+# spatial features
 
 
-@dataclass(frozen=True)
-class BoxPair:
-    """Subject/object boxes in (x, y, w, h) center format plus labels."""
+def spatial_features(subject_boxes, object_boxes) -> np.ndarray:
+    """Eight relative-geometry features per row of (n, 4) boxes, as (n, 8).
 
-    subject_box: tuple[float, float, float, float]
-    object_box: tuple[float, float, float, float]
-    subject_class: int
-    object_class: int
-    predicate: int
-
-
-def spatial_features(pair: BoxPair) -> np.ndarray:
-    """Eight relative-geometry features of the subject/object boxes.
-
+    Boxes are (x, y, w, h) in center format.  A row is
     [dx/w_o, dy/h_o, -dx/w_s, -dy/h_s, ln(w_s/w_o), ln(h_s/h_o),
      ln(w_o/w_s), ln(h_o/h_s)] with dx = x_s - x_o, dy = y_s - y_o.
     """
-    xs, ys, ws, hs = pair.subject_box
-    xo, yo, wo, ho = pair.object_box
-    if ws <= 0 or hs <= 0 or wo <= 0 or ho <= 0:
-        raise DegenerateBox(f"non-positive box size: {pair}")
-    return np.array(
-        [
-            (xs - xo) / wo,
-            (ys - yo) / ho,
-            (xo - xs) / ws,
-            (yo - ys) / hs,
-            np.log(ws / wo),
-            np.log(hs / ho),
-            np.log(wo / ws),
-            np.log(ho / hs),
-        ],
-        dtype=np.float64,
-    )
+    s = np.asarray(subject_boxes, dtype=np.float64)
+    o = np.asarray(object_boxes, dtype=np.float64)
+    bad = np.flatnonzero((s[:, 2:] <= 0).any(axis=1) | (o[:, 2:] <= 0).any(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise DegenerateBox(f"row {i}: non-positive box size: subject {s[i].tolist()}, "
+                            f"object {o[i].tolist()}")
+    centers_s, sizes_s, centers_o, sizes_o = s[:, :2], s[:, 2:], o[:, :2], o[:, 2:]
+    return np.hstack([(centers_s - centers_o) / sizes_o, (centers_o - centers_s) / sizes_s,
+                      np.log(sizes_s / sizes_o), np.log(sizes_o / sizes_s)])
 
 
 # extern name -> (box coordinate: 0 = x, 1 = y; sign): the predicate holds
@@ -234,32 +217,33 @@ def default_relation_vocab() -> RelationVocab:
     return RelationVocab(objects, predicates, members, rules)
 
 
-def _sample_pair(vocab: RelationVocab, pred: int, subj: int, obj: int,
-                 rng: np.random.Generator) -> BoxPair:
-    """Random boxes for a legal (pred, subj, obj); the subject moves to clear the spatial rule."""
+def _sample_pair(vocab: RelationVocab, pred: int, rng: np.random.Generator) -> np.ndarray:
+    """Random (subject, object) boxes, (2, 4), for predicate `pred`; the subject
+    moves to clear the predicate's spatial rule."""
     centers = rng.uniform(-2.0, 2.0, size=4)  # xs, ys, xo, yo
-    ws, hs, wo, ho = np.exp(rng.uniform(-0.7, 0.7, size=4))
+    sizes = np.exp(rng.uniform(-0.7, 0.7, size=4))  # ws, hs, wo, ho
     spatial = vocab.rules.get(pred, (None, None, None))[2]
     if spatial is not None:
         axis, sign = SPATIAL[spatial]
         s, o = centers[axis], centers[axis + 2]
         centers[axis] = o + sign * abs(s - o) + sign * 0.05
-    xs, ys, xo, yo = centers
-    return BoxPair((xs, ys, ws, hs), (xo, yo, wo, ho), subj, obj, pred)
+    return np.hstack([centers.reshape(2, 2), sizes.reshape(2, 2)])
 
 
 @dataclass
 class RelationSplit:
-    """One split: box pairs plus their encoded model inputs.
+    """One split, one row per box pair.
 
-    features = [8 spatial dims | n_pred/2 context dims].  The context block
-    carries noisy evidence for the true predicate's PAIR (the stand-in for
-    image appearance): confusable predicates (2k, 2k+1) share code k, so
-    context alone never separates a pair.  Context noise depends on the
-    subject class, so some subjects are systematically harder to read.
+    boxes (n, 2, 4) holds the subject and the object box in (x, y, w, h)
+    center format.  features = [8 spatial dims | n_pred/2 context dims].
+    The context block carries noisy evidence for the true predicate's PAIR
+    (the stand-in for image appearance): confusable predicates (2k, 2k+1)
+    share code k, so context alone never separates a pair.  Context noise
+    depends on the subject class, so some subjects are systematically
+    harder to read.
     """
 
-    pairs: list[BoxPair]
+    boxes: np.ndarray
     features: np.ndarray
     subject: np.ndarray
     object: np.ndarray
@@ -281,17 +265,16 @@ CONTEXT_NOISE_STEP = 0.25
 ZERO_SHOT_FRACTION = 0.25  # the share of legal combinations held out of training
 
 
-def _encode_split(pairs: list[BoxPair], vocab: RelationVocab,
+def _encode_split(combos: np.ndarray, boxes: np.ndarray, vocab: RelationVocab,
                   rng: np.random.Generator) -> RelationSplit:
-    spatial = np.stack([spatial_features(p) for p in pairs])
-    pred = np.array([p.predicate for p in pairs], dtype=np.int64)
-    subj = np.array([p.subject_class for p in pairs], dtype=np.int64)
-    obj = np.array([p.object_class for p in pairs], dtype=np.int64)
+    """The split of (n, 3) (predicate, subject, object) rows and their (n, 2, 4) boxes."""
+    pred, subj, obj = combos.T.copy()
+    spatial = spatial_features(boxes[:, 0], boxes[:, 1])
     n_codes = vocab.feature_dim - spatial.shape[1]
     noise_std = CONTEXT_NOISE_BASE + CONTEXT_NOISE_STEP * (subj % 3)
-    context = rng.normal(0.0, 1.0, size=(len(pairs), n_codes)) * noise_std[:, None]
-    context[np.arange(len(pairs)), pred // 2] += CONTEXT_SIGNAL
-    return RelationSplit(pairs, np.hstack([spatial, context]), subj, obj, pred)
+    context = rng.normal(0.0, 1.0, size=(len(pred), n_codes)) * noise_std[:, None]
+    context[np.arange(len(pred)), pred // 2] += CONTEXT_SIGNAL
+    return RelationSplit(boxes, np.hstack([spatial, context]), subj, obj, pred)
 
 
 def check_train_fraction(fraction: float) -> None:
@@ -330,22 +313,22 @@ def gen_synth_relations(
     zero_shot = set(map(tuple, combos[:n_zero]))
     seen = [tuple(c) for c in combos[n_zero:]]
 
-    def draw(pool, count):
-        out = []
-        for _ in range(count):
-            p, s, o = pool[rng.integers(len(pool))]
-            out.append(_sample_pair(vocab, p, s, o, rng))
-        return out
+    def draw(pool, count):  # per pair one integer, then eight doubles: a bulk draw reorders them
+        drawn = np.empty((count, 3), dtype=np.int64)
+        boxes = np.empty((count, 2, 4))
+        for i in range(count):
+            drawn[i] = pool[rng.integers(len(pool))]
+            boxes[i] = _sample_pair(vocab, drawn[i, 0], rng)
+        return drawn, boxes
 
-    pool = draw(seen, n_train_pool)
     n_train = max(1, int(np.ceil(train_fraction * n_train_pool)))
-    train = pool[:n_train]
+    train = [drawn[:n_train] for drawn in draw(seen, n_train_pool)]
     test_standard = draw(seen, n_test)
     test_zero = draw(sorted(zero_shot), n_test)
     return RelationSplits(
-        train=_encode_split(train, vocab, rng),
-        test_standard=_encode_split(test_standard, vocab, rng),
-        test_zero_shot=_encode_split(test_zero, vocab, rng),
+        train=_encode_split(*train, vocab, rng),
+        test_standard=_encode_split(*test_standard, vocab, rng),
+        test_zero_shot=_encode_split(*test_zero, vocab, rng),
         vocab=vocab,
         zero_shot_combos=zero_shot,
     )

@@ -58,9 +58,8 @@ class Column:
     columns can address one shared table (the triples' image rows).
     """
 
-    def __init__(self, values: np.ndarray, sort: str, ids: np.ndarray | None = None):
+    def __init__(self, values: np.ndarray, ids: np.ndarray | None = None):
         self.values = values
-        self.sort = sort
         self.ids = ids
 
     def take(self, idx: np.ndarray):
@@ -70,10 +69,9 @@ class Column:
 class EmbeddingColumn:
     """Learned rows; taking them is a differentiable gather."""
 
-    def __init__(self, param: Parameter, ids: np.ndarray, sort: str):
+    def __init__(self, param: Parameter, ids: np.ndarray):
         self.param = param
         self.ids = np.asarray(ids, dtype=np.int64)
-        self.sort = sort
 
     def take(self, idx: np.ndarray):
         return T.gather(self.param, self.ids[idx])
@@ -305,7 +303,7 @@ def build_triples(rows: np.ndarray, labels: np.ndarray, per_class: int, seed: in
     start = np.cumsum(sizes) - sizes
     ids = np.concatenate(pools)[start[wanted] + cursor % sizes[wanted]]
     rows = np.asarray(rows, dtype=np.float64)
-    cols = tuple(Column(rows, "Image", i) for i in ids.reshape(-1, 3).T.copy())
+    cols = tuple(Column(rows, i) for i in ids.reshape(-1, 3).T.copy())
     return Domain("Triples", len(y3), cols)
 
 
@@ -383,7 +381,7 @@ def bind_theory(
             if len(ids) != s.cardinality:  # numpy gives an empty range near 2**63
                 raise DataLoadError(f"sort {s.name}: card {s.cardinality} is more ids "
                                     f"than numpy can hold")
-            domains[s.name] = Domain(s.name, s.cardinality, (Column(ids, s.name),))
+            domains[s.name] = Domain(s.name, s.cardinality, (Column(ids),))
         elif s.representation == "embedding-table":
             try:
                 table = glorot_uniform(rng, s.cardinality, s.dim, (s.cardinality, s.dim))
@@ -392,7 +390,7 @@ def bind_theory(
                                     f"values than numpy can hold") from None
             param = Parameter(f"sort.{s.name}", table)
             domains[s.name] = Domain(s.name, s.cardinality,
-                                     (EmbeddingColumn(param, np.arange(s.cardinality), s.name),))
+                                     (EmbeddingColumn(param, np.arange(s.cardinality)),))
         # data-table sorts have no standalone population; rows arrive via datasets
 
     for c in theory.consts:
@@ -425,8 +423,8 @@ def bind_theory(
             given = [_load_column(p, theory.sort(s)) for p, s in zip(paths, d.column_sorts)]
         if isinstance(given, Domain):
             columns, n = given.columns, given.cardinality
-        else:  # one array per column; _checked_column gives each its sort
-            columns, n = [Column(np.asarray(arr), "") for arr in given], None
+        else:  # one array per column; _checked_column checks each against its sort
+            columns, n = [Column(np.asarray(arr)) for arr in given], None
         if len(columns) != len(d.column_sorts):
             raise DataLoadError(f"{d.name}: expected {len(d.column_sorts)} columns")
         cols = []
@@ -459,13 +457,13 @@ def _checked_column(where: str, sort: SortDecl, col) -> tuple[object, int]:
         if values.ndim != 1:
             raise DataLoadError(f"{where} (sort {sort.name}) must hold one id per row, "
                                 f"got shape {values.shape}")
-        return Column(_index_ids(where, sort, values), sort.name), rows
+        return Column(_index_ids(where, sort, values)), rows
     if table.ndim != 2 or table.shape[1] != sort.dim:
         raise DataLoadError(f"{where} (sort {sort.name}) must be n x {sort.dim}, "
                             f"got shape {table.shape}")
     if isinstance(col, EmbeddingColumn):
         return col, rows
-    return Column(np.asarray(table, dtype=np.float64), sort.name, ids), rows
+    return Column(np.asarray(table, dtype=np.float64), ids), rows
 
 
 def _index_ids(where: str, sort: SortDecl, values: np.ndarray) -> np.ndarray:

@@ -102,11 +102,14 @@ def conj_parts(*logits) -> np.ndarray:
 
 def conj_reduce(t, axis: int) -> Tensor:
     """Conjunction along a tensor axis (the universal-quantifier reduction); one
-    kernel (`tensor.conjoin_axis`) and one tape record."""
+    kernel (`tensor.conjoin_axis`) and one tape record.  Over an axis of one
+    entry it is that entry, exactly, as `conj` of one operand is."""
     data = _data(t)
     T._check_axis(data, axis)
     if data.shape[axis] == 0:
         raise EmptyConjunction("conjunction over an empty axis")
+    if data.shape[axis] == 1:  # logit(sigma(l)) = l: the axis dropped, gradient 1
+        return T.reshape(t, np.squeeze(data, axis).shape)
     return T.conjoin_axis(t, axis, _CAP)
 
 

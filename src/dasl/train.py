@@ -258,10 +258,13 @@ def train(plan: Plan, config: TrainConfig, test_set=None) -> TrainState:
         triples_sampler.set_active_size(curriculum.working_set * config.curriculum_classes)
     state = TrainState(params, adam, curriculum)
 
-    def test_accuracy() -> float | None:
+    def test_accuracy(it: int) -> float | None:
         if axiom is None:
             return None
-        logits, labels = scores(plan, axiom, test_set)
+        try:
+            logits, labels = scores(plan, axiom, test_set)
+        except NonFiniteLogit as e:
+            raise NonFiniteLogit(f"iteration {it}: scoring the test set: {e}") from e
         return float(np.mean(np.argmax(logits, axis=-1) == labels))
 
     def probe_loss() -> float:  # never differentiated, so no tape
@@ -269,7 +272,7 @@ def train(plan: Plan, config: TrainConfig, test_set=None) -> TrainState:
         return float(value.data)
 
     if config.iterations > 0:
-        acc = test_accuracy()
+        acc = test_accuracy(0)
         _record(state, 0, probe_loss(), acc, config)
         grads = T.pack(params).grads
 
@@ -299,7 +302,7 @@ def train(plan: Plan, config: TrainConfig, test_set=None) -> TrainState:
             if config.rules_only_after is not None and it >= config.rules_only_after:
                 curriculum.phase = "rules-only"
         if it % config.cadence == 0:
-            acc = test_accuracy()
+            acc = test_accuracy(it)
             _record(state, it, loss_v, acc, config)
 
     if config.out_dir is not None:

@@ -57,4 +57,6 @@ def _tail(s) -> Tensor:
 def conj_reduce(t, axis: int) -> Tensor:
     if _data(t).shape[axis] == 0:
         raise EmptyConjunction("conjunction over an empty axis")
+    if _data(t).shape[axis] == 1:  # the one entry, times 1 on the tape, the axis dropped
+        return T.reshape(T.mul(t, 1.0), np.squeeze(_data(t), axis).shape)
     return _tail(T.reduce_sum(T.logsigmoid(t), axis))

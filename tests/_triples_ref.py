@@ -45,7 +45,6 @@ def build_triples(rows: np.ndarray, labels: np.ndarray, per_class: int, seed: in
             i1.append(take(y1))
             i2.append(take(y2))
             i3.append(take(c))
-    sort = "Image"
     rows = np.asarray(rows, dtype=np.float64)
-    cols = tuple(Column(rows, sort, np.array(ids)) for ids in (i1, i2, i3))
+    cols = tuple(Column(rows, np.array(ids)) for ids in (i1, i2, i3))
     return Domain("Triples", len(i1), cols)

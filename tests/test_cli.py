@@ -242,8 +242,7 @@ class TestCompileTrainEval:
     @staticmethod
     def _eval(toy_dir, theory, ckpt, symbol="classify"):
         return main(["eval", "--theory", str(toy_dir / theory), "--data-dir", str(toy_dir),
-                     "--checkpoint", str(ckpt), "--data", "Train", "--symbol", symbol,
-                     "--seed", "5"])
+                     "--checkpoint", str(ckpt), "--data", "Train", "--symbol", symbol])
 
     def test_eval_round_trip(self, toy_dir, capsys):
         ckpt = self._train(toy_dir)
@@ -355,10 +354,10 @@ class TestCompileTrainEval:
 
 # each subcommand's options, by dest, as `--help` lists them
 OPTIONS = {
-    "compile": {"theory", "explain", "batch_size", "seed", "data_dir"},
+    "compile": {"theory", "explain", "batch_size", "data_dir"},
     "train": {"theory", "config", "out", "iterations", "batch_size", "lr", "cadence",
               "curriculum", "rules_only_after", "seed", "data_dir"},
-    "eval": {"theory", "checkpoint", "data", "symbol", "seed", "data_dir"},
+    "eval": {"theory", "checkpoint", "data", "symbol", "data_dir"},
     "oracle-check": {"signature", "depth", "trials", "seed"},
     "mnist": {"ntr", "knowledge", "seeds", "iterations", "triples_per_class", "batch_size",
               "lr", "cadence", "out", "data_dir"},
@@ -390,8 +389,8 @@ class TestOptions:
         listed = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out)) - {"help"}
         assert listed == {dest.replace("_", "-") for dest in OPTIONS[command]}
 
-    def test_forty_five_options_in_all(self):
-        assert sum(len(dests) for dests in OPTIONS.values()) == 45
+    def test_forty_three_options_in_all(self):
+        assert sum(len(dests) for dests in OPTIONS.values()) == 43
 
     def test_readme_usage_block_lists_each_subcommands_options(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -447,12 +446,15 @@ class TestOptions:
         ["gradcheck", "--eq-sigma", "0.7"],
         ["compile", "--theory", "t.dasl", "--big", "30"],
         ["compile", "--theory", "t.dasl", "--eq-eps", "0.2"],
+        ["compile", "--theory", "t.dasl", "--seed", "1"],  # no value printed drew from it
         ["train", "--theory", "t.dasl", "--big", "30"],
         ["train", "--theory", "t.dasl", "--eq-mu", "2"],
         ["eval", "--theory", "t.dasl", "--checkpoint", "c", "--data", "D", "--symbol", "s",
          "--big", "30"],
         ["eval", "--theory", "t.dasl", "--checkpoint", "c", "--data", "D", "--symbol", "s",
          "--eq-sigma", "0.7"],
+        ["eval", "--theory", "t.dasl", "--checkpoint", "c", "--data", "D", "--symbol", "s",
+         "--seed", "1"],  # the checkpoint overwrites every parameter, and scores draws nothing
         ["oracle-check", "--signature", "sig.dasl", "--big", "30"],
     ])
     def test_an_option_the_subcommand_would_not_read_exits_2(self, argv, capsys):

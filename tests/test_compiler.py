@@ -238,6 +238,18 @@ class TestScalarOracleEquivalence:
             want = ref.root_logit(th, interp)
             assert got == pytest.approx(want, abs=1e-6), f"seed {seed}"
 
+    @pytest.mark.parametrize("l", [2.0, -3.5, BIG, 740.0])
+    @pytest.mark.parametrize("axiom", ["forall x: One . P(x)", "forall x: Single . P(x)"],
+                             ids=["one-element sort", "one-row dataset"])
+    def test_a_quantifier_over_one_row_is_its_operand(self, axiom, l):
+        th = check_theory(parse_theory(
+            "sort One card 1;\nrel P : One extern p;\n"
+            f"data Single : One from \"mem\";\naxiom a : {axiom};"))
+        interp = bind_theory(th, externs={"p": lambda i: np.full(np.shape(i), l)},
+                             data={"Single": (np.array([0]),)})
+        got = evaluate(compile(th, interp)).root.item()
+        assert got.hex() == ref.root_logit(th, interp).hex() == l.hex()  # bit for bit
+
     def test_crisp_agreement_with_tarski(self):
         result = agreement_suite(default_signature(4), depth=4, trials=200, seed=17)
         assert result.all_agree, result.failures[0]

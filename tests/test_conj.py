@@ -277,6 +277,27 @@ class TestConjReduceKernel:
             conj_reduce(np.zeros((2, 0)), 1)
 
 
+class TestOneEntryAxis:
+    """Over an axis of one entry, conj_reduce is that entry with the axis dropped,
+    as conj of one operand is: logit(sigma(l)) = l exactly, gradient 1."""
+
+    @pytest.mark.parametrize("l", [2.0, -3.5, BIG, -BIG, 740.0])
+    def test_the_value_is_the_operand_bit_for_bit(self, l):
+        assert_same_bits(conj_reduce(np.array([l]), 0).data, l, "one entry")
+        assert_same_bits(conj_reduce(np.full((2, 1, 3), l), 1).data, np.full((2, 3), l),
+                         "a middle axis")
+        assert_same_bits(conj_reduce(np.array([l]), 0).data, conj(l).data, "conj of one")
+
+    def test_the_gradient_is_one(self):
+        p = Parameter("p", np.array([[2.0], [-3.5], [740.0]]))
+        with Tape() as tape:
+            out = conj_reduce(p, -1)
+            assert len(tape._records) == 1
+            backward(T.reduce_sum(T.mul(out, np.array([1.0, 2.0, 3.0]))))
+        assert_same_bits(out.data, [2.0, -3.5, 740.0], "value")
+        assert_same_bits(p.grad, [[1.0], [2.0], [3.0]], "gradient")
+
+
 class TestOneRecord:
     """A conjunction adds one tape record, however many operands."""
 

@@ -13,7 +13,6 @@ import pytest
 from dasl.data import (
     SPATIAL,
     BadMagic,
-    BoxPair,
     DegenerateBox,
     InvalidVocab,
     RelationVocab,
@@ -72,62 +71,83 @@ class TestIdx:
         np.testing.assert_allclose(load_csv_table(tmp_path / "t.csv"), rows, atol=1e-12)
 
 
-def _pair(s, o, subj=0, obj=3, pred=0):
-    return BoxPair(s, o, subj, obj, pred)
+def _features(s, o):
+    """The eight features of one subject box `s` and object box `o`."""
+    return spatial_features(np.array([s]), np.array([o]))[0]
 
 
 class TestSpatialFeatures:
     def test_identical_boxes_zero(self):
-        p = _pair((1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0))
-        np.testing.assert_allclose(spatial_features(p), np.zeros(8))
+        box = (1.0, 2.0, 3.0, 4.0)
+        np.testing.assert_allclose(_features(box, box), np.zeros(8))
 
     def test_hand_computed(self):
-        p = _pair((2.0, 2.0, 2.0, 2.0), (1.0, 1.0, 1.0, 1.0))
         want = [1.0, 1.0, -0.5, -0.5, np.log(2), np.log(2), -np.log(2), -np.log(2)]
-        np.testing.assert_allclose(spatial_features(p), want, atol=1e-12)
+        np.testing.assert_allclose(_features((2.0, 2.0, 2.0, 2.0), (1.0, 1.0, 1.0, 1.0)), want,
+                                   atol=1e-12)
 
     def test_log_antisymmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             xs, ys, xo, yo = rng.uniform(-3, 3, size=4)
             ws, hs, wo, ho = rng.uniform(0.2, 3.0, size=4)
-            f = spatial_features(_pair((xs, ys, ws, hs), (xo, yo, wo, ho)))
+            f = _features((xs, ys, ws, hs), (xo, yo, wo, ho))
             assert f[4] == pytest.approx(-f[6], abs=1e-12)
             assert f[5] == pytest.approx(-f[7], abs=1e-12)
 
     def test_degenerate_box(self):
         with pytest.raises(DegenerateBox):
-            spatial_features(_pair((0, 0, 0.0, 1.0), (0, 0, 1.0, 1.0)))
+            _features((0, 0, 0.0, 1.0), (0, 0, 1.0, 1.0))
+        subject = np.ones((4, 4))
+        obj = np.ones((4, 4))
+        subject[3, 2] = -1.0
+        obj[1, 3] = 0.0
+        with pytest.raises(DegenerateBox, match=r"^row 1: .*object \[1.0, 1.0, 1.0, 0.0\]"):
+            spatial_features(subject, obj)
+
+    def test_rows_match_the_per_row_formula(self):
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(-3, 3, size=(40, 2, 2))
+        centers[:5, 0] = centers[:5, 1]  # equal centers: both differences are +0.0
+        boxes = np.concatenate([centers, rng.uniform(0.2, 3.0, size=(40, 2, 2))], axis=2)
+        got = spatial_features(boxes[:, 0], boxes[:, 1])
+        assert got.shape == (40, 8) and got.dtype == np.float64
+        for row, ((xs, ys, ws, hs), (xo, yo, wo, ho)) in zip(got, boxes.tolist()):
+            want = [(xs - xo) / wo, (ys - yo) / ho, (xo - xs) / ws, (yo - ys) / hs,
+                    np.log(ws / wo), np.log(hs / ho), np.log(wo / ws), np.log(ho / hs)]
+            assert row.tobytes() == np.array(want).tobytes()  # bit for bit, zeros' signs too
 
 
-def spatial_predicates(pair):
+def spatial_predicates(subject_box, object_box):
     """Crisp spatial relations on the box centers; boundaries are inclusive on both sides."""
-    xs, ys = pair.subject_box[:2]
-    xo, yo = pair.object_box[:2]
+    xs, ys = subject_box[:2]
+    xo, yo = object_box[:2]
     return {"above": ys >= yo, "below": ys <= yo, "right_of": xs >= xo, "left_of": xs <= xo}
 
 
-def rule_holds(vocab, pair):
-    subj, obj, spatial = vocab.rules.get(pair.predicate, (None, None, None))
-    return ((subj is None or pair.subject_class in vocab.members[subj])
-            and (obj is None or pair.object_class in vocab.members[obj])
-            and (spatial is None or spatial_predicates(pair)[spatial]))
+def pairs(split):
+    """Each pair of a split as (predicate, subject class, object class, (2, 4) boxes)."""
+    return zip(split.predicate, split.subject, split.object, split.boxes)
+
+
+def rule_holds(vocab, pred, subj, obj, boxes):
+    subj_set, obj_set, spatial = vocab.rules.get(pred, (None, None, None))
+    return ((subj_set is None or subj in vocab.members[subj_set])
+            and (obj_set is None or obj in vocab.members[obj_set])
+            and (spatial is None or spatial_predicates(*boxes)[spatial]))
 
 
 class TestSpatialPredicates:
     def test_above_below(self):
-        p = _pair((0.0, 3.0, 1.0, 1.0), (0.0, 1.0, 1.0, 1.0))
-        preds = spatial_predicates(p)
+        preds = spatial_predicates((0.0, 3.0, 1.0, 1.0), (0.0, 1.0, 1.0, 1.0))
         assert preds["above"] and not preds["below"]
 
     def test_boundary_both_true(self):
-        p = _pair((0.0, 1.0, 1.0, 1.0), (5.0, 1.0, 1.0, 1.0))
-        preds = spatial_predicates(p)
+        preds = spatial_predicates((0.0, 1.0, 1.0, 1.0), (5.0, 1.0, 1.0, 1.0))
         assert preds["above"] and preds["below"]
 
     def test_left_right(self):
-        p = _pair((-1.0, 0.0, 1.0, 1.0), (2.0, 0.0, 1.0, 1.0))
-        preds = spatial_predicates(p)
+        preds = spatial_predicates((-1.0, 0.0, 1.0, 1.0), (2.0, 0.0, 1.0, 1.0))
         assert preds["left_of"] and not preds["right_of"]
 
     def test_the_table_names_every_extern(self):
@@ -141,9 +161,9 @@ class TestSpatialPredicates:
         centers[:10, 2:] = centers[:10, :2]  # ties on both coordinates
         centers[10:20, 3] = centers[10:20, 1]  # ties on y only
         for xs, ys, xo, yo in centers:
-            p = _pair((xs, ys, 1.0, 1.0), (xo, yo, 1.0, 1.0))
-            feats = spatial_features(p)
-            preds = spatial_predicates(p)
+            s, o = (xs, ys, 1.0, 1.0), (xo, yo, 1.0, 1.0)
+            feats = _features(s, o)
+            preds = spatial_predicates(s, o)
             for name, extern in externs.items():
                 assert (extern(feats) == BIG) == preds[name], name
             batched = {name: extern(feats[None, :]) for name, extern in externs.items()}
@@ -208,33 +228,32 @@ class TestSynthRelations:
         splits = gen_synth_relations(n_train_pool=800, n_test=200, train_fraction=1.0, seed=0)
         vocab = splits.vocab
         for split in (splits.train, splits.test_standard, splits.test_zero_shot):
-            assert all(rule_holds(vocab, p) for p in split.pairs)
+            assert len(split.boxes) == len(split.predicate) > 0
+            assert all(rule_holds(vocab, *pair) for pair in pairs(split))
 
     def test_riding_examples_satisfy_full_rule(self):
         splits = gen_synth_relations(n_train_pool=2000, n_test=500, seed=1)
         vocab = splits.vocab
         for split in (splits.train, splits.test_standard):
-            for p in split.pairs:
-                if vocab.predicates[p.predicate] == "riding":
-                    assert p.subject_class in vocab.members["can_ride"]
-                    assert p.object_class in vocab.members["ridable"]
-                    assert spatial_predicates(p)["above"]
+            for pred, subj, obj, boxes in pairs(split):
+                if vocab.predicates[pred] == "riding":
+                    assert subj in vocab.members["can_ride"]
+                    assert obj in vocab.members["ridable"]
+                    assert spatial_predicates(*boxes)["above"]
 
     def test_zero_shot_split_disjoint(self):
         splits = gen_synth_relations(n_train_pool=3000, n_test=500, seed=2)
-        train_combos = {(p.predicate, p.subject_class, p.object_class)
-                        for p in splits.train.pairs}
-        zero_combos = {(p.predicate, p.subject_class, p.object_class)
-                       for p in splits.test_zero_shot.pairs}
+        train_combos = {(p, s, o) for p, s, o, _ in pairs(splits.train)}
+        zero_combos = {(p, s, o) for p, s, o, _ in pairs(splits.test_zero_shot)}
         assert not (train_combos & zero_combos)
         assert zero_combos <= splits.zero_shot_combos
 
     def test_train_fraction(self):
         splits = gen_synth_relations(n_train_pool=1000, n_test=100,
                                      train_fraction=0.01, seed=3)
-        assert len(splits.train.pairs) == int(np.ceil(0.01 * 1000))
+        assert len(splits.train.boxes) == len(splits.train.features) == int(np.ceil(0.01 * 1000))
         whole = gen_synth_relations(n_train_pool=100, n_test=10, train_fraction=1.0, seed=3)
-        assert len(whole.train.pairs) == 100
+        assert whole.train.boxes.shape == (100, 2, 4)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, 5.0, float("nan")])
     def test_train_fraction_outside_the_pool_is_rejected(self, fraction):
@@ -246,6 +265,11 @@ class TestSynthRelations:
         splits = gen_synth_relations(n_train_pool=300, n_test=50, seed=4)
         n_pred = len(splits.vocab.predicates)
         assert splits.train.features.shape[1] == 8 + (n_pred + 1) // 2 == splits.vocab.feature_dim
+        for split in (splits.train, splits.test_standard, splits.test_zero_shot):
+            np.testing.assert_array_equal(
+                split.features[:, :8], spatial_features(split.boxes[:, 0], split.boxes[:, 1]))
+            for a in (split.subject, split.object, split.predicate):
+                assert a.dtype == np.int64 and a.shape == (len(split.boxes),)
 
     def test_seed_determinism(self):
         a = gen_synth_relations(n_train_pool=300, n_test=50, seed=5)

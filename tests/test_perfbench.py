@@ -5,8 +5,11 @@ scores (`perfbench/references.json`), checks every trial against an
 independent route, and checks the trace's span accounting.  The two
 training workloads run both traced and untraced.  A change under
 `src/` that breaks any of them fails here, before a full benchmark run.
+The tracer's wrapping of dasl's functions is also checked in process, so a
+renamed or deleted name that it wraps fails the quick `-m "not slow"` loop.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -15,6 +18,34 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _namespaces() -> dict:
+    """Every loaded dasl module and every class it defines, each with a copy of its attributes."""
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "dasl" or name.startswith("dasl."))]
+    classes = {v for m in modules for v in vars(m).values()
+               if isinstance(v, type) and v.__module__.startswith("dasl")}
+    return {ns: dict(vars(ns)) for ns in [*modules, *classes]}
+
+
+def test_the_tracer_patches_every_name_it_wraps_and_restores_them():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # resolves the functions _SPANS names
+    before = _namespaces()
+    with tracer.Tracer() as t:  # resolves the kernels _OPS and the classes' methods
+        patched = list(t._undo)
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is not original, f"{owner.__name__}.{attr}"
+    assert len({(owner, attr) for owner, attr, _ in patched}) > len(tracer._OPS)
+    after = _namespaces()
+    assert after.keys() == before.keys()
+    for ns, attrs in before.items():
+        assert after[ns].keys() == attrs.keys(), ns.__name__
+        changed = [attr for attr, value in attrs.items() if after[ns][attr] is not value]
+        assert not changed, f"{ns.__name__}: {changed} not restored"
 
 
 def _assert_checks_pass(workload, trace):

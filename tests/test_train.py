@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dasl import tensor as T
-from dasl.compiler import compile
+from dasl.compiler import NonFiniteLogit, compile
 from dasl.interp import bind_theory
 from dasl.lang import check_theory, parse_theory
 from dasl.logit import BIG
@@ -291,6 +291,18 @@ class TestTestAccuracy:
         accs, raw = self._run("classify(r) & nottwo")
         assert raw > 0.0  # the raw binding predicts the masked class on some rows
         assert accs == [0.0, 0.0]
+
+    def test_a_non_finite_test_logit_names_the_iteration_and_the_test_set(self):
+        th = check_theory(parse_theory(self.SRC % "classify(r)"))
+        rows = np.random.default_rng(9).normal(size=(8, 4))
+        ys = np.zeros(8, int)
+        interp = bind_theory(th, data={"Train": (rows, ys)}, seed=9)
+        test_rows = rows.copy()
+        test_rows[5, 1] = np.nan
+        config = TrainConfig(iterations=3, batch_size=4, cadence=1, eval_symbol="classify")
+        with pytest.raises(NonFiniteLogit, match=r"^iteration 0: scoring the test set: "
+                                                 r"axiom 'labels' produced a non-finite logit"):
+            train(compile(th, interp, batch_size=4), config, test_set=(test_rows, ys))
 
     def test_no_classifier_axiom_is_an_error_before_the_first_step(self):
         th = check_theory(parse_theory(self.SRC % "classify(r)"))
