@@ -47,15 +47,15 @@ connective over one) has one truth value per class, and reads class by class:
 A static formula over one boolvec bit pattern whose other operands are one
 wide (a rule mask `h -> c`) takes two values per row, those at bits 0 and 1,
 and the evaluator keeps it as a `tensor.Columns` of those two columns and the
-bits: a boolvec of two or more bits is its columns -BIG and +BIG, `not`
-negates both, and a static `and` whose `Columns` operands share one bits
-array (a plan keeps one per bit pattern) conjoins on the two columns.  So
-each class entry is the same ops on the same inputs as at full width, at 2
-entries per row.  Any other conjunction, and a fold's table, takes a
-`Columns` operand narrow: the kernel gathers its logsigmoid by the bits
-where it adds it, in the same order.  Only a softselect's vector,
-a quantifier's body, a loss term, an axiom's root and the logits of `scores`
-are gathered to every class.
+bits: a boolvec is its columns -BIG and +BIG, `not` negates both, and a
+static `and` whose `Columns` operands share one bits array (a plan keeps one
+per bit pattern) conjoins on the two columns.  So each class entry is the
+same ops on the same inputs as at full width, at 2 entries per row.  Any
+other conjunction, and a fold's table, takes a `Columns` operand narrow: the
+kernel gathers its logsigmoid by the bits where it adds it, in the same
+order.  Only a softselect's vector, a quantifier's body, a loss term, an
+axiom's root, the logits of `scores` and a one-bit boolvec meeting a class
+vector are gathered to every class.
 
 The same tree scores a classifier: `scores` binds the variables of an axiom
 `forall (x…, y): D . pi[y](V)` to given rows and returns V's class logits and
@@ -137,21 +137,20 @@ class Node:
     bool      the crisp logit, +BIG or -BIG             ()
     boolvec   the bits, one array per pattern per plan  ()
     bits      the bits, one array per pattern per plan  (index term,)
-    rel       (symbol, symbol_outputs key or None)      argument terms
+    app       (symbol, symbol_outputs key or None)      argument terms
     eq        None                                      (lhs, rhs)
     not, and  None                                      operands
     select    None                                      (index term, vector)
     index     (variable, cardinality)                   (body,)
     sample    (variables, sampler key)                  (body,)
     var       the variable name                         ()
-    const     the constant name                         ()
     int       the integer                               ()
     arith     "add" or "mod"                            (lhs, rhs)
-    func      the function symbol                       argument terms
     fold      (sampler key, axis)                       static conjuncts
 
-    A sampler key is (axiom, variables, domain name).  A `rel` has a
-    symbol_outputs key only when its relation is vector-valued.
+    An `app` applies a relation, function or constant, a constant with no
+    arguments.  A sampler key is (axiom, variables, domain name).  An `app`
+    has a symbol_outputs key only when its relation is vector-valued.
     `depth` counts the quantifiers that enclose a node, and an `index` or
     `sample` node's own axis is its depth.  A node's value has one leading
     axis per enclosing quantifier (size 1 where the node does not depend on
@@ -160,11 +159,10 @@ class Node:
 
     `static` is true when no parameter can reach the node: `bool`,
     `boolvec` and `int`; a `var` whose column is not an embedding
-    table; a `const` bound to a fixed value; a `rel` or `func` bound to an
-    extern or a fixed value, with static arguments and no symbol_outputs
-    key; and an `eq`, `arith`, `bits`, `not`, `and`, `select` or `index`
-    whose kids are all static.  A `sample` is never static: its value
-    depends on the draw.
+    table; an `app` bound to an extern or a fixed value, with static
+    arguments and no symbol_outputs key; and an `eq`, `arith`, `bits`,
+    `not`, `and`, `select` or `index` whose kids are all static.  A `sample`
+    is never static: its value depends on the draw.
     A `fold` gathers its table by the draw of the sampled quantifier that
     binds `variables` on `axis`: the value of its one formula, or the
     running sum S of its several conjuncts, each taken to its class width.
@@ -207,7 +205,7 @@ class _Lowering:
         self.outs = {r.name: r.out for r in plan.theory.rels}
         self.sites: dict[tuple, object] = {}  # sampler key -> domain, in pre-order
         self.vector_outputs: set[tuple] = set()
-        self.applied: list[str] = []  # the symbol of every application node
+        self.applied: list[str] = []  # the symbol of every application with arguments
         self.uids = 0
         self.axiom = ""
         self.depth = 0  # quantifiers enclosing the current node
@@ -237,11 +235,6 @@ class _Lowering:
     def conj(self, items: tuple) -> Node:
         return self.node("and", items, width=max(i.width for i in items))
 
-    def fixed(self, symbol: str, args: tuple) -> bool:
-        """Whether a symbol application is static: a fixed binding on static args."""
-        return (isinstance(self.symbols[symbol], (ExternBinding, FixedBinding))
-                and False not in [a.static for a in args])
-
     def lower_axiom(self, name: str, formula) -> Node:
         self.axiom = name
         root = self.formula(formula)
@@ -254,17 +247,7 @@ class _Lowering:
             bits = self.boolvecs.get(f.symbol)
             if bits is not None:
                 return self.node("bits", (self.term(f.args[0]),), bits, src=f)
-            if f.symbol not in self.symbols:
-                raise UnboundSymbol(f.symbol)
-            self.applied.append(f.symbol)
-            out = self.outs.get(f.symbol)
-            out_key = None
-            if out is not None:
-                out_key = (f.symbol, tuple(print_term(a) for a in f.args))
-                self.vector_outputs.add(out_key)
-            args = tuple(self.term(a) for a in f.args)
-            return self.node("rel", args, (f.symbol, out_key), width=out or 1,
-                             static=out_key is None and self.fixed(f.symbol, args), src=f)
+            return self.app(f.symbol, f.args, f)
         if isinstance(f, Not):
             return self.negate(self.formula(f.body))
         if isinstance(f, And):
@@ -359,17 +342,31 @@ class _Lowering:
         if isinstance(t, ArithExpr):
             return self.node("arith", tuple(self.term(a) for a in t.args), t.op, src=t)
         if isinstance(t, Constant):
-            if t.name not in self.symbols:
-                raise UnboundSymbol(t.name)
-            return self.node("const", data=t.name,
-                             static=isinstance(self.symbols[t.name], FixedBinding))
+            return self.app(t.name, (), t)
         if isinstance(t, FuncApp):
-            if t.symbol not in self.symbols:
-                raise UnboundSymbol(t.symbol)
-            self.applied.append(t.symbol)
-            args = tuple(self.term(a) for a in t.args)
-            return self.node("func", args, t.symbol, static=self.fixed(t.symbol, args))
+            return self.app(t.symbol, t.args, t)
         raise SortError("compile", "a term", type(t).__name__)
+
+    def app(self, symbol: str, args: tuple, src) -> Node:
+        """A relation, function or constant applied to `args`.
+
+        An application with arguments is recorded for `Plan.shared_symbols`.
+        A vector-valued relation's output is keyed by its printed arguments.
+        """
+        binding = self.symbols.get(symbol)
+        if binding is None:
+            raise UnboundSymbol(symbol)
+        if args:
+            self.applied.append(symbol)
+        out = self.outs.get(symbol)
+        out_key = None
+        if out is not None:
+            out_key = (symbol, tuple(print_term(a) for a in args))
+            self.vector_outputs.add(out_key)
+        kids = tuple(self.term(a) for a in args)
+        static = (out_key is None and isinstance(binding, (ExternBinding, FixedBinding))
+                  and False not in [k.static for k in kids])
+        return self.node("app", kids, (symbol, out_key), width=out or 1, static=static, src=src)
 
 
 def _foldable(node: Node, names: frozenset) -> bool:
@@ -473,9 +470,12 @@ def _per_row(symbol: str, out, rows: int, axioms) -> tuple:
 
 
 def _with_classes(value, width: int, classes: int):
-    """A width-1 value meeting a class vector gets a trailing class axis."""
-    if width == 1 and classes > 1 and value.data.ndim:
-        return T.reshape(value, value.data.shape + (1,))
+    """A width-1 value meeting a class vector gets a trailing class axis; a
+    one-bit boolvec's `tensor.Columns` is gathered first."""
+    if width == 1 and classes > 1:
+        value = _wide(value)
+        if value.data.ndim:
+            return T.reshape(value, value.data.shape + (1,))
     return value
 
 
@@ -543,12 +543,10 @@ class _Evaluator:
                 raise ZeroDivisor(f"axiom {self.axiom!r}: the divisor of "
                                   f"{print_term(node.src)} is 0 at some grounding")
             return a % b
-        if kind == "const":
-            return self.symbols[node.data]([])
-        return self.apply(node.data, node, env)  # func
+        return self.apply(node, env)  # app
 
-    def apply(self, symbol: str, node: Node, env: dict):
-        """`symbol` on the node's arguments, called once with one row per grounding.
+    def apply(self, node: Node, env: dict):
+        """An `app` node's symbol on its arguments, called once with one row per grounding.
 
         A node that `batch` collected gets its slice of the batched call.  Any
         other is called on its own rows (see `rows`).  The symbol, an MLP or
@@ -558,12 +556,14 @@ class _Evaluator:
         arguments (a constant or a 0-ary relation) returns one value, which is
         used as it is.
         """
+        symbol = node.data[0]
+        if not node.kids:
+            return self.symbols[symbol]([])
         out = self.batched.pop(node.uid, None)
         if out is None:
             lead, args = self.rows(node, env)
             out = self.symbols[symbol](args)
-            if args:
-                out = _reshape(out, lead + _per_row(symbol, out, math.prod(lead), [self.axiom]))
+            out = _reshape(out, lead + _per_row(symbol, out, math.prod(lead), [self.axiom]))
         return out
 
     def rows(self, node: Node, env: dict) -> tuple[tuple, list]:
@@ -615,11 +615,9 @@ class _Evaluator:
         if node.static:  # no parameter below
             return
         kind = node.kind
-        if kind in ("rel", "func") and node.kids:
-            symbol = node.data[0] if kind == "rel" else node.data
-            if symbol in self.plan.shared_symbols:
-                apps.setdefault(symbol, []).append((self.axiom, node, *self.rows(node, env)))
-                return
+        if kind == "app" and node.data[0] in self.plan.shared_symbols:
+            apps.setdefault(node.data[0], []).append((self.axiom, node, *self.rows(node, env)))
+            return
         if kind in ("index", "sample"):
             env = self.bind(node, env)[0]
         for kid in node.kids:
@@ -630,10 +628,10 @@ class _Evaluator:
         if kind == "select":
             index, vector = node.kids
             return L.softselect(_wide(self.formula(vector, env)), self.term(index, env))
-        if kind == "rel":
-            symbol, out_key = node.data
-            out = self.apply(symbol, node, env)
+        if kind == "app":
+            out = self.apply(node, env)
             out = out if isinstance(out, Tensor) else Tensor(out)
+            out_key = node.data[1]
             if out_key is not None:
                 self.symbol_outputs.setdefault(out_key, out)
             return out
@@ -681,9 +679,8 @@ class _Evaluator:
             return _crisp(node.data[idx] == 1)
         if kind == "bool":
             return Tensor(node.data)
-        if node.width > 1:  # a boolvec: its two columns, -BIG and +BIG, gathered by the bits
-            return T.Columns(L.bool_vector((0, 1)).data, node.data)
-        return L.bool_vector(node.data)
+        # a boolvec: its two columns, -BIG and +BIG, gathered by the bits
+        return T.Columns(L.bool_vector((0, 1)).data, node.data)
 
     def bind(self, node: Node, env: dict) -> tuple[dict, int]:
         """A quantifier's variables bound on its axis; returns the env and the axis size.
@@ -771,10 +768,8 @@ def _sum(terms) -> Tensor:
 
 def _symbols(node: Node):
     """The symbols a node applies, at any depth."""
-    if node.kind == "rel":
+    if node.kind == "app":
         yield node.data[0]
-    elif node.kind == "func":
-        yield node.data
     for kid in node.kids:
         yield from _symbols(kid)
 

@@ -378,12 +378,9 @@ def _parser(source: str) -> _Parser:
     return _Parser(kinds, texts, lambda: tokenize(source))
 
 
-def parse_theory(source_or_tokens) -> Theory:
-    """Parse a full theory file (string or token list) into an AST."""
-    if isinstance(source_or_tokens, str):
-        return _parser(source_or_tokens).theory()
-    tokens = list(source_or_tokens)
-    return _Parser([t.kind for t in tokens], [t.text for t in tokens], lambda: tokens).theory()
+def parse_theory(source: str) -> Theory:
+    """Parse a full theory file's source text into an AST."""
+    return _parser(source).theory()
 
 
 def parse_formula(source: str) -> Formula:

@@ -109,15 +109,15 @@ def _skeleton(node):
 class TestLowering:
     @pytest.mark.parametrize("root, skeleton", [
         (lambda: _lowered("forall x: D . P(x) | Q(x)"),
-         ("index", ("not", ("and", ("not", "rel"), ("not", "rel"))))),
+         ("index", ("not", ("and", ("not", "app"), ("not", "app"))))),
         (lambda: _lowered("forall x: D . P(x) -> Q(x)"),
-         ("index", ("not", ("and", "rel", ("not", "rel"))))),
+         ("index", ("not", ("and", "app", ("not", "app"))))),
         (lambda: _lowered("forall x: D . (P(x) & Q(x)) -> R(x)"),  # one n-ary and
-         ("index", ("not", ("and", "rel", "rel", ("not", "rel"))))),
+         ("index", ("not", ("and", "app", "app", ("not", "app"))))),
         (lambda: _lowered("exists x: D . P(x)"),
-         ("not", ("index", ("not", "rel")))),
+         ("not", ("index", ("not", "app")))),
         (lambda: _relations_plan().roots[0][1],  # the ten guards as one fold, then vrd(f, s, o)
-         ("sample", ("select", ("and", "fold", "rel")))),
+         ("sample", ("select", ("and", "fold", "app")))),
     ], ids=["or", "implies", "conjunctive_implies", "exists", "relations_labels"])
     def test_lowers_to_the_core(self, root, skeleton):
         assert _skeleton(root()) == skeleton
@@ -136,6 +136,74 @@ class TestLowering:
         guards = [line.strip().split(" ", 1)[1] for line in listing if " columns, " in line]
         assert len(guards) == 10 and guards[0] == (
             "h_riding [2 columns, gathered by its 12 bits]")
+
+
+def _kinds(node):
+    """The kinds of a node and of every node below it, terms and fold operands too."""
+    yield node.kind
+    for kid in node.kids:
+        yield from _kinds(kid)
+
+
+# the rows of `Node`'s table; "not, and" is one row of two kinds
+NODE_KINDS = {"bool", "boolvec", "bits", "app", "eq", "not", "and", "select", "index",
+              "sample", "var", "int", "arith", "fold"}
+
+BOOLVEC_SRC = """
+sort D card 3;
+rel P : D extern P;
+rel V : D out 3 extern V;
+boolvec b : [1];
+boolvec z : [0];
+boolvec t : [1, 0, 1];
+data Pool : D from "mem";
+axiom a : %s;
+"""
+
+
+def _boolvec_plan(axiom):
+    th = check_theory(parse_theory(BOOLVEC_SRC % axiom))
+    externs = {"P": lambda i: 0.7 * i - 0.9,
+               "V": lambda i: np.stack([0.3 * i - 0.2, 0.1 - 0.4 * i, 0.25 * i + 0.05], axis=-1)}
+    interp = bind_theory(th, externs=externs, data={"Pool": (np.array([0, 2, 1, 2]),)})
+    return compile(th, interp, batch_size=None)
+
+
+class TestNodeKinds:
+    def test_the_lowered_vocabulary_is_nodes_table(self):
+        from dasl import gradcheck
+
+        table = compiler.Node.__doc__.split("kind      data")[1].split("\n\n")[0]
+        rows = [re.split(r"\s{2,}", line.strip())[0] for line in table.splitlines()[1:]]
+        assert {k for row in rows for k in row.split(", ")} == NODE_KINDS
+        th = check_theory(parse_theory(gradcheck._LOGIC_SRC))
+        rng = np.random.default_rng(0)
+        logic = compile(th, bind_theory(th, data={"Pool": (rng.normal(size=(5, 2)),
+                                                           rng.integers(4, size=5))}))
+        oracle = check_theory(parse_theory(
+            "sort D card 3;\nconst c : D;\nfunc f : D -> D extern f;\nrel P : D extern P;\n"
+            "axiom a : forall x: D . (f(x) = c | true) -> P((x + 1) mod 3);"))
+        crisp = {"c": 1, "f": lambda i: (i + 1) % 3, "P": lambda i: np.where(i > 0, BIG, -BIG)}
+        plans = [_relations_plan(), _digit_plan(), logic,
+                 compile(oracle, bind_theory(oracle, externs=crisp)),
+                 _boolvec_plan("forall x: D . P(x) & b")]
+        assert {k for plan in plans for _, root in plan.roots for k in _kinds(root)} == NODE_KINDS
+
+    @pytest.mark.parametrize("axiom, root, loss", [
+        ("b", "0x1.4000000000000p+4", "0x1.1b48655a5141ep-29"),
+        ("~z", "0x1.4000000000000p+4", "0x1.1b48655a5141ep-29"),
+        ("forall x: D . P(x) & b", "-0x1.36e665d91ea77p+1", "0x1.41b619762b017p+1"),
+        ("forall x: D . P(x) | z", "-0x1.36e665b605237p+1", "0x1.41b61955e9454p+1"),
+        ("forall x: D . b -> P(x)", "-0x1.36e665b605237p+1", "0x1.41b61955e9454p+1"),
+        ("forall x: D . t -> V(x)", "-0x1.cdb5173c80711p+1", "0x1.d1224389e9e7ap+1"),
+        ("forall x: D . V(x) & b", "-0x1.8ef72bd9e7fe6p+2", "0x1.8f1748a4552c4p+2"),
+        ("forall x: Pool . b -> P(x)", "-0x1.77c585d6eb093p+1", "0x1.7e64a74ea57ebp+1"),
+    ], ids=["bare", "negated", "and", "or", "implies", "three_bits", "meets_classes", "folded"])
+    def test_boolvec_root_and_loss_are_pinned(self, axiom, root, loss):
+        # pinned, since `_scalar_ref` cannot evaluate a one-bit boolvec beside a formula
+        plan = _boolvec_plan(axiom)
+        assert evaluate(plan).root.item().hex() == root
+        assert fuse_loss(plan).evaluate()[0].item().hex() == loss
 
 
 class TestEvaluate:
@@ -850,11 +918,11 @@ class TestGroupedFold:
     def test_lowering(self):
         *_, plan = self._plan("exact")
         roots = dict(plan.roots)
-        assert _skeleton(roots["labels"]) == ("sample", ("select", ("and", "fold", "rel")))
-        assert _skeleton(roots["narrow"]) == ("sample", ("select", ("and", "fold", "rel")))
+        assert _skeleton(roots["labels"]) == ("sample", ("select", ("and", "fold", "app")))
+        assert _skeleton(roots["narrow"]) == ("sample", ("select", ("and", "fold", "app")))
         # the loss splits the root and: one fold per conjunct, as without grouping
         assert _skeleton(roots["rules"]) == (
-            "sample", ("and", "fold", "fold", ("not", ("and", "fold", "rel", ("not", "rel")))))
+            "sample", ("and", "fold", "fold", ("not", ("and", "fold", "app", ("not", "app")))))
         group = roots["labels"].kids[0].kids[1].kids[0]
         assert [k.width for k in group.kids] == [1, 3, 1] and group.fv == ("a", "r")
 
@@ -893,8 +961,8 @@ class TestGroupedFold:
     def test_lone_static_operand_is_a_fold_placed_first(self, regime):
         th, interp, plan = self._plan(regime, src=self.LONE)
         roots = dict(plan.roots)
-        assert _skeleton(roots["lone"]) == ("sample", ("select", ("and", "fold", "rel")))
-        assert _skeleton(roots["first"]) == ("sample", ("and", "fold", "rel"))
+        assert _skeleton(roots["lone"]) == ("sample", ("select", ("and", "fold", "app")))
+        assert _skeleton(roots["first"]) == ("sample", ("and", "fold", "app"))
         group = roots["lone"].kids[0].kids[1].kids[0]
         assert [k.width for k in group.kids] == [1] and group.width == 3
         assert evaluate(plan).root.item() == pytest.approx(ref.root_logit(th, interp), rel=1e-9)
@@ -923,7 +991,7 @@ class TestGroupedFold:
         plan = compile(th, interp)
         (_, root), = plan.roots
         assert _skeleton(root) == (
-            "sample", ("not", ("sample", ("not", ("and", "fold", "rel", "fold", "fold")))))
+            "sample", ("not", ("sample", ("not", ("and", "fold", "app", "fold", "fold")))))
         assert evaluate(plan).root.item() == pytest.approx(ref.root_logit(th, interp), rel=1e-9)
         _assert_fold_is_exact(compile(th, interp, batch_size=3, seed=2), 4)
 

@@ -55,6 +55,10 @@ class TestIdx:
         with pytest.raises(TruncatedFile):
             load_idx(path)
 
+    def test_write_rejects_a_rank_2_array(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot write rank-2 array as IDX"):
+            write_idx(tmp_path / "t.idx", np.zeros((2, 3)))
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         imgs = rng.integers(0, 256, size=(5, 4, 3)).astype(np.uint8)
@@ -232,14 +236,21 @@ class TestSynthRelations:
             assert all(rule_holds(vocab, *pair) for pair in pairs(split))
 
     def test_riding_examples_satisfy_full_rule(self):
-        splits = gen_synth_relations(n_train_pool=2000, n_test=500, seed=1)
-        vocab = splits.vocab
-        for split in (splits.train, splits.test_standard):
-            for pred, subj, obj, boxes in pairs(split):
-                if vocab.predicates[pred] == "riding":
-                    assert subj in vocab.members["can_ride"]
-                    assert obj in vocab.members["ridable"]
-                    assert spatial_predicates(*boxes)["above"]
+        # the whole pool trains, so no riding pair of a draw goes unchecked
+        riding = []
+        for seed in (0, 1):
+            splits = gen_synth_relations(n_train_pool=2000, n_test=500, train_fraction=1.0,
+                                         seed=seed)
+            vocab = splits.vocab
+            riding += [(subj, obj, boxes)
+                       for split in (splits.train, splits.test_standard, splits.test_zero_shot)
+                       for pred, subj, obj, boxes in pairs(split)
+                       if vocab.predicates[pred] == "riding"]
+        assert len(riding) >= 30  # seed 0 draws 22, seed 1 draws 14
+        for subj, obj, boxes in riding:
+            assert subj in vocab.members["can_ride"]
+            assert obj in vocab.members["ridable"]
+            assert spatial_predicates(*boxes)["above"]
 
     def test_zero_shot_split_disjoint(self):
         splits = gen_synth_relations(n_train_pool=3000, n_test=500, seed=2)

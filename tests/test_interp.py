@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import _triples_ref
 from dasl.compiler import compile, evaluate, explain
+from dasl.data import write_idx
 from dasl.interp import (
     Column,
     DataLoadError,
@@ -150,6 +151,16 @@ class TestBindTheory:
         short = Domain("D", 3, good.columns)
         with pytest.raises(DataLoadError, match="D: column lengths differ"):
             bind_theory(th, data={"D": short})
+
+    def test_idx_files_bind_as_columns(self, tmp_path):
+        write_idx(tmp_path / "images.idx", np.arange(12).reshape(3, 2, 2))
+        write_idx(tmp_path / "labels.idx", np.array([2, 0, 1]))
+        th = check_theory(parse_theory(
+            "sort Image dim 4;\nsort K card 3;\n"
+            "data Train : Image x K from \"images.idx, labels.idx\";"))
+        images, labels = bind_theory(th, data_dir=str(tmp_path)).domains["Train"].columns
+        np.testing.assert_array_equal(images.values, np.arange(12).reshape(3, 4) / 255.0)
+        assert labels.values.dtype == np.int64 and labels.values.tolist() == [2, 0, 1]
 
     def test_index_column_of_two_ids_per_row_is_a_load_error(self):
         # flattened, this 2 x 2 table would bind the 4 rows [0 1 2 0]

@@ -242,6 +242,11 @@ class TestCheck:
         th = _checked("axiom a : forall x: D . P(x) & (forall x: D . R(x, f(x)));")
         assert check_theory(th) == th
 
+    def test_idempotent_over_a_bare_boolvec(self):
+        # the first check makes `preds` a BoolVectorConst, which the second reads
+        th = _checked("axiom a : forall (row, k): Items . pi[k](classify(row) & (preds -> Q(k)));")
+        assert check_theory(th) == th
+
     def test_relation_used_as_term(self):
         with pytest.raises(SortError):
             _checked("axiom a : forall x: D . f(P(x)) = x;")
@@ -414,15 +419,15 @@ class TestAgainstReferenceLexer:
             experiments.mnist_theory(knowledge)
         default_signature()
         assert len(seen) == 5
-        for source in seen + sources:
-            assert parse_theory(source) == parse_theory(_lex_ref.tokenize(source))
+        for source in seen + sources:  # the parser reads only kinds and texts
+            assert _lexed(tokenize, source) == _lexed(_lex_ref.tokenize, source)
 
     def test_random_formulas_parse_alike(self):
         rng = np.random.default_rng(5)
         sig = default_signature(4)
         for _ in range(200):
             source = f"axiom a : {print_formula(random_formula(sig, depth=4, rng=rng))};"
-            assert parse_theory(source) == parse_theory(_lex_ref.tokenize(source))
+            assert _lexed(tokenize, source) == _lexed(_lex_ref.tokenize, source)
 
 
 class TestErrorPositions:
