@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import load_csv_table, load_idx
+from .data import BadMagic, TruncatedFile, load_csv_table, load_idx
 from .lang import ExternRef, MlpSpec, SortDecl, Theory
 from .tensor import Parameter, Tensor
 
@@ -341,7 +341,10 @@ def _load_column(path: str, sort: SortDecl) -> np.ndarray:
     if not os.path.exists(path):
         raise DataLoadError(f"missing data file {path!r}")
     if path.endswith(".idx") or "ubyte" in os.path.basename(path):
-        return load_idx(path)
+        try:
+            return load_idx(path)
+        except (TruncatedFile, BadMagic) as e:
+            raise DataLoadError(str(e)) from e
     try:
         table = load_csv_table(path)
     except Exception as e:  # noqa: BLE001 - surface as a typed load error

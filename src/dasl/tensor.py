@@ -10,12 +10,17 @@ them while it is active.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import os
 import struct
 import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -270,6 +275,109 @@ def _check_broadcast(*shapes):
 
 
 # ---------------------------------------------------------------------------
+# two halves on two CPUs
+#
+# A large kernel fills one preallocated output in two row ranges, the first
+# on one persistent worker thread and the second on the caller.  A product
+# splits its output rows, never the dimension it sums, so every output entry is
+# the same operations on the same operands as in one whole call, and the bits
+# depend only on the shapes and BLAS's thread count, never on the CPU count.
+# The worker runs numpy and this module's private helpers only: it never
+# records on a tape (which is thread-local) and never calls a public dasl
+# function (which a tracer may wrap).
+
+# A product splits at M*K*N >= 2**24 multiply-adds: about 0.6 ms of one-thread
+# GEMM on a 2-CPU Xeon (numpy's OpenBLAS 0.3.31, SkylakeX core), against a
+# handoff of tens of us.  A 784-512 layer's forward and weight gradient split
+# (212 rows: 3.1 -> 1.8 and 3.1 -> 1.6 ms); every product of the relations
+# theories (at most 4.4M) stays whole.
+_SPLIT_MACS = 1 << 24
+# That OpenBLAS tiles 24 rows per double-precision micro-kernel.  On 300 random
+# shapes of 2**24 to 2**25 multiply-adds, a third each with C-ordered, a.T and
+# b.T operands, cuts at M // 2 changed the bits of 51 products and cuts at
+# multiples of 48 of none (nor of 300 more).  In an earlier sweep, cuts at
+# multiples of 24 changed 3 of 298, all with a half of 24 rows.
+_ROW_ALIGN = 48
+# An elementwise kernel splits its leading axis in half from 2**16 entries on.
+# Measured there on the same box: sigmoid 475 -> 395 us, its pull 300 -> 285
+# us; at 2**15 the pull lost (133 -> 150 us).  The 212 x 512 hidden layer of a
+# digit step splits; relations' and the oracle's arrays stay far below.
+_SPLIT_ENTRIES = 1 << 16
+
+_worker: tuple[int, ThreadPoolExecutor] | None = None  # (pid that made it, the pool)
+
+
+def _pool() -> ThreadPoolExecutor | None:
+    """The one worker thread of this process, made on first use; None on one CPU
+    and while BLAS runs threads of its own, which hold (and spin on) the others."""
+    global _worker
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2 or _blas_threads() > 1:
+        return None
+    if _worker is None or _worker[0] != os.getpid():  # a forked child makes its own
+        _worker = os.getpid(), ThreadPoolExecutor(max_workers=1)
+    return _worker[1]
+
+
+def _halves(kernel, cut: int, n: int) -> None:
+    """kernel(slice(0, cut)) on the worker thread and kernel(slice(cut, n)) here,
+    waiting for the worker in a finally; without a worker both run here in turn."""
+    pool = _pool()
+    if pool is None:
+        kernel(slice(0, cut))
+        kernel(slice(cut, n))
+        return
+    first = pool.submit(kernel, slice(0, cut))
+    try:
+        kernel(slice(cut, n))
+    finally:
+        first.result()
+
+
+@functools.cache
+def _openblas_count():
+    """numpy's OpenBLAS thread-count function, found as perfbench finds it, once
+    per process; None without OpenBLAS."""
+    for lib in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
+def _blas_threads() -> int:
+    """OpenBLAS's own thread count, about 1 us a read; 0 (unknown) without OpenBLAS."""
+    count = _openblas_count()
+    return 0 if count is None else int(count())
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D operands; from _SPLIT_MACS multiply-adds on, while BLAS runs
+    one thread, as two _ROW_ALIGN-aligned halves of the output rows."""
+    (m, k), n = a.shape, b.shape[1]
+    cut = m // 2 // _ROW_ALIGN * _ROW_ALIGN
+    if not cut or m * k * n < _SPLIT_MACS or _blas_threads() != 1:
+        return a @ b
+    out = np.empty((m, n))
+    _halves(lambda rows: np.matmul(a[rows], b, out=out[rows]), cut, m)
+    return out
+
+
+def _by_rows(kernel, *arrays) -> None:
+    """kernel(*arrays), in two halves of their leading axis from _SPLIT_ENTRIES
+    entries on."""
+    n = len(arrays[0]) if arrays[0].size >= _SPLIT_ENTRIES else 0
+    if n < 2:
+        kernel(*arrays)
+    else:
+        _halves(lambda rows: kernel(*[a[rows] for a in arrays]), n // 2, n)
+
+
+# ---------------------------------------------------------------------------
 # elementwise kernels
 
 
@@ -343,7 +451,16 @@ def sigmoid(a) -> Tensor:
 
 
 def _pull_sigmoid(g, out):
-    return g * out * (1.0 - out)
+    res = np.empty_like(out)
+    _by_rows(_pull_sigmoid_into, g, out, res, np.empty_like(out))
+    return res
+
+
+def _pull_sigmoid_into(g, out, res, t):
+    """res = g * out * (1 - out), t the scratch for 1 - out."""
+    np.multiply(g, out, out=res)
+    np.subtract(1.0, out, out=t)
+    res *= t
 
 
 def logsigmoid(a) -> Tensor:
@@ -420,7 +537,19 @@ def where(cond, a, b) -> Tensor:
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return _sigmoid_of(x, np.exp(-np.abs(x)))
+    out = np.empty_like(x)
+    _by_rows(_sigmoid_into, x, out, np.empty_like(x))
+    return out
+
+
+def _sigmoid_into(x, out, t):
+    """out = _sigmoid_of(x, t = exp(-|x|)), through its ufuncs in its order, in place."""
+    np.abs(x, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.maximum(t, x >= 0, out=out)
+    t += 1.0
+    out /= t
 
 
 def _sigmoid_of(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -453,7 +582,7 @@ def affine(h, w, b) -> Tensor:
     (dh, nh), (dw, nw), (db, nb) = _ensure(h), _ensure(w), _ensure(b)
     if dh.ndim != 2 or dw.ndim != 2 or dh.shape[1] != dw.shape[0]:
         raise ShapeMismatch(dh.shape, dw.shape)
-    out = dh @ dw
+    out = _product(dh, dw)
     if _check_broadcast(out.shape, db.shape) != out.shape:
         raise ShapeMismatch(out.shape, db.shape)
     out += db
@@ -462,11 +591,11 @@ def affine(h, w, b) -> Tensor:
 
 
 def _matmul_by_transpose(g, b):
-    return g @ b.T
+    return _product(g, b.T)
 
 
 def _transpose_matmul(g, a):
-    return a.T @ g
+    return _product(a.T, g)
 
 
 def _check_axis(data: np.ndarray, axis: int | None) -> None:

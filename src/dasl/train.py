@@ -42,6 +42,10 @@ class AdamState:
 
 
 _CHUNK = 1 << 14  # values per Adam block: a block's operands and scratch stay in L2
+# From 4 blocks on, the two halves of the block list run on two CPUs
+# (`tensor._halves`).  Measured on a 2-CPU Xeon: 4 blocks 450 -> 351 us, the
+# digit MLP's 25 blocks 3.10 -> 2.14 ms; 2 blocks gain nothing (238 -> 237 us).
+_SPLIT_BLOCKS = 4
 
 
 def adam_step(params: list[Parameter], state: AdamState) -> AdamState:
@@ -51,8 +55,9 @@ def adam_step(params: list[Parameter], state: AdamState) -> AdamState:
     belong to the list of the first step: any other list raises ValueError
     naming a parameter.  All or nothing: the list and every gradient are
     checked before any value, moment or the step count changes.  The store
-    is updated in place, block by block, through two scratch buffers, with
-    the operations of
+    is updated in place, block by block, through two scratch buffers (from
+    _SPLIT_BLOCKS blocks on, the two halves of the block list on two CPUs,
+    each with its own pair), with the operations of
 
         m += (1 - b1) * (g - m);  v += (1 - b2) * (g * g - v)
         value -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
@@ -73,9 +78,22 @@ def adam_step(params: list[Parameter], state: AdamState) -> AdamState:
     if kept is None:
         state.params, state.m, state.v = params, np.zeros(n), np.zeros(n)
     state.step += 1
-    b1, b2, lr, eps = BETA1, BETA2, state.lr, EPS
-    c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    lr, c1, c2 = state.lr, 1.0 - BETA1 ** state.step, 1.0 - BETA2 ** state.step
     flat = store.values, store.grads, state.m, state.v
+    blocks = -(-n // _CHUNK)
+    if blocks < _SPLIT_BLOCKS:
+        _adam_blocks(flat, lr, c1, c2)
+    else:
+        T._halves(lambda part: _adam_blocks([a[part] for a in flat], lr, c1, c2),
+                  blocks // 2 * _CHUNK, n)
+    return state
+
+
+def _adam_blocks(flat, lr: float, c1: float, c2: float) -> None:
+    """`adam_step`'s update over (values, grads, m, v), block by block, through
+    its own two scratch buffers."""
+    b1, b2, eps = BETA1, BETA2, EPS
+    n = flat[0].size
     scratch = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
     for lo in range(0, n, _CHUNK):
         value, g, m, v = (a[lo:lo + _CHUNK] for a in flat)
@@ -94,7 +112,6 @@ def adam_step(params: list[Parameter], state: AdamState) -> AdamState:
         u *= lr
         u /= t
         value -= u
-    return state
 
 
 # ---------------------------------------------------------------------------

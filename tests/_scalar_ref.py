@@ -196,6 +196,7 @@ def eval_formula(theory, interp, f, env) -> float | list[float]:
 
 def _nary(theory, interp, items, env, combine):
     vals = [eval_formula(theory, interp, i, env) for i in items]
+    vals = [v[0] if isinstance(v, list) and len(v) == 1 else v for v in vals]  # a one-bit boolvec
     width = max(len(v) if isinstance(v, list) else 1 for v in vals)
     if width == 1:
         return combine([v for v in vals])

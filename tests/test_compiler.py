@@ -1,5 +1,6 @@
 """Compilation, evaluation, loss fusion, and the scalar-reference check."""
 
+import math
 import re
 
 import numpy as np
@@ -200,10 +201,14 @@ class TestNodeKinds:
         ("forall x: Pool . b -> P(x)", "-0x1.77c585d6eb093p+1", "0x1.7e64a74ea57ebp+1"),
     ], ids=["bare", "negated", "and", "or", "implies", "three_bits", "meets_classes", "folded"])
     def test_boolvec_root_and_loss_are_pinned(self, axiom, root, loss):
-        # pinned, since `_scalar_ref` cannot evaluate a one-bit boolvec beside a formula
         plan = _boolvec_plan(axiom)
-        assert evaluate(plan).root.item().hex() == root
-        assert fuse_loss(plan).evaluate()[0].item().hex() == loss
+        got = evaluate(plan).root.item()
+        fused = fuse_loss(plan).evaluate()[0].item()
+        assert got.hex() == root
+        assert fused.hex() == loss
+        want = ref.root_logit(plan.theory, plan.interp)
+        assert got == pytest.approx(want, rel=1e-9)
+        assert fused == pytest.approx(math.log1p(math.exp(-want)), rel=1e-9)  # softplus(-root)
 
 
 class TestEvaluate:

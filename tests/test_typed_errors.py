@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from dasl.data import TruncatedFile, write_csv_table
+from dasl.data import BadMagic, TruncatedFile, write_csv_table
 from dasl.interp import DataLoadError, MissingExtern, WidthMismatch, bind_theory
 from dasl.lang import DuplicateDecl, SortError, UnboundSymbol, check_theory, parse_theory
 
@@ -79,10 +79,12 @@ CASES = [
      "bad.csv: could not convert string 'zz'"),
     ("csv_column_count", 'data Pool : R from "three.csv";', None, DataLoadError,
      "three.csv: expected 2 columns, got 3"),
-    ("idx_without_magic", 'data Pool : K from "short.idx";', None, TruncatedFile,
+    ("idx_without_magic", 'data Pool : K from "short.idx";', None, DataLoadError,
      "short.idx: missing magic"),
-    ("idx_truncated_header", 'data Pool : K from "head.idx";', None, TruncatedFile,
+    ("idx_truncated_header", 'data Pool : K from "head.idx";', None, DataLoadError,
      "head.idx: truncated header"),
+    ("idx_wrong_magic", 'data Pool : K from "magic.idx";', None, DataLoadError,
+     "magic.idx: magic 0x00000802"),
     ("file_count", 'data Pool : R x K from "three.csv";', None, DataLoadError,
      "Pool: 2 sorts but 1 files"),
     ("data_tuple_column_count", 'data Pool : R x K from "mem";',
@@ -92,13 +94,30 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("tail, data, error, message",
-                         [case[1:] for case in CASES], ids=[case[0] for case in CASES])
-def test_bad_input_raises_its_typed_error(tmp_path, tail, data, error, message):
+@pytest.fixture
+def data_dir(tmp_path):
     (tmp_path / "bad.csv").write_text("c0,c1\n1,zz\n")
     write_csv_table(tmp_path / "three.csv", np.zeros((4, 3)))
     (tmp_path / "short.idx").write_bytes(b"\x00\x00")
     (tmp_path / "head.idx").write_bytes(struct.pack(">I", 0x00000801) + b"\x00")
+    (tmp_path / "magic.idx").write_bytes(struct.pack(">II", 0x00000802, 0))
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("tail, data, error, message",
+                         [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_bad_input_raises_its_typed_error(data_dir, tail, data, error, message):
     with pytest.raises(error, match=re.escape(message)):
         theory = check_theory(parse_theory(HEAD + tail))
-        bind_theory(theory, externs=EXTERNS, data=data, data_dir=str(tmp_path))
+        bind_theory(theory, externs=EXTERNS, data=data, data_dir=data_dir)
+
+
+@pytest.mark.parametrize("name, cause", [("short.idx", TruncatedFile),
+                                         ("head.idx", TruncatedFile),
+                                         ("magic.idx", BadMagic)])
+def test_a_broken_idx_file_keeps_the_reader_error_as_cause(data_dir, name, cause):
+    theory = check_theory(parse_theory(HEAD + f'data Pool : K from "{name}";'))
+    with pytest.raises(DataLoadError) as caught:
+        bind_theory(theory, externs=EXTERNS, data_dir=data_dir)
+    assert type(caught.value.__cause__) is cause
+    assert str(caught.value) == str(caught.value.__cause__)
