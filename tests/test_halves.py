@@ -91,8 +91,8 @@ def _sweep_shapes():
 RUN_SHAPES = [(212, 784, 512, "C"), (2000, 784, 512, "C"), (784, 212, 512, "a.T")]
 
 
-@pytest.mark.slow
 class TestProducts:
+    @pytest.mark.slow
     def test_sweep_of_split_products_is_one_matmul(self, one_blas_thread, splits):
         rng = np.random.default_rng(0)
         shapes = _sweep_shapes() + RUN_SHAPES
