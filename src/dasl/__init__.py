@@ -5,6 +5,7 @@ against a brute-force classical oracle."""
 
 from . import compiler, data, experiments, interp, lang, logit, oracle, tensor, train
 from .compiler import CompiledBatch, Plan, compile, evaluate, explain, fuse_loss
+from .errors import DaslError
 from .interp import Interpretation, Sampler, bind_theory, build_triples
 from .lang import Theory, check_theory, parse_theory, print_theory
 from .logit import BIG
@@ -15,7 +16,7 @@ from .train import AdamState, CurriculumState, TrainConfig, TrainState, adam_ste
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "BIG", "CompiledBatch", "CrispModel", "CurriculumState",
+    "AdamState", "BIG", "CompiledBatch", "CrispModel", "CurriculumState", "DaslError",
     "Interpretation", "Parameter", "Plan", "Sampler", "Tape", "Tensor",
     "Theory", "TrainConfig", "TrainState", "adam_step", "agreement_suite",
     "backward", "bind_theory", "build_triples",

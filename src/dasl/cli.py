@@ -1,7 +1,8 @@
 """Command-line entry point: compile, train, eval, oracle-check, mnist,
 synth-rel, and gradcheck subcommands.
 
-Exit codes: 0 success, 1 failed check, 2 usage error or diagnostics.
+Exit codes: 0 success; 2 a usage error, a DaslError or an OSError, printed
+as one `error:` line; 1 a failed check, or a defect with its traceback.
 Config files are flat `key = value` text with `#` comments; command-line
 flags override file values, and TrainConfig's defaults fill the rest.
 Randomness sits behind --seed, or --seeds N (seeds 0..N-1) for the
@@ -27,9 +28,10 @@ from .experiments import (
     run_relations_experiment,
     summarize,
 )
+from .errors import DaslError, InvalidValue
 from .gradcheck import run_gradcheck
 from .interp import bind_theory
-from .lang import CheckError, LexError, ParseError, check_theory, parse_theory
+from .lang import check_theory, parse_theory
 from .oracle import agreement_suite
 from .tensor import GRAD_CHECK_TOL, load_checkpoint
 from .train import TrainConfig, train
@@ -45,26 +47,33 @@ _TRAIN_CONFIG_CASTS = {
 TRAIN_CONFIG_KEYS = tuple(_TRAIN_CONFIG_CASTS)
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 raise InvalidValue naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise InvalidValue(f"{path}: {e}") from e
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat `key = value` lines over TRAIN_CONFIG_KEYS; `#` starts a comment."""
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: bad config line {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in TRAIN_CONFIG_KEYS:
-                raise ValueError(f"{path}: unknown config key {key!r}")
-            out[key] = value
+    for line in _read_text(path).split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidValue(f"{path}: bad config line {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in TRAIN_CONFIG_KEYS:
+            raise InvalidValue(f"{path}: unknown config key {key!r}")
+        out[key] = value
     return out
 
 
 def _load_theory(path: str):
-    with open(path) as fh:
-        return check_theory(parse_theory(fh.read()))
+    return check_theory(parse_theory(_read_text(path)))
 
 
 def _bind(args, theory, seed: int = 0):
@@ -72,20 +81,25 @@ def _bind(args, theory, seed: int = 0):
                        data_dir=args.data_dir, seed=seed)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only integers >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def _add_options(p: argparse.ArgumentParser, *dests: str) -> None:
     """Add the shared options named by dest, each with its one default."""
     specs = {
-        "seed": dict(type=int, default=0),
+        "seed": dict(type=_seed, default=0),
         "data_dir": dict(default=os.environ.get("DASL_DATA_DIR")),
     }
     for dest in dests:
         p.add_argument("--" + dest.replace("_", "-"), **specs[dest])
-
-
-def _diagnostic(e: Exception) -> bool:
-    if isinstance(e, (LexError, ParseError, CheckError, OSError, ValueError)):
-        return True
-    return type(e).__module__.startswith("dasl")
 
 
 def _cmd_compile(args) -> int:
@@ -117,8 +131,8 @@ def _train_config_from(args, overrides: dict[str, str]) -> TrainConfig:
             try:
                 settings[key] = _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
             except (KeyError, ValueError):
-                raise ValueError(f"{args.config}: config key {key!r} needs "
-                                 f"{_KINDS[cast]}, got {raw!r}") from None
+                raise InvalidValue(f"{args.config}: config key {key!r} needs "
+                                   f"{_KINDS[cast]}, got {raw!r}") from None
     return TrainConfig(seed=args.seed, out_dir=args.out, **settings)
 
 
@@ -150,8 +164,8 @@ def _cmd_eval(args) -> int:
         value = loaded.get(p.name)
         if value is None or value.shape != p.value.shape:
             got = "missing" if value is None else f"of shape {value.shape}"
-            raise ValueError(f"{args.checkpoint}: parameter {p.name!r} is {got}, "
-                             f"the theory needs shape {p.value.shape}")
+            raise InvalidValue(f"{args.checkpoint}: parameter {p.name!r} is {got}, "
+                               f"the theory needs shape {p.value.shape}")
         p.value[...] = value
     domain = interp.domains[args.data]
     idx = np.arange(domain.cardinality)
@@ -314,9 +328,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except Exception as e:  # noqa: BLE001
-        if not _diagnostic(e):
-            raise
+    except (DaslError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

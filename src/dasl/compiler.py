@@ -77,6 +77,7 @@ import numpy as np
 
 from . import logit as L
 from . import tensor as T
+from .errors import DaslError, InvalidValue
 from .interp import (
     EmbeddingColumn,
     ExternBinding,
@@ -109,15 +110,15 @@ from .lang.printer import print_formula, print_term
 from .tensor import Tensor
 
 
-class NonFiniteLogit(Exception):
+class NonFiniteLogit(DaslError):
     pass
 
 
-class RowAxisMismatch(Exception):
+class RowAxisMismatch(DaslError):
     """A symbol applied to arguments returned no leading axis of one result per row."""
 
 
-class ZeroDivisor(Exception):
+class ZeroDivisor(DaslError):
     """A `mod` term's divisor evaluated to 0 at some grounding."""
 
 
@@ -814,7 +815,7 @@ def _classifier(node: Node) -> Node | None:
 def classifier_axiom(plan: Plan, symbol: str, dataset: str | None = None) -> str:
     """The first axiom `forall (x…, y): D . pi[y](V)` whose V applies `symbol`.
 
-    With `dataset` given, D must be that dataset.  Raises ValueError when
+    With `dataset` given, D must be that dataset.  Raises InvalidValue when
     no axiom qualifies.
     """
     for name, node in plan.roots:
@@ -822,8 +823,8 @@ def classifier_axiom(plan: Plan, symbol: str, dataset: str | None = None) -> str
         if (select is not None and symbol in _symbols(select.kids[1])
                 and dataset in (None, plan.samplers[node.data[1]].domain.name)):
             return name
-    raise ValueError(f"no axiom forall (x…, y): {dataset or 'D'} . pi[y](V) "
-                     f"with V applying {symbol!r}")
+    raise InvalidValue(f"no axiom forall (x…, y): {dataset or 'D'} . pi[y](V) "
+                       f"with V applying {symbol!r}")
 
 
 def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
@@ -839,10 +840,10 @@ def scores(plan: Plan, axiom: str, columns) -> tuple[np.ndarray, np.ndarray]:
     node = dict(plan.roots).get(axiom)
     select = None if node is None else _classifier(node)
     if select is None:
-        raise ValueError(f"axiom {axiom!r} is not of the form forall (x…, y): D . pi[y](V)")
+        raise InvalidValue(f"axiom {axiom!r} is not of the form forall (x…, y): D . pi[y](V)")
     names = node.data[0]
     if len(columns) != len(names):
-        raise ValueError(f"axiom {axiom!r} binds {len(names)} variables, got {len(columns)} columns")
+        raise InvalidValue(f"axiom {axiom!r} binds {len(names)} variables, got {len(columns)} columns")
     env = {v: (col if isinstance(col, Tensor) else np.asarray(col), 0)
            for v, col in zip(names, columns)}
     ev = _Evaluator(plan, {key: np.arange(s.domain.cardinality)

@@ -15,25 +15,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DaslError, InvalidValue
 from .logit import BIG
 
 IDX_LABEL_MAGIC = 0x00000801
 IDX_IMAGE_MAGIC = 0x00000803
 
 
-class BadMagic(Exception):
+class BadMagic(DaslError):
     pass
 
 
-class TruncatedFile(Exception):
+class TruncatedFile(DaslError):
     pass
 
 
-class DegenerateBox(Exception):
+class DegenerateBox(DaslError):
     pass
 
 
-class InvalidVocab(Exception):
+class InvalidVocab(DaslError):
     pass
 
 
@@ -278,9 +279,9 @@ def _encode_split(combos: np.ndarray, boxes: np.ndarray, vocab: RelationVocab,
 
 
 def check_train_fraction(fraction: float) -> None:
-    """Raise ValueError unless `fraction` is a share of the train pool: 0 < fraction <= 1."""
+    """Raise InvalidValue unless `fraction` is a share of the train pool: 0 < fraction <= 1."""
     if not 0 < fraction <= 1:
-        raise ValueError(f"train fraction must be in (0, 1], got {fraction}")
+        raise InvalidValue(f"train fraction must be in (0, 1], got {fraction}")
 
 
 def gen_synth_relations(

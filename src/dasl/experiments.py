@@ -27,12 +27,13 @@ from .data import (
     load_idx,
     spatial_predicate_externs,
 )
+from .errors import DaslError, InvalidValue
 from .interp import bind_theory, build_triples
 from .lang import Theory, check_theory, parse_theory
 from .train import TrainConfig, TrainState, train
 
 
-class DataMissing(Exception):
+class DataMissing(DaslError):
     pass
 
 
@@ -52,11 +53,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.ntr < 1:
-            raise ValueError("ntr must be >= 1")
+            raise InvalidValue("ntr must be >= 1")
         if self.knowledge and self.triples_per_class < 1:
-            raise ValueError("triples_per_class must be >= 1 with knowledge on")
+            raise InvalidValue("triples_per_class must be >= 1 with knowledge on")
         if not self.seeds:
-            raise ValueError("need at least one seed")
+            raise InvalidValue("need at least one seed")
         check_train_fraction(self.train_fraction)
         self.train_config(seed=0)  # TrainConfig checks the training settings
 
@@ -262,12 +263,12 @@ def masked_scores(interp, vocab: RelationVocab, split: RelationSplit,
 
     The rule masks apply exactly when the theory declares them, as
     `relations_theory(True)` does; `knowledge` must agree with that, and a
-    mismatch raises ValueError.  `vocab` is not read: the masks come from
+    mismatch raises InvalidValue.  `vocab` is not read: the masks come from
     the theory text.
     """
     if knowledge != bool(interp.theory.boolvecs):
-        raise ValueError(f"knowledge={knowledge}, but the theory "
-                         f"{'declares' if interp.theory.boolvecs else 'has no'} rule masks")
+        raise InvalidValue(f"knowledge={knowledge}, but the theory "
+                           f"{'declares' if interp.theory.boolvecs else 'has no'} rule masks")
     columns = (split.features, split.subject, split.object, split.predicate)
     return scores(compile(interp.theory, interp), "labels", columns)[0]
 

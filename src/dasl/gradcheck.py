@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .compiler import compile, fuse_loss
+from .errors import InvalidValue
 from .interp import bind_theory
 from .lang import check_theory, parse_theory
 from .tensor import GradCheckReport, grad_check
@@ -56,6 +57,8 @@ def _logic_graph(rng: np.random.Generator):
 
 def run_gradcheck(trials: int = 50, seed: int = 0) -> list[tuple[str, GradCheckReport]]:
     """Check `trials` randomized graphs with `grad_check`; returns (name, report) pairs."""
+    if trials < 1:
+        raise InvalidValue(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(trials):

@@ -15,33 +15,34 @@ import numpy as np
 
 from . import tensor as T
 from .data import BadMagic, TruncatedFile, load_csv_table, load_idx
+from .errors import DaslError, InvalidValue
 from .lang import ExternRef, MlpSpec, SortDecl, Theory
 from .tensor import Parameter, Tensor
 
 
-class MissingExtern(Exception):
+class MissingExtern(DaslError):
     def __init__(self, name: str):
         super().__init__(f"extern {name!r} is not registered")
         self.name = name
 
 
-class DataLoadError(Exception):
+class DataLoadError(DaslError):
     pass
 
 
-class WidthMismatch(Exception):
+class WidthMismatch(DaslError):
     pass
 
 
-class IdOutOfRange(Exception):
+class IdOutOfRange(DaslError):
     """An MLP argument or a boolvec index of an index sort holds an id outside [0, card)."""
 
 
-class EmptyDomain(Exception):
+class EmptyDomain(DaslError):
     pass
 
 
-class InsufficientClassCount(Exception):
+class InsufficientClassCount(DaslError):
     def __init__(self, cls: int):
         super().__init__(f"class {cls} has too few examples")
         self.cls = cls
@@ -237,8 +238,8 @@ class Sampler:
 
     def __post_init__(self):
         if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"sampler over {self.domain.name}: batch_size must be at least 1, "
-                             f"got {self.batch_size}")
+            raise InvalidValue(f"sampler over {self.domain.name}: batch_size must be at least 1, "
+                               f"got {self.batch_size}")
 
     def _n(self) -> int:
         n = self.domain.cardinality

@@ -30,14 +30,14 @@ from .ast import (
     children,
     free_variables,
 )
-from .check import CheckError, DuplicateDecl, SortError, UnboundSymbol, check_theory
+from .check import DuplicateDecl, SortError, UnboundSymbol, check_theory
 from .lexer import LexError, Token, tokenize
 from .parser import ParseError, parse_formula, parse_theory
 from .printer import print_formula, print_term, print_theory
 
 __all__ = [
     "And", "ArithExpr", "AxiomDecl", "BoolConst", "BoolVecDecl",
-    "BoolVectorConst", "CheckError", "Constant", "ConstDecl", "DataDecl",
+    "BoolVectorConst", "Constant", "ConstDecl", "DataDecl",
     "DuplicateDecl", "Equals", "Exists", "ExternRef", "Forall", "Formula",
     "FuncApp", "FuncDecl", "Implies", "IntLiteral", "LexError", "MlpSpec",
     "Not", "Or", "ParseError", "RelApp", "RelDecl", "SoftSelect", "SortDecl",

@@ -9,6 +9,7 @@ no-op.
 
 from __future__ import annotations
 
+from ..errors import DaslError
 from .ast import (
     And,
     ArithExpr,
@@ -36,23 +37,19 @@ from .ast import (
 from .printer import print_term
 
 
-class CheckError(Exception):
-    pass
-
-
-class DuplicateDecl(CheckError):
+class DuplicateDecl(DaslError):
     def __init__(self, name: str):
         super().__init__(f"duplicate declaration of {name!r}")
         self.name = name
 
 
-class UnboundSymbol(CheckError):
+class UnboundSymbol(DaslError):
     def __init__(self, name: str):
         super().__init__(f"unbound symbol {name!r}")
         self.name = name
 
 
-class SortError(CheckError):
+class SortError(DaslError):
     def __init__(self, symbol: str, expected: str, found: str):
         super().__init__(f"{symbol}: expected {expected}, found {found}")
         self.symbol = symbol
@@ -325,7 +322,7 @@ def _all_names(f: Formula | Term, out: set[str]) -> None:
 
 
 def check_theory(theory: Theory) -> Theory:
-    """Validate and annotate a parsed theory; raises CheckError subclasses."""
+    """Validate and annotate a parsed theory; raises DuplicateDecl, UnboundSymbol or SortError."""
     ck = _Checker(theory)
     ck.check_decls()
     axioms = []

@@ -11,8 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..errors import DaslError
 
-class LexError(Exception):
+
+class LexError(DaslError):
     def __init__(self, line: int, col: int, message: str):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line

@@ -39,10 +39,11 @@ from .ast import (
     Theory,
     Variable,
 )
+from ..errors import DaslError
 from .lexer import Token, scan, tokenize
 
 
-class ParseError(Exception):
+class ParseError(DaslError):
     def __init__(self, token: Token | None, expected: str):
         where = f"{token.line}:{token.col} at {token.text!r}" if token else "end of input"
         super().__init__(f"{where}: expected {expected}")

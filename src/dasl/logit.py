@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .errors import DaslError
 from .tensor import Tensor
 
 # logit assigned to crisp truth; sigma(BIG) ~ 1 - 2e-9 keeps double-precision
@@ -40,7 +41,7 @@ class EmptyDisjunction(Exception):
     pass
 
 
-class DegenerateVector(Exception):
+class DegenerateVector(DaslError):
     pass
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compiler import Node, Plan, compile, evaluate, fuse_loss
+from .errors import DaslError, InvalidValue
 from .interp import Interpretation, bind_theory
 from .lang import (
     And,
@@ -25,6 +26,7 @@ from .lang import (
     Constant,
     Equals,
     Exists,
+    ExternRef,
     Forall,
     Formula,
     FuncApp,
@@ -43,11 +45,11 @@ from .lang import (
 from .logit import BIG
 
 
-class SortMismatch(Exception):
+class SortMismatch(DaslError):
     pass
 
 
-class SearchSpaceTooLarge(Exception):
+class SearchSpaceTooLarge(DaslError):
     pass
 
 
@@ -347,6 +349,30 @@ rel R : D x D extern R;
 """))
 
 
+def _check_signature(signature: Theory) -> None:
+    """Raise SortMismatch unless the suite can draw a crisp model and atoms
+    for the signature: index sorts only, constants that are not learned,
+    extern functions, and at least one relation, each extern and Boolean."""
+    for s in signature.sorts:
+        if not s.is_index:
+            raise SortMismatch(f"sort {s.name}: the oracle models index-range sorts only, "
+                               f"not {s.representation}")
+    for c in signature.consts:
+        if c.learned:
+            raise SortMismatch(f"const {c.name}: the oracle cannot model a learned constant")
+    for kind, decls in (("func", signature.funcs), ("rel", signature.rels)):
+        for d in decls:
+            if not isinstance(d.binding, ExternRef):
+                raise SortMismatch(f"{kind} {d.name}: the oracle models extern symbols only, "
+                                   f"not an mlp")
+    for r in signature.rels:
+        if r.out is not None:
+            raise SortMismatch(f"rel {r.name}: the oracle models Boolean relations only, "
+                               f"not out {r.out}")
+    if not signature.rels:
+        raise SortMismatch("the oracle needs at least one relation to build atoms from")
+
+
 def agreement_suite(signature: Theory, depth: int = 4, trials: int = 200,
                     seed: int = 0) -> AgreementResult:
     """Randomized soundness/completeness check at finite scale.
@@ -354,9 +380,14 @@ def agreement_suite(signature: Theory, depth: int = 4, trials: int = 200,
     For each trial, a random crisp model and random closed formula are
     evaluated classically and through the compiled pipeline with full
     sampling; the Tarski verdict must match the sign of the crisp logit.
+    A signature `_check_signature` rejects, or fewer than one trial, raises
+    before anything is drawn.
     """
+    _check_signature(signature)
+    if trials < 1:
+        raise InvalidValue(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    sizes = {s.name: s.cardinality for s in signature.sorts if s.is_index}
+    sizes = {s.name: s.cardinality for s in signature.sorts}
     result = AgreementResult(trials=trials, passes=0)
     for trial in range(trials):
         model = random_model(signature, sizes, rng)
@@ -399,7 +430,7 @@ def partition_loss_check(plan: Plan, k: int, trials: int = 10, seed: int = 0) ->
     fused = fuse_loss(plan)
     keys = list(plan.samplers)
     if len(keys) != 1:
-        raise ValueError("partition_loss_check needs exactly one sampled quantifier")
+        raise InvalidValue("partition_loss_check needs exactly one sampled quantifier")
     key = keys[0]
     n = plan.samplers[key].domain.cardinality
     full_loss = float(fused.evaluate({key: np.arange(n)})[0].data)

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DaslError, InvalidValue
+
 _LOG_FLOOR = 1e-300
 _EXP_MAX = 709.0  # exp saturates here instead of overflowing to inf
 
@@ -50,11 +52,11 @@ class DetachedNode(Exception):
     pass
 
 
-class NonFiniteGradient(Exception):
+class NonFiniteGradient(DaslError):
     pass
 
 
-class DuplicateParameter(Exception):
+class DuplicateParameter(DaslError):
     pass
 
 
@@ -1114,19 +1116,19 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint container back into name -> array.
 
     A file that is not a checkpoint, is truncated, or is corrupt raises
-    ValueError naming the byte offset; no length field is trusted beyond
+    InvalidValue naming the byte offset; no length field is trusted beyond
     the bytes that remain.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
+        raise InvalidValue(f"{path}: not a checkpoint file")
     pos, end = 8, len(blob)
 
     def take(n: int, what: str) -> bytes:
         nonlocal pos
         if n > end - pos:
-            raise ValueError(f"{path}: truncated {what} at byte {pos}")
+            raise InvalidValue(f"{path}: truncated {what} at byte {pos}")
         pos += n
         return blob[pos - n:pos]
 
@@ -1136,17 +1138,17 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     version = u32("version")
     if version == 2:
         if end < 16 or zlib.crc32(blob[:end - 4]) != struct.unpack("<I", blob[end - 4:])[0]:
-            raise ValueError(f"{path}: checksum mismatch, the file is truncated or corrupt")
+            raise InvalidValue(f"{path}: checksum mismatch, the file is truncated or corrupt")
         end -= 4
     elif version != 1:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise InvalidValue(f"{path}: unsupported checkpoint version {version}")
     out: dict[str, np.ndarray] = {}
     while pos < end:
         start = pos
         try:
             name = take(u32("name length"), "name").decode("utf-8")
         except UnicodeDecodeError:
-            raise ValueError(f"{path}: name at byte {start} is not UTF-8") from None
+            raise InvalidValue(f"{path}: name at byte {start} is not UTF-8") from None
         rank = u32(f"rank of {name!r}")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
         payload = take(8 * math.prod(dims), f"payload for {name!r}")

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .compiler import NonFiniteLogit, Plan, classifier_axiom, fuse_loss, scores
+from .errors import InvalidValue
 from .tensor import NonFiniteGradient, Parameter, Tensor, save_checkpoint
 
 
@@ -168,17 +169,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+            raise InvalidValue("iterations must be >= 0")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise InvalidValue("batch size must be >= 1")
         if self.cadence < 1:
-            raise ValueError("cadence must be >= 1")
+            raise InvalidValue("cadence must be >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
+            raise InvalidValue(f"learning rate must be finite and > 0, got {self.lr}")
         if self.curriculum_initial < 1 or self.curriculum_classes < 1:
-            raise ValueError("curriculum_initial and curriculum_classes must be >= 1")
+            raise InvalidValue("curriculum_initial and curriculum_classes must be >= 1")
         if self.rules_only_after is not None and not self.curriculum:
-            raise ValueError("rules_only_after needs the curriculum")
+            raise InvalidValue("rules_only_after needs the curriculum")
 
 
 @dataclass
@@ -248,25 +249,25 @@ def train(plan: Plan, config: TrainConfig, test_set=None) -> TrainState:
     if config.curriculum:
         monitor = (config.monitor_symbol, (config.monitor_arg,))
         if monitor not in plan.vector_outputs:
-            raise ValueError(
+            raise InvalidValue(
                 f"curriculum monitor {config.monitor_symbol}({config.monitor_arg}) is not a "
                 f"vector-valued relation application in any axiom")
         candidates = [s for s in plan.samplers.values()
                       if s.domain.name == config.curriculum_domain]
         if not candidates:
-            raise ValueError(f"no sampler over domain {config.curriculum_domain!r}")
+            raise InvalidValue(f"no sampler over domain {config.curriculum_domain!r}")
         triples_sampler = candidates[0]
         size = triples_sampler.domain.cardinality
         if size < config.curriculum_classes:
-            raise ValueError(f"curriculum domain {config.curriculum_domain!r} has {size} rows, "
-                             f"fewer than its {config.curriculum_classes} classes")
+            raise InvalidValue(f"curriculum domain {config.curriculum_domain!r} has {size} rows, "
+                               f"fewer than its {config.curriculum_classes} classes")
         width = plan.theory.rel(config.monitor_symbol).out
         if width != config.curriculum_classes:  # the working set holds rows per class
-            raise ValueError(f"curriculum_classes is {config.curriculum_classes}, but the "
-                             f"monitored relation {config.monitor_symbol} has {width} classes")
+            raise InvalidValue(f"curriculum_classes is {config.curriculum_classes}, but the "
+                               f"monitored relation {config.monitor_symbol} has {width} classes")
         missing = sorted(set(config.labeled_axioms) - {ax.name for ax in plan.theory.axioms})
         if missing:
-            raise ValueError(f"labeled axioms {', '.join(missing)} are not in the theory")
+            raise InvalidValue(f"labeled axioms {', '.join(missing)} are not in the theory")
         max_per_class = size // config.curriculum_classes
         curriculum = CurriculumState(
             working_set=min(config.curriculum_initial, max_per_class),

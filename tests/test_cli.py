@@ -1,7 +1,10 @@
 """CLI contract: subcommands, exit codes, config files."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -108,6 +111,91 @@ class TestExitCodes:
         assert [line.split(":")[0] for line in out.splitlines()[:3]] == [
             "logic-plan-0", "logic-plan-1", "logic-plan-2"]
         assert "3/3 graphs pass at tol 1e-4" in out
+
+    @pytest.mark.parametrize("signature, message", [
+        ("sort Row dim 5;\nsort D card 3;\nrel classify : Row x D extern classify;\n",
+         "sort Row: the oracle models index-range sorts only, not data-table"),
+        ("sort D card 3;\n", "the oracle needs at least one relation to build atoms from"),
+        ("sort D card 3;\nrel P : D mlp 4 act relu;\n",
+         "rel P: the oracle models extern symbols only, not an mlp"),
+        ("sort D card 3;\nrel P : D extern P;\nrel V : D out 3 extern V;\n",
+         "rel V: the oracle models Boolean relations only, not out 3"),
+    ], ids=["data-sort", "no-relation", "mlp-relation", "class-vector-relation"])
+    def test_oracle_check_rejects_a_signature_it_cannot_model(self, tmp_path, capsys,
+                                                              signature, message):
+        path = tmp_path / "sig.dasl"
+        path.write_text(signature)
+        assert main(["oracle-check", "--signature", str(path), "--trials", "5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle-check", "--signature", "sig.dasl", "--trials", "-3"],
+        ["oracle-check", "--signature", "sig.dasl", "--trials", "0"],
+        ["gradcheck", "--trials", "0"],
+        ["gradcheck", "--trials", "-1"],
+    ], ids=["oracle-check-minus-3", "oracle-check-0", "gradcheck-0", "gradcheck-minus-1"])
+    def test_fewer_than_one_trial_exits_2(self, toy_dir, capsys, argv):
+        argv = [str(toy_dir / arg) if arg == "sig.dasl" else arg for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: trials must be >= 1, got {argv[-1]}\n")
+
+    @pytest.mark.parametrize("command", [["train", "--theory", "t.dasl"],
+                                         ["oracle-check", "--signature", "s.dasl"],
+                                         ["gradcheck"]], ids=lambda argv: argv[0])
+    def test_a_negative_seed_exits_2_before_anything_runs(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "argument --seed: expected an integer >= 0, got '-1'")
+
+    @pytest.mark.parametrize("call, raised", [
+        ("np.reshape(np.arange(3), (2, 2))", "ValueError: cannot reshape array"),
+        ("tensor.backward(tensor.Tensor(0.0))",
+         "dasl.tensor.DetachedNode: root is not on the active tape"),
+    ], ids=["numpy-value-error", "detached-node"])
+    def test_a_defect_in_a_handler_exits_1_with_its_traceback(self, call, raised):
+        script = ("import sys\nimport numpy as np\nfrom dasl import cli, tensor\n"
+                  f"cli.run_gradcheck = lambda trials, seed: {call}\n"
+                  "sys.exit(cli.main(['gradcheck']))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines[0] == "Traceback (most recent call last):"
+        assert lines[-1].startswith(raised)
+        assert not any(line.startswith("error:") for line in lines)
+
+    @pytest.mark.parametrize("case", ["latin-1-theory", "ff-fe-config", "theory-as-checkpoint",
+                                      "compile-batch-size-0"])
+    def test_misuse_exits_2_with_one_error_line(self, toy_dir, capsys, case):
+        theory, data = ["--theory", str(toy_dir / "toy.dasl")], ["--data-dir", str(toy_dir)]
+        if case == "latin-1-theory":
+            path = toy_dir / "latin1.dasl"
+            path.write_bytes(("# café\n" + TOY).encode("latin-1"))
+            argv = ["compile", "--theory", str(path), *data]
+            message = f"{path}: 'utf-8' codec can't decode byte 0xe9"
+        elif case == "ff-fe-config":
+            path = toy_dir / "utf16.cfg"
+            path.write_bytes(b"\xff\xfe" + "iterations = 3\n".encode("utf-16-le"))
+            argv = ["train", *theory, *data, "--config", str(path)]
+            message = f"{path}: 'utf-8' codec can't decode byte 0xff"
+        elif case == "theory-as-checkpoint":
+            argv = ["eval", *theory, *data, "--checkpoint", str(toy_dir / "toy.dasl"),
+                    "--data", "Train", "--symbol", "classify"]
+            message = f"{toy_dir / 'toy.dasl'}: not a checkpoint file"
+        else:
+            argv = ["compile", *theory, *data, "--batch-size", "0"]
+            message = "sampler over Train: batch_size must be at least 1, got 0"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {message}")
 
 
 class TestCompileTrainEval:
@@ -464,14 +552,15 @@ class TestOptions:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
+        (["mnist", "--ntr", "0"], "ntr must be >= 1"),
         (["mnist", "--batch-size", "0"], "batch size must be >= 1"),  # trained at 64
         (["mnist", "--cadence", "0"], "cadence must be >= 1"),
         (["synth-rel", "--batch-size", "0"], "batch size must be >= 1"),
         (["mnist", "--lr", "0"], "learning rate must be finite and > 0"),
         (["synth-rel", "--regime", "0"], "train fraction must be in (0, 1]"),  # one pair
         (["synth-rel", "--regime", "5"], "train fraction must be in (0, 1]"),  # the whole pool
-    ], ids=["mnist-batch-size", "mnist-cadence", "synth-rel-batch-size", "mnist-lr",
-            "synth-rel-regime-0", "synth-rel-regime-5"])
+    ], ids=["mnist-ntr", "mnist-batch-size", "mnist-cadence", "synth-rel-batch-size",
+            "mnist-lr", "synth-rel-regime-0", "synth-rel-regime-5"])
     def test_a_zero_setting_exits_2_before_any_data(self, toy_dir, capsys, monkeypatch,
                                                     argv, message):
         def no_data(*args, **kwargs):

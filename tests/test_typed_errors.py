@@ -1,12 +1,20 @@
-"""Every typed error of checking and binding: source or data in, exception type and message out."""
+"""Every typed error of checking and binding: source or data in, exception type and message out.
 
+Also the census of every exception class in `dasl`: each one blames the
+input (a `DaslError`) or is a pinned defect.
+"""
+
+import importlib
+import pkgutil
 import re
 import struct
 
 import numpy as np
 import pytest
 
+import dasl
 from dasl.data import BadMagic, TruncatedFile, write_csv_table
+from dasl.errors import DaslError
 from dasl.interp import DataLoadError, MissingExtern, WidthMismatch, bind_theory
 from dasl.lang import DuplicateDecl, SortError, UnboundSymbol, check_theory, parse_theory
 
@@ -107,9 +115,10 @@ def data_dir(tmp_path):
 @pytest.mark.parametrize("tail, data, error, message",
                          [case[1:] for case in CASES], ids=[case[0] for case in CASES])
 def test_bad_input_raises_its_typed_error(data_dir, tail, data, error, message):
-    with pytest.raises(error, match=re.escape(message)):
+    with pytest.raises(error, match=re.escape(message)) as caught:
         theory = check_theory(parse_theory(HEAD + tail))
         bind_theory(theory, externs=EXTERNS, data=data, data_dir=data_dir)
+    assert isinstance(caught.value, DaslError)
 
 
 @pytest.mark.parametrize("name, cause", [("short.idx", TruncatedFile),
@@ -121,3 +130,30 @@ def test_a_broken_idx_file_keeps_the_reader_error_as_cause(data_dir, name, cause
         bind_theory(theory, externs=EXTERNS, data_dir=data_dir)
     assert type(caught.value.__cause__) is cause
     assert str(caught.value) == str(caught.value.__cause__)
+
+
+# the exception classes that blame no input: raising one is a defect in dasl
+# or in the code that calls it, so `dasl` shows its traceback and exits 1
+DEFECTS = {
+    "dasl.tensor.ShapeMismatch", "dasl.tensor.AxisOutOfRange", "dasl.tensor.IndexOutOfRange",
+    "dasl.tensor.NotScalar", "dasl.tensor.DetachedNode",
+    "dasl.logit.EmptyConjunction", "dasl.logit.EmptyDisjunction",
+}
+
+
+def _exception_classes() -> dict[str, type]:
+    found = {}
+    for info in pkgutil.walk_packages(dasl.__path__, "dasl."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_every_exception_class_blames_the_input_or_is_a_pinned_defect():
+    classes = _exception_classes()
+    sides = {name: issubclass(cls, DaslError) for name, cls in classes.items()}
+    assert {name for name, inside in sides.items() if not inside} == DEFECTS
+    assert sum(sides.values()) == 26  # DaslError, InvalidValue and 24 input errors
