@@ -1,7 +1,9 @@
 """Typed AST for theory files: sorts, symbol declarations, terms, formulas.
 
-All nodes are frozen dataclasses, so they hash, compare structurally, and
-can be shared freely across threads once built.
+All nodes are frozen, slotted dataclasses, so they hash, compare
+structurally, and can be shared freely across threads once built; no node
+carries a per-instance `__dict__`, which keeps the thousands of formulas an
+oracle run draws small.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 # declarations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortDecl:
     """A sort with one of three representations.
 
@@ -39,13 +41,13 @@ class SortDecl:
         return self.representation == "index-range"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MlpSpec:
     hidden: tuple[int, ...]
     activation: str = "relu"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExternRef:
     name: str
 
@@ -53,14 +55,14 @@ class ExternRef:
 Binding = MlpSpec | ExternRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstDecl:
     name: str
     sort: str
     learned: bool = False  # learned -> embedding row; otherwise extern-supplied
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncDecl:
     name: str
     arg_sorts: tuple[str, ...]
@@ -68,7 +70,7 @@ class FuncDecl:
     binding: Binding
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelDecl:
     name: str
     arg_sorts: tuple[str, ...]
@@ -76,7 +78,7 @@ class RelDecl:
     binding: Binding
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolVecDecl:
     """Named vector of crisp truth bits, usable bare or indexed by a term."""
 
@@ -84,7 +86,7 @@ class BoolVecDecl:
     bits: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataDecl:
     name: str
     column_sorts: tuple[str, ...]
@@ -99,30 +101,30 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable(Term):
     name: str
     sort: str | None = None  # filled in by the checker
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant(Term):
     name: str
     sort: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncApp(Term):
     symbol: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLiteral(Term):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArithExpr(Term):
     """Integer arithmetic over index-range terms; op is 'add' or 'mod'."""
 
@@ -138,40 +140,40 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelApp(Formula):
     symbol: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equals(Formula):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     items: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     items: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Formula):
     """Quantifier over a sort or a dataset.
 
@@ -183,14 +185,14 @@ class Forall(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Formula):
     vars: tuple[str, ...]
     domain: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SoftSelect(Formula):
     """pi[index](vector): logit of the index-th softmax probability."""
 
@@ -198,23 +200,23 @@ class SoftSelect(Formula):
     vector: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolConst(Formula):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolVectorConst(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxiomDecl:
     name: str
     formula: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Theory:
     sorts: tuple[SortDecl, ...] = ()
     consts: tuple[ConstDecl, ...] = ()

@@ -150,14 +150,8 @@ class _Checker:
                 if kind in ("rel", "boolvec"):
                     raise SortError(t.symbol, "a function", kind)
                 raise UnboundSymbol(t.symbol)
-            if len(t.args) != len(decl.arg_sorts):
-                raise SortError(t.symbol, f"{len(decl.arg_sorts)} arguments", str(len(t.args)))
-            args = []
-            for a, want in zip(t.args, decl.arg_sorts):
-                arg, sort = self.term(a, env)
-                self._match_sort(t.symbol, want, sort)
-                args.append(arg)
-            return FuncApp(t.symbol, tuple(args)), decl.result_sort
+            args = self._arguments(t.symbol, t.args, decl.arg_sorts, env)
+            return FuncApp(t.symbol, args), decl.result_sort
         if isinstance(t, ArithExpr):
             args, sorts = [], []
             for a in t.args:
@@ -188,6 +182,25 @@ class _Checker:
     def _is_index(self, sort: str) -> bool:
         s = self.theory.sort(sort)
         return s is not None and s.is_index
+
+    def _arguments(self, symbol: str, args: tuple[Term, ...], sorts: tuple[str, ...], env):
+        """The annotated arguments of a function or relation, each of its slot's sort."""
+        if len(args) != len(sorts):
+            raise SortError(symbol, f"{len(sorts)} arguments", str(len(args)))
+        out = []
+        for i, (a, want) in enumerate(zip(args, sorts)):
+            arg, sort = self.term(a, env)
+            self._match_sort(symbol, want, sort)
+            if sort is None:  # a bare literal, in an index-range slot
+                self._literal_in_range(symbol, i, arg, self.theory.sort(want).cardinality)
+            out.append(arg)
+        return tuple(out)
+
+    def _literal_in_range(self, symbol: str, i: int, arg: Term, n: int) -> None:
+        """Reject a literal argument that is no id of its slot, [0, n); an id
+        computed from it (`x + 5`, an extern's result) is checked at run time."""
+        if isinstance(arg, IntLiteral) and not 0 <= arg.value < n:
+            raise SortError(symbol, f"argument {i} in [0, {n})", f"literal {arg.value}")
 
     def _match_sort(self, symbol: str, want: str, found: str | None) -> None:
         if found is None:  # bare int literal: fine for index-range slots
@@ -258,14 +271,8 @@ class _Checker:
     def _rel_app(self, f: RelApp, env):
         decl = self.theory.rel(f.symbol)
         if decl is not None:
-            if len(f.args) != len(decl.arg_sorts):
-                raise SortError(f.symbol, f"{len(decl.arg_sorts)} arguments", str(len(f.args)))
-            args = []
-            for a, want in zip(f.args, decl.arg_sorts):
-                arg, sort = self.term(a, env)
-                self._match_sort(f.symbol, want, sort)
-                args.append(arg)
-            return RelApp(f.symbol, tuple(args)), decl.out or 1
+            args = self._arguments(f.symbol, f.args, decl.arg_sorts, env)
+            return RelApp(f.symbol, args), decl.out or 1
         bv = self.theory.boolvec(f.symbol)
         if bv is not None:
             if not f.args:
@@ -277,6 +284,7 @@ class _Checker:
                 s = self.theory.sort(sort)
                 if not s.is_index or s.cardinality != len(bv.bits):
                     raise SortError(f.symbol, f"index sort of card {len(bv.bits)}", sort)
+            self._literal_in_range(f.symbol, 0, arg, len(bv.bits))
             return RelApp(f.symbol, (arg,)), 1
         kind = self.names.get(f.symbol)
         if kind == "func":

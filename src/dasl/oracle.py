@@ -60,9 +60,10 @@ _ENUM_GUARD = 2 ** 24
 # crisp models
 
 
-@dataclass
+@dataclass(slots=True)
 class CrispModel:
-    """Finite first-order structure with Boolean relation tables."""
+    """Finite first-order structure with Boolean relation tables (slotted: no
+    per-instance `__dict__`, since an oracle run holds thousands)."""
 
     sizes: dict[str, int]
     constants: dict[str, int] = field(default_factory=dict)

@@ -18,13 +18,16 @@ import os
 import struct
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DaslError, InvalidValue
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 _LOG_FLOOR = 1e-300
 _EXP_MAX = 709.0  # exp saturates here instead of overflowing to inf
@@ -317,6 +320,8 @@ def _pool() -> ThreadPoolExecutor | None:
     if (cpus or 1) < 2 or _blas_threads() > 1:
         return None
     if _worker is None or _worker[0] != os.getpid():  # a forked child makes its own
+        from concurrent.futures import ThreadPoolExecutor  # loaded with the first worker only
+
         _worker = os.getpid(), ThreadPoolExecutor(max_workers=1)
     return _worker[1]
 

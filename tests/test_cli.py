@@ -312,6 +312,14 @@ class TestCompileTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: axiom 'wrap': boolvec b has id 4, outside [0, 3)")
 
+    def test_a_literal_past_its_sort_fails_compile(self, toy_dir, capsys):
+        # a literal id is checked with the theory; only computed ids wait for run time
+        theory = toy_dir / "literal.dasl"
+        theory.write_text("sort D card 3;\nrel P : D mlp 4;\naxiom a : P(5);\n")
+        assert main(["compile", "--theory", str(theory)]) == 2
+        assert capsys.readouterr().err == \
+            "error: P: expected argument 0 in [0, 3), found literal 5\n"
+
     @staticmethod
     def _train(toy_dir, theory="toy.dasl", out="run_eval"):
         assert main(["train", "--theory", str(toy_dir / theory),

@@ -9,8 +9,10 @@ import ctypes
 import glob
 import hashlib
 import inspect
+import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -349,3 +351,40 @@ def test_a_forked_child_makes_its_own_worker(one_blas_thread):
         child.join(5)
         if child.is_alive():
             child.kill()
+
+
+# run in a fresh interpreter: pytest itself may have loaded concurrent.futures
+_POOL_IMPORT_SCRIPT = """
+import importlib, json, os, pkgutil, sys
+import dasl
+for info in pkgutil.walk_packages(dasl.__path__, "dasl."):
+    importlib.import_module(info.name)
+at_import = "concurrent.futures" in sys.modules
+import numpy as np
+from dasl import tensor as T
+calls, halves = [], T._halves
+T._halves = lambda kernel, cut, n: (calls.append([cut, n]), halves(kernel, cut, n))[1]
+rng = np.random.default_rng(12)
+a, b = rng.normal(size=(200, 300)), rng.normal(size=(300, 300))
+same = T._product(a, b).tobytes() == np.matmul(a, b).tobytes()
+print(json.dumps({"at_import": at_import, "blas": T._blas_threads(),
+                  "cpus": len(os.sched_getaffinity(0)), "calls": calls, "same": same,
+                  "after": "concurrent.futures" in sys.modules}))
+"""
+
+
+def test_the_pool_module_loads_with_the_first_worker_only():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")  # one BLAS thread, as the benchmark pins it
+    proc = subprocess.run([sys.executable, "-c", _POOL_IMPORT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["at_import"] is False  # no dasl module loads it at import
+    if seen["blas"] != 1:
+        pytest.skip("numpy's OpenBLAS is not found, so no product splits")
+    assert 200 * 300 * 300 >= T._SPLIT_MACS
+    assert seen["calls"] == [[96, 200]] and seen["same"] is True
+    assert seen["after"] is (seen["cpus"] >= 2)  # one CPU makes no worker, so no pool

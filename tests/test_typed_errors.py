@@ -51,6 +51,13 @@ CASES = [
      SortError, "arithmetic: expected one index sort, found ['D', 'K']"),
     ("literal_in_data_slot", "axiom a : Q(1);", None, SortError,
      "Q: expected R, found integer literal"),
+    # a literal argument is an id of its slot: [0, card), or a boolvec's bits
+    ("literal_past_relation_slot", "rel S : D x K extern S;\naxiom a : S(2, 2);", None,
+     SortError, "S: expected argument 1 in [0, 2), found literal 2"),
+    ("literal_past_function_slot", "axiom a : P(f(3));", None, SortError,
+     "f: expected argument 0 in [0, 3), found literal 3"),
+    ("literal_past_boolvec_bits", "boolvec b : [1, 0];\naxiom a : b(2);", None, SortError,
+     "b: expected argument 0 in [0, 2), found literal 2"),
     # formulas
     ("equal_literals", "axiom a : 1 = 2;", None, SortError,
      "=: expected a sorted term, found two bare integers"),
