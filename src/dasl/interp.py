@@ -172,7 +172,7 @@ class MlpBinding:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = T.affine(h, w, b)
             if i < last:
-                h = act(h)
+                h = act(h, out=h.data)  # the fresh product is the layer's one array
         if self.out_width == 1:
             h = T.reshape(h, h.data.shape[:1])
         return h

@@ -192,15 +192,16 @@ class _Checker:
             arg, sort = self.term(a, env)
             self._match_sort(symbol, want, sort)
             if sort is None:  # a bare literal, in an index-range slot
-                self._literal_in_range(symbol, i, arg, self.theory.sort(want).cardinality)
+                self._literal_in_range(symbol, f"argument {i}", arg,
+                                       self.theory.sort(want).cardinality)
             out.append(arg)
         return tuple(out)
 
-    def _literal_in_range(self, symbol: str, i: int, arg: Term, n: int) -> None:
-        """Reject a literal argument that is no id of its slot, [0, n); an id
+    def _literal_in_range(self, symbol: str, what: str, arg: Term, n: int) -> None:
+        """Reject a literal that is no id of its slot or sort, [0, n); an id
         computed from it (`x + 5`, an extern's result) is checked at run time."""
         if isinstance(arg, IntLiteral) and not 0 <= arg.value < n:
-            raise SortError(symbol, f"argument {i} in [0, {n})", f"literal {arg.value}")
+            raise SortError(symbol, f"{what} in [0, {n})", f"literal {arg.value}")
 
     def _match_sort(self, symbol: str, want: str, found: str | None) -> None:
         if found is None:  # bare int literal: fine for index-range slots
@@ -230,8 +231,11 @@ class _Checker:
             if ls is None and rs is None:
                 raise SortError("=", "a sorted term", "two bare integers")
             named = ls if ls is not None else rs
-            if (ls is None or rs is None) and not self._is_index(named):
-                raise SortError("=", "an index-range sort beside a literal", named)
+            if ls is None or rs is None:
+                if not self._is_index(named):
+                    raise SortError("=", "an index-range sort beside a literal", named)
+                self._literal_in_range("=", f"an id of {named}", lhs if ls is None else rhs,
+                                       self.theory.sort(named).cardinality)
             return Equals(lhs, rhs), 1
         if isinstance(f, Not):
             body, w = self.formula(f.body, env)
@@ -284,7 +288,7 @@ class _Checker:
                 s = self.theory.sort(sort)
                 if not s.is_index or s.cardinality != len(bv.bits):
                     raise SortError(f.symbol, f"index sort of card {len(bv.bits)}", sort)
-            self._literal_in_range(f.symbol, 0, arg, len(bv.bits))
+            self._literal_in_range(f.symbol, "argument 0", arg, len(bv.bits))
             return RelApp(f.symbol, (arg,)), 1
         kind = self.names.get(f.symbol)
         if kind == "func":

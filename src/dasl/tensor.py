@@ -308,6 +308,12 @@ _ROW_ALIGN = 48
 # us; at 2**15 the pull lost (133 -> 150 us).  The 212 x 512 hidden layer of a
 # digit step splits; relations' and the oracle's arrays stay far below.
 _SPLIT_ENTRIES = 1 << 16
+# Sigmoid and its pull take their scratch one block of rows at a time, of at
+# most this many entries (and at least one row), one scratch array per half:
+# a digit step's 106 x 512 halves are one block each, and a 2000-row scoring
+# pass needs 1 MB of scratch, not 8 MB.  Blocks of 2**14 slowed an untaped
+# digit trial by about 0.9 ms; blocks of 2**18 could not be told apart.
+_BLOCK_ENTRIES = 1 << 16
 
 _worker: tuple[int, ThreadPoolExecutor] | None = None  # (pid that made it, the pool)
 
@@ -356,6 +362,42 @@ def _openblas_count():
     return None
 
 
+# glibc's dynamic heap rule hands each freed block of 128 KB or more back to
+# the OS and raises its mmap threshold only to the largest block freed so far,
+# so a scoring pass faulted its 0.5-1 MB MLP arrays in again on every call
+# (about 1,100 minor faults a relations pass).  Both thresholds are fixed at
+# import instead: blocks below 32 MiB (the ceiling of glibc's own rule on
+# 64-bit) come from the heap, and its top is trimmed only past 64 MiB free.
+# Setting either turns the dynamic rule off, and the trim threshold alone
+# mmaps every block of 128 KB or more, so they are set together.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+_HEAP_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+_HEAP_TUNABLES = ("glibc.malloc.mmap_threshold", "glibc.malloc.trim_threshold")
+
+
+def _set_heap_policy() -> bool:
+    """Set _HEAP_POLICY through glibc's mallopt (this module does so once, at
+    import) unless the environment sets either threshold; on any other libc
+    nothing changes.  True if it was set."""
+    tunables = {item.partition("=")[0] for item in os.environ.get("GLIBC_TUNABLES", "").split(":")}
+    if any(name in os.environ for name in _HEAP_ENV) or tunables & set(_HEAP_TUNABLES):
+        return False
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no C library to open by name None (Windows)
+        return False
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # all() stops at a refusal, so the trim threshold is never set alone
+    return all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
+
+
+_set_heap_policy()
+
+
 def _blas_threads() -> int:
     """OpenBLAS's own thread count, about 1 us a read; 0 (unknown) without OpenBLAS."""
     count = _openblas_count()
@@ -375,13 +417,28 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _by_rows(kernel, *arrays) -> None:
-    """kernel(*arrays), in two halves of their leading axis from _SPLIT_ENTRIES
-    entries on."""
+    """kernel(*blocks, t) over `_in_blocks` of `arrays`, in two halves of their
+    leading axis from _SPLIT_ENTRIES entries on."""
     n = len(arrays[0]) if arrays[0].size >= _SPLIT_ENTRIES else 0
     if n < 2:
-        kernel(*arrays)
+        _in_blocks(kernel, arrays)
     else:
-        _halves(lambda rows: kernel(*[a[rows] for a in arrays]), n // 2, n)
+        _halves(lambda rows: _in_blocks(kernel, [a[rows] for a in arrays]), n // 2, n)
+
+
+def _in_blocks(kernel, arrays) -> None:
+    """kernel(*blocks, t) for each block of rows of `arrays` of at most
+    _BLOCK_ENTRIES entries (at least one row), t one scratch array of a block's
+    shape that every block reuses."""
+    first = arrays[0]
+    if first.size <= _BLOCK_ENTRIES:
+        kernel(*arrays, np.empty_like(first))
+        return
+    step = max(1, _BLOCK_ENTRIES // (first.size // len(first)))
+    t = np.empty((step,) + first.shape[1:])
+    for lo in range(0, len(first), step):
+        blocks = [a[lo:lo + step] for a in arrays]
+        kernel(*blocks, t[:len(blocks[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +508,18 @@ def _pull_sqrt(g, out):
     return g / (2.0 * np.maximum(out, _LOG_FLOOR))
 
 
-def sigmoid(a) -> Tensor:
+def sigmoid(a, out=None) -> Tensor:
+    """1 / (1 + exp(-a)), written into `out` when given (a float64 array of a's
+    shape, which may be a's own buffer); the pull reads only the output, as
+    `relu`'s and `tanh`'s do."""
     da, na = _ensure(a)
-    out = _sigmoid_np(da)
+    out = _sigmoid_np(da, out)
     return _make(out, (na, _pull_sigmoid, out))
 
 
 def _pull_sigmoid(g, out):
     res = np.empty_like(out)
-    _by_rows(_pull_sigmoid_into, g, out, res, np.empty_like(out))
+    _by_rows(_pull_sigmoid_into, g, out, res)
     return res
 
 
@@ -505,18 +565,22 @@ def _pull_softplus_neg_sum(g, x, t, shape):
     return _unbroadcast(np.negative(g * _sigmoid_of(x, t)), shape)
 
 
-def relu(a) -> Tensor:
+def relu(a, out=None) -> Tensor:
+    """max(a, 0), into `out` as `sigmoid` takes it; out > 0 exactly where a > 0
+    (NaN and -0.0 included), so the pull's mask is read from the output."""
     da, na = _ensure(a)
-    return _make(np.maximum(da, 0.0), (na, _pull_relu, da))
+    out = np.maximum(da, 0.0, out=out)
+    return _make(out, (na, _pull_relu, out))
 
 
-def _pull_relu(g, da):
-    return g * (da > 0)
+def _pull_relu(g, out):
+    return g * (out > 0)
 
 
-def tanh(a) -> Tensor:
+def tanh(a, out=None) -> Tensor:
+    """tanh(a), into `out` as `sigmoid` takes it."""
     da, na = _ensure(a)
-    out = np.tanh(da)
+    out = np.tanh(da, out=out)
     return _make(out, (na, _pull_tanh, out))
 
 
@@ -542,15 +606,17 @@ def where(cond, a, b) -> Tensor:
                  (nb, _unbroadcast_times, ~cond, db.shape))
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+def _sigmoid_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    _by_rows(_sigmoid_into, x, out, np.empty_like(x))
+    if out is None:
+        out = np.empty_like(x)
+    _by_rows(_sigmoid_into, x, out)
     return out
 
 
 def _sigmoid_into(x, out, t):
-    """out = _sigmoid_of(x, t = exp(-|x|)), through its ufuncs in its order, in place."""
+    """out = _sigmoid_of(x, t = exp(-|x|)), through its ufuncs in its order, in
+    place; out may be x itself, which is read before out is written."""
     np.abs(x, out=t)
     np.negative(t, out=t)
     np.exp(t, out=t)

@@ -320,6 +320,14 @@ class TestCompileTrainEval:
         assert capsys.readouterr().err == \
             "error: P: expected argument 0 in [0, 3), found literal 5\n"
 
+    def test_a_literal_past_its_sort_in_an_equality_fails_compile(self, toy_dir, capsys):
+        theory = toy_dir / "literal_eq.dasl"
+        theory.write_text("sort D card 3;\nrel P : D mlp 4;\n"
+                          "axiom a : forall x: D . P(x) | x = 5;\n")
+        assert main(["compile", "--theory", str(theory)]) == 2
+        assert capsys.readouterr().err == \
+            "error: =: expected an id of D in [0, 3), found literal 5\n"
+
     @staticmethod
     def _train(toy_dir, theory="toy.dasl", out="run_eval"):
         assert main(["train", "--theory", str(toy_dir / theory),

@@ -63,6 +63,8 @@ CASES = [
      "=: expected a sorted term, found two bare integers"),
     ("literal_beside_data_sort", 'data Pool : R from "mem";\naxiom a : forall r: Pool . r = 1;',
      None, SortError, "=: expected an index-range sort beside a literal, found R"),
+    ("literal_past_equality_sort", "axiom a : forall x: D . P(x) | x = 5;", None, SortError,
+     "=: expected an id of D in [0, 3), found literal 5"),
     ("equal_across_sorts", "axiom a : forall x: D . forall k: K . x = k;", None, SortError,
      "=: expected D, found K"),
     ("select_by_data_sort", 'rel V : D out 3 extern V;\ndata Pool : R from "mem";\n'
